@@ -12,10 +12,8 @@ from .mesh import DOMAINS, TriMesh, dump_mesh, generate_domain, refine_uniform
 from .spaces import (
     BrokenSpace,
     EntityReduction,
-    b3_space,
     build_b3_constraints,
     build_morley,
-    build_nullspace,
     reduce_entities,
 )
 from .coefficients import Coefficient, as_coefficient, combine
@@ -59,10 +57,8 @@ __all__ = [
     "refine_uniform",
     "BrokenSpace",
     "EntityReduction",
-    "b3_space",
     "build_b3_constraints",
     "build_morley",
-    "build_nullspace",
     "reduce_entities",
     "Coefficient",
     "as_coefficient",

@@ -17,7 +17,7 @@ div sigma(u) = mu Lap(u) + (lam + mu) grad(div u)
 import numpy as np
 import scipy.sparse as sparse
 
-from .coefficients import as_coefficient
+from .coefficients import as_coefficient, require_finite
 from .polybasis import QUAD_DEGREES, triangle_quadrature
 
 CHUNK = 512
@@ -58,7 +58,7 @@ def _chunks(space, degree):
 def _coeff_weights(coeff, cw, xq, positive=False):
     if coeff is None:
         return cw
-    values = coeff(xq[..., 0], xq[..., 1])
+    values = require_finite(coeff(xq[..., 0], xq[..., 1]))
     if positive:
         vmin = float(np.min(values))
         if vmin <= 0.0:
@@ -283,7 +283,7 @@ def load_vector(space, f1, f2, degree=10):
     for sel, tab, cw, xq in _chunks(space, deg):
         x, y = xq[..., 0], xq[..., 1]
         for c, f in enumerate((f1, f2)):
-            fv = np.asarray(f(x, y), dtype=float)
+            fv = require_finite(np.asarray(f(x, y), dtype=float), "load")
             fv = np.broadcast_to(fv, x.shape)
             out[c, sel] = np.einsum("tq,tq,tqi->ti", cw, fv, tab["v"],
                                     optimize=True)

@@ -140,7 +140,14 @@ class Coefficient:
         namespace = {"__builtins__": {}, "pi": math.pi, **_ALLOWED_CALLS}
 
         def func(x1, x2):
-            out = eval(code, namespace, {"x1": x1, "x2": x2})
+            # non-finite values are rejected where coefficients are used
+            try:
+                with np.errstate(all="ignore"):
+                    out = eval(code, namespace, {"x1": x1, "x2": x2})
+            except (ZeroDivisionError, OverflowError) as exc:
+                raise ValueError(
+                    f"cannot evaluate expression {text!r}: {exc}"
+                ) from None
             return np.broadcast_to(np.asarray(out, float), np.shape(x1)).copy()
 
         return cls("expression", func, _poly_degree(tree), text)
@@ -153,6 +160,13 @@ class Coefficient:
 
     def __repr__(self):
         return f"Coefficient({self.kind}: {self.label})"
+
+
+def require_finite(values, what="coefficient"):
+    """Values of a field, refusing NaN or infinite entries."""
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{what} is not finite on the domain")
+    return values
 
 
 def as_coefficient(c):

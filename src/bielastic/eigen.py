@@ -168,10 +168,25 @@ def solve_sym_constrained(K, psi, b):
     return x
 
 
+def kernel_basis(psi):
+    """Dense orthonormal basis of ker(Psi) for a full-row-rank Psi.
+
+    Refuses kernels larger than ``DENSE_SYM_CAP``, beyond which the dense
+    SVD and the reduced pencil no longer fit the dense path.
+    """
+    kernel_dim = psi.shape[1] - psi.shape[0]
+    if kernel_dim > DENSE_SYM_CAP:
+        raise RuntimeError(
+            f"constraint kernel dimension {kernel_dim} exceeds the dense "
+            f"cap {DENSE_SYM_CAP}"
+        )
+    return dla.null_space(psi.toarray() if sparse.issparse(psi) else psi)
+
+
 def _eig_constrained_dense(KA, KB, psi, k):
     """Dense null-space reduction of the constrained pencil; k is clamped
     to the kernel dimension."""
-    Z = dla.null_space(psi.toarray() if sparse.issparse(psi) else psi)
+    Z = kernel_basis(psi)
     if Z.shape[1] == 0:
         raise RuntimeError("constraint matrix has a trivial kernel")
     k = min(k, Z.shape[1])
@@ -227,6 +242,15 @@ def eig_sym_constrained(KA, KB, psi, k, check=True):
     return _check_residuals(result, lambda v: na + abs(v) * nb, check)
 
 
+def check_companion_size(n):
+    """Refuse a pencil of order n whose companion exceeds the dense cap."""
+    if 2 * n > COMPANION_CAP:
+        raise ValueError(
+            f"companion dimension {2 * n} exceeds the dense cap "
+            f"{COMPANION_CAP}"
+        )
+
+
 def eig_quadratic(K, C, M, k=None, check=True):
     """Eigenvalues of the pencil K + tau C + tau^2 M by companion
     linearization [[-C, -K], [I, 0]] z = tau [[M, 0], [0, I]] z.
@@ -235,11 +259,7 @@ def eig_quadratic(K, C, M, k=None, check=True):
     of each conjugate pair first; infinite eigenvalues are dropped.
     """
     n = K.shape[0]
-    if 2 * n > COMPANION_CAP:
-        raise ValueError(
-            f"companion dimension {2 * n} exceeds the dense cap "
-            f"{COMPANION_CAP}"
-        )
+    check_companion_size(n)
     Kd = K.toarray() if sparse.issparse(K) else np.asarray(K, float)
     Cd = C.toarray() if sparse.issparse(C) else np.asarray(C, float)
     Md = M.toarray() if sparse.issparse(M) else np.asarray(M, float)

@@ -526,9 +526,9 @@ def run_source(domain, beta, lam, mu, f1, f2, exact=None, levels=None,
     rows = []
     series = {norm: [] for norm in SOURCE_NORMS}
     for lvl in levels:
+        t0 = time.perf_counter()
         mesh = generate_domain(domain, lvl - 1 + mesh_offset)
         real = make_realization(mesh, element)
-        t0 = time.perf_counter()
         res = solve_source(real, beta, lam, mu, f1, f2, exact=exact,
                            alpha=alpha)
         norms = res.norms if exact is not None else error_norms(
@@ -559,9 +559,9 @@ def run_bielastic(domain, beta, lam, mu, levels=None, k=6, element="b3",
     rows = []
     series = {}
     for lvl in levels:
+        t0 = time.perf_counter()
         mesh = generate_domain(domain, lvl - 1 + mesh_offset)
         real = make_realization(mesh, element)
-        t0 = time.perf_counter()
         res = solve_bielastic_eigs(real, beta, lam, mu, k, alpha=alpha)
         seconds = time.perf_counter() - t0
         meta["h"].append(mesh.h)
@@ -606,9 +606,9 @@ def run_tep(domain, lam, mu, rho0, rho1, levels=None, k=10, element="b3",
     series = {}
     case = None
     for lvl in levels:
+        t0 = time.perf_counter()
         mesh = generate_domain(domain, lvl - 1 + mesh_offset)
         real = make_realization(mesh, element)
-        t0 = time.perf_counter()
         blocks = TepBlocks(real, lam, mu, rho0, rho1, alpha=alpha)
         case = blocks.case
         if method == "secant":

@@ -3,16 +3,17 @@ tau-parameterized spectral function, and transmission-eigenvalue search
 by secant iteration or quadratic linearization.
 
 Two space realizations share one interface.  The cubic element works in
-entity variables with saddle-point (KKT) algebra so no explicit null-space
-basis is needed at scale; an explicit conforming basis is built lazily for
-the dense-only quadratic path.  The Morley element always carries its
-explicit (local, sparse) basis.
+entity variables with saddle-point (KKT) algebra; the dense quadratic path
+reduces its Galerkin blocks further onto a kernel basis of the
+compatibility rows.  The Morley element always carries its explicit
+(local, sparse) basis.
 """
 
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sparse
 
 from .assembly import (
     bielastic_matrix,
@@ -24,18 +25,19 @@ from .assembly import (
     mass_matrix,
     mixed_divsigma_matrix,
 )
-from .coefficients import as_coefficient, combine
+from .coefficients import as_coefficient, combine, require_finite
 from .eigen import (
+    check_companion_size,
     eig_quadratic,
     eig_sym_constrained,
     eig_sym_gen,
+    kernel_basis,
     solve_sym,
     solve_sym_constrained,
 )
 from .polybasis import triangle_quadrature
 from .spaces import (
     BrokenSpace,
-    b3_space,
     build_morley,
     reduce_entities,
     vector_transform,
@@ -58,7 +60,7 @@ class B3Realization:
         self.space = BrokenSpace(mesh, 3)
         self.reduction = reduce_entities(mesh)
         self.lift, self.psi = self.reduction.vector()
-        self._explicit = None
+        self._kernel = None
 
     @property
     def dofs(self):
@@ -80,18 +82,18 @@ class B3Realization:
         return self.eig_reduced(self.reduced(A), self.reduced(B), k)
 
     def explicit_basis(self):
-        if self._explicit is None:
-            self._explicit = vector_transform(b3_space(self.mesh).transform)
-        return self._explicit
+        """Kernel basis of the compatibility rows in entity variables,
+        block-diagonal over the two components."""
+        if self._kernel is None:
+            Z = kernel_basis(self.reduction.psi)
+            self._kernel = sparse.block_diag((Z, Z), format="csr")
+        return self._kernel
 
     def eig_quadratic(self, K, C, M, k=None):
-        N = self.explicit_basis()
-        return eig_quadratic(
-            (N.T @ K @ N).toarray(),
-            (N.T @ C @ N).toarray(),
-            (N.T @ M @ N).toarray(),
-            k,
-        )
+        check_companion_size(self.dofs)  # before the dense kernel basis
+        Z = self.explicit_basis()
+        dense = lambda A: Z.T @ (self.reduced(A) @ Z.toarray())
+        return eig_quadratic(dense(K), dense(C), dense(M), k)
 
 
 class MorleyRealization:
@@ -144,14 +146,14 @@ def coefficient_min(space, coeff, degree=12):
     coeff = as_coefficient(coeff)
     rule = triangle_quadrature(degree)
     xq = space.physical_points(rule.points)
-    return float(np.min(coeff(xq[..., 0], xq[..., 1])))
+    return float(np.min(require_finite(coeff(xq[..., 0], xq[..., 1]))))
 
 
 def coefficient_max(space, coeff, degree=12):
     coeff = as_coefficient(coeff)
     rule = triangle_quadrature(degree)
     xq = space.physical_points(rule.points)
-    return float(np.max(coeff(xq[..., 0], xq[..., 1])))
+    return float(np.max(require_finite(coeff(xq[..., 0], xq[..., 1]))))
 
 
 def fourth_order_block(real, coeff, lam, mu, alpha=None, inclusive=False):

@@ -8,30 +8,24 @@ Three layers live here:
 * The constrained cubic space (element id ``b3``): piecewise cubics that are
   continuous at vertices, have edge-mean continuity of the value, and
   edge-moment continuity of the normal derivative against linears; boundary
-  analogues vanish.  It is realized as the null space N of the constraint
-  system over broken-P3 coefficients.  The construction reduces the broken
-  constraints exactly to shared entity variables (vertex values plus three
-  per-edge trace functionals) and runs a rank-revealing sparse row echelon
-  with column pivoting on the residual per-triangle compatibility rows; the
-  constraint set is rank-deficient globally, so row counting is never used.
+  analogues vanish.  The broken constraints are reduced exactly to shared
+  entity variables (vertex values plus three per-edge trace functionals)
+  subject to two compatibility rows per triangle (``reduce_entities``).
+  ``build_b3_constraints`` writes the same conditions as explicit rows over
+  broken-P3 coefficients; it is the independent check of the reduction.
 
 * ``MorleySpace``: the quadratic element with vertex values and edge mean
   normal derivatives, built from per-triangle dual-basis inversion.
 
-Every space exposes ``transform``: a sparse matrix mapping conforming
-coefficients to broken coefficients (one scalar component).
+Both conforming spaces carry a sparse map to broken coefficients (one
+scalar component): ``lift`` from entity variables for ``b3`` and
+``transform`` from the degrees of freedom for Morley.
 """
-
-import heapq
-import time
 
 import numpy as np
 import scipy.sparse as sparse
-import scipy.sparse.linalg as spla
 
 from .polybasis import edge_gauss, p2_shapes, p3_shapes
-
-DROPTOL = 1e-9
 
 # slot layout of the twelve entity functionals of a cubic on one triangle
 SLOT_NAMES = (
@@ -310,256 +304,25 @@ def _slot_vars(mesh, vert_var, edge_var):
     return sv
 
 
-def _echelon_nullspace(row_list, ncols, droptol=DROPTOL, build_basis=True):
-    """Left-looking sparse row echelon with per-row column pivoting.
-
-    Rows are normalized to unit max entry; a reduced row whose largest
-    remaining entry is at most ``droptol`` is dropped as redundant.  Returns
-    the sparse null-space basis (ncols x nfree) plus a report; with
-    ``build_basis=False`` the basis is skipped (rank discovery only) and the
-    report carries the indices of the input rows that produced pivots.
-    """
-    d = np.zeros(ncols)
-    pivot_creation = np.full(ncols, -1, np.int64)
-    piv_cols = []        # pivot column of stored row t
-    tail_cols = []       # stored row = e_pivot + tail
-    tail_vals = []
-    pivot_rows = []      # input row index that created each pivot
-    dropped = 0
-    for irow, (cols, vals) in enumerate(row_list):
-        scale = np.abs(vals).max(initial=0.0)
-        if scale == 0.0:
-            dropped += 1
-            continue
-        d[cols] = vals / scale
-        touched = [cols]
-        seen = set()
-        heap = []
-        for c in cols[pivot_creation[cols] >= 0]:
-            ci = int(c)
-            seen.add(ci)
-            heap.append((int(pivot_creation[ci]), ci))
-        heapq.heapify(heap)
-        while heap:
-            t, c = heapq.heappop(heap)
-            coef = d[c]
-            d[c] = 0.0
-            if coef == 0.0:
-                continue
-            tc = tail_cols[t]
-            d[tc] -= coef * tail_vals[t]
-            touched.append(tc)
-            for cc in tc[pivot_creation[tc] >= 0]:
-                ci = int(cc)
-                if ci not in seen:
-                    seen.add(ci)
-                    heapq.heappush(heap, (int(pivot_creation[ci]), ci))
-        tl = np.unique(np.concatenate(touched))
-        vv = d[tl]
-        d[tl] = 0.0
-        nz = vv != 0.0
-        tl, vv = tl[nz], vv[nz]
-        if tl.size == 0 or np.abs(vv).max() <= droptol:
-            dropped += 1
-            continue
-        ipiv = int(np.argmax(np.abs(vv)))
-        pcol = int(tl[ipiv])
-        pval = vv[ipiv]
-        keep = np.arange(tl.size) != ipiv
-        pivot_creation[pcol] = len(piv_cols)
-        piv_cols.append(pcol)
-        pivot_rows.append(irow)
-        tail_cols.append(tl[keep])
-        tail_vals.append(vv[keep] / pval)
-
-    rank = len(piv_cols)
-    piv_arr = np.array(piv_cols, dtype=np.int64)
-    free_mask = np.ones(ncols, dtype=bool)
-    if rank:
-        free_mask[piv_arr] = False
-    free_cols = np.flatnonzero(free_mask)
-    free_rank = np.full(ncols, -1, np.int64)
-    free_rank[free_cols] = np.arange(free_cols.size)
-
-    if not build_basis:
-        tail_nnz = sum(tc.size for tc in tail_cols)
-        report = {
-            "rank": rank,
-            "rows_dropped": dropped,
-            "nfree": int(free_cols.size),
-            "pivot_rows": np.array(pivot_rows, dtype=np.int64),
-            "free_cols": free_cols,
-            "tail_nnz": int(tail_nnz),
-        }
-        return None, report
-
-    # back-substitution: solve the unit upper-triangular system for the
-    # pivot-variable block of every null vector
-    upp_r, upp_c, upp_v = [], [], []
-    upf_r, upf_c, upf_v = [], [], []
-    for t in range(rank):
-        upp_r.append(t)
-        upp_c.append(t)
-        upp_v.append(1.0)
-        tc, tv = tail_cols[t], tail_vals[t]
-        is_piv = pivot_creation[tc] >= 0
-        upp_r.extend([t] * int(is_piv.sum()))
-        upp_c.extend(pivot_creation[tc[is_piv]].tolist())
-        upp_v.extend(tv[is_piv].tolist())
-        nf = ~is_piv
-        upf_r.extend([t] * int(nf.sum()))
-        upf_c.extend(free_rank[tc[nf]].tolist())
-        upf_v.extend(tv[nf].tolist())
-    nf = free_cols.size
-    if rank:
-        U_pp = sparse.csc_matrix(
-            (upp_v, (upp_r, upp_c)), shape=(rank, rank)
-        )
-        U_pf = sparse.csc_matrix((upf_v, (upf_r, upf_c)), shape=(rank, nf))
-        X = spla.spsolve(U_pp, -U_pf)
-        if not sparse.issparse(X):
-            X = sparse.csc_matrix(np.atleast_2d(X))
-        X = X.tocoo()
-        m_rows = np.concatenate([free_cols, piv_arr[X.row]])
-        m_cols = np.concatenate([np.arange(nf), X.col])
-        m_vals = np.concatenate([np.ones(nf), X.data])
-    else:
-        m_rows = free_cols
-        m_cols = np.arange(nf)
-        m_vals = np.ones(nf)
-    M = sparse.csc_matrix((m_vals, (m_rows, m_cols)), shape=(ncols, nf))
-    report = {"rank": rank, "rows_dropped": dropped, "nfree": int(nf)}
-    return M, report
-
-
-class ConformingBasis:
-    """Null-space realization of the constrained cubic space (one scalar
-    component).  ``transform`` maps conforming to broken-P3 coefficients."""
-
-    def __init__(self, mesh, transform, report):
-        self.mesh = mesh
-        self.degree = 3
-        self.transform = transform
-        self.report = report
-
-    @property
-    def ndof(self):
-        return self.transform.shape[1]
-
-
-def _reduction_parts(mesh, homogeneous=True):
-    """Exact reduction of the broken constraints to entity variables.
-
-    Returns (nvars, row_list, L) where ``row_list`` holds the per-triangle
-    compatibility rows over entity variables (two per triangle, swept in
-    geometric strips) and ``L`` is the local reconstruction of broken
-    coefficients from entity values (exact on compatible data).
-    """
-    phi = _phi_matrices(mesh)
-    sv = np.linalg.svd(phi, compute_uv=True)
-    U, S = sv[0], sv[1]
-    if np.any(S[:, 9] <= 1e-8 * S[:, 0]):
-        raise RuntimeError("degenerate triangle: trace functionals lost rank")
-    psi = U[:, :, 10:].transpose(0, 2, 1).copy()  # (nt, 2, 12)
-    # canonicalize the two compatibility rows per triangle (deterministic)
-    for r, other in ((0, 1), (1, 0)):
-        j = np.argmax(np.abs(psi[:, r, :]), axis=1)
-        lead = psi[np.arange(mesh.nt), r, j]
-        psi[:, r, :] /= lead[:, None]
-        fac = psi[np.arange(mesh.nt), other, j]
-        psi[:, other, :] -= fac[:, None] * psi[:, r, :]
-    recon = np.linalg.pinv(phi)  # (nt, 10, 12)
-
-    vert_var, edge_var, nvars = _entity_variables(mesh, homogeneous)
-    slot_vars = _slot_vars(mesh, vert_var, edge_var)
-
-    cx = mesh.vertices[mesh.triangles, 0].mean(axis=1)
-    cy = mesh.vertices[mesh.triangles, 1].mean(axis=1)
-    order = np.lexsort((cx, cy))
-    row_list = []
-    for t in order:
-        mask = slot_vars[t] >= 0
-        cols_t = slot_vars[t][mask]
-        for r in range(2):
-            vals = psi[t, r, mask]
-            nz = vals != 0.0
-            if nz.any():
-                row_list.append((cols_t[nz], vals[nz]))
-
-    l_rows, l_cols, l_vals = [], [], []
-    for t in range(mesh.nt):
-        mask = slot_vars[t] >= 0
-        cols_t = slot_vars[t][mask]
-        block = recon[t][:, mask]  # (10, nslots)
-        rr, cc = np.nonzero(block)
-        l_rows.extend((t * 10 + rr).tolist())
-        l_cols.extend(cols_t[cc].tolist())
-        l_vals.extend(block[rr, cc].tolist())
-    L = sparse.csr_matrix(
-        (l_vals, (l_rows, l_cols)), shape=(mesh.nt * 10, nvars)
-    )
-    return nvars, row_list, L
-
-
-def build_nullspace(constraints, validate=True):
-    """Construct the conforming basis N with C @ N = 0.
-
-    The broken constraints are reduced exactly to shared entity variables
-    (the twelve trace functionals per triangle); the two per-triangle
-    compatibility rows are then eliminated by a rank-revealing row echelon.
-    The explicit basis fills in on fine meshes; use ``reduce_entities`` for
-    solves beyond a few thousand conforming unknowns.
-    """
-    mesh = constraints.mesh
-    t0 = time.perf_counter()
-    nvars, row_list, L = _reduction_parts(mesh, constraints.homogeneous)
-    M, report = _echelon_nullspace(row_list, nvars)
-    report["nrows"] = len(row_list)
-    report["nvars"] = nvars
-    N = (L @ M).tocsr()
-    N.eliminate_zeros()
-    report["seconds"] = time.perf_counter() - t0
-    if validate:
-        resid = constraints.matrix @ N
-        report["constraint_residual"] = (
-            float(np.abs(resid.data).max()) if resid.nnz else 0.0
-        )
-        if report["constraint_residual"] > 1e-8:
-            raise RuntimeError(
-                "null space violates constraints: residual "
-                f"{report['constraint_residual']:.2e}"
-            )
-    return ConformingBasis(mesh, N, report)
-
-
-def b3_space(mesh, validate=True, homogeneous=True):
-    """Convenience: constraints plus null space in one call."""
-    return build_nullspace(
-        build_b3_constraints(mesh, homogeneous), validate=validate
-    )
-
-
 class EntityReduction:
-    """Scalable representation of the constrained cubic space.
+    """The constrained cubic space in entity variables.
 
     The space is parameterized by entity variables g (vertex values and
     three trace functionals per edge) subject to the full-row-rank
     compatibility system ``psi @ g = 0``; broken-P3 coefficients are
     recovered locally as ``lift @ g``.  Solvers work on entity variables
-    with the compatibility rows enforced through saddle-point systems,
-    which stays sparse where the explicit null-space basis fills in.
+    with the compatibility rows enforced through saddle-point systems.
 
     ``dim`` is the scalar dimension of the space (number of independent
     entity variables).
     """
 
-    def __init__(self, mesh, homogeneous, nvars, psi, lift, report):
+    def __init__(self, mesh, homogeneous, nvars, psi, lift):
         self.mesh = mesh
         self.homogeneous = homogeneous
         self.nvars = nvars
         self.psi = psi
         self.lift = lift
-        self.report = report
 
     @property
     def dim(self):
@@ -578,30 +341,60 @@ class EntityReduction:
 
 
 def reduce_entities(mesh, homogeneous=True):
-    """Build the entity-variable reduction with a full-rank row subset.
+    """Exact reduction of the broken constraints to entity variables.
 
-    The rank-revealing echelon runs once to identify which compatibility
-    rows are independent; the returned system keeps those original sparse
-    rows (support 12 each), so downstream saddle-point matrices stay local.
+    The twelve entity functionals of a cubic on one triangle satisfy two
+    linear relations (the left null space of its 12x10 functional
+    matrix), giving two compatibility rows per triangle over the entity
+    variables; ``lift`` is the local reconstruction of broken
+    coefficients from entity values (exact on compatible data).  Rows are
+    swept in geometric strips (centroid y, then x).
+
+    Without boundary conditions the rows are independent.  With them the
+    full system has exactly two dependencies, and both weight every
+    triangle's pair of rows, so dropping the last triangle's pair leaves
+    ``psi`` with full row rank.  The test suite certifies this rank
+    against a dense SVD of the explicit constraint rows.
     """
-    t0 = time.perf_counter()
-    nvars, row_list, L = _reduction_parts(mesh, homogeneous)
-    _, report = _echelon_nullspace(row_list, nvars, build_basis=False)
-    sel = report.pop("pivot_rows")
-    report.pop("free_cols")
-    rows, cols, vals = [], [], []
-    for i, irow in enumerate(sel.tolist()):
-        c, v = row_list[irow]
-        rows.extend([i] * len(c))
-        cols.extend(c.tolist())
-        vals.extend(v.tolist())
-    psi = sparse.csr_matrix(
-        (vals, (rows, cols)), shape=(len(sel), nvars)
+    phi = _phi_matrices(mesh)
+    U, S, _ = np.linalg.svd(phi)
+    if np.any(S[:, 9] <= 1e-8 * S[:, 0]):
+        raise RuntimeError("degenerate triangle: trace functionals lost rank")
+    rows = U[:, :, 10:].transpose(0, 2, 1).copy()  # (nt, 2, 12)
+    # canonicalize the two compatibility rows per triangle (deterministic)
+    for r, other in ((0, 1), (1, 0)):
+        j = np.argmax(np.abs(rows[:, r, :]), axis=1)
+        lead = rows[np.arange(mesh.nt), r, j]
+        rows[:, r, :] /= lead[:, None]
+        fac = rows[np.arange(mesh.nt), other, j]
+        rows[:, other, :] -= fac[:, None] * rows[:, r, :]
+    recon = np.linalg.pinv(phi)  # (nt, 10, 12)
+
+    vert_var, edge_var, nvars = _entity_variables(mesh, homogeneous)
+    slot_vars = _slot_vars(mesh, vert_var, edge_var)
+
+    cx = mesh.vertices[mesh.triangles, 0].mean(axis=1)
+    cy = mesh.vertices[mesh.triangles, 1].mean(axis=1)
+    order = np.lexsort((cx, cy))
+    if homogeneous:
+        order = order[:-1]
+    vals = rows[order]
+    cols = np.broadcast_to(slot_vars[order][:, None, :], vals.shape)
+    row_ids = np.broadcast_to(
+        np.arange(2 * order.size).reshape(-1, 2, 1), vals.shape
     )
-    report["nrows"] = len(row_list)
-    report["nvars"] = nvars
-    report["seconds"] = time.perf_counter() - t0
-    return EntityReduction(mesh, homogeneous, nvars, psi, L, report)
+    keep = (cols >= 0) & (vals != 0.0)
+    psi = sparse.csr_matrix(
+        (vals[keep], (row_ids[keep], cols[keep])),
+        shape=(2 * order.size, nvars),
+    )
+
+    t, i, s = np.nonzero((recon != 0.0) & (slot_vars >= 0)[:, None, :])
+    lift = sparse.csr_matrix(
+        (recon[t, i, s], (t * 10 + i, slot_vars[t, s])),
+        shape=(mesh.nt * 10, nvars),
+    )
+    return EntityReduction(mesh, homogeneous, nvars, psi, lift)
 
 
 class MorleySpace:

@@ -32,7 +32,7 @@ from bielastic.solvers import (
     make_realization,
     solve_bielastic_eigs,
 )
-from bielastic.spaces import BrokenSpace, b3_space, vector_transform
+from bielastic.spaces import BrokenSpace, vector_transform
 
 LAM, MU = 0.25, 0.0625
 
@@ -83,10 +83,10 @@ def ex9_levels_2_to_3():
 
 
 @pytest.fixture(scope="module")
-def square_identity_blocks():
+def square_identity_blocks(b3_oracle):
     mesh = generate_domain("unit-square", 1)
     space = BrokenSpace(mesh, 3)
-    N = vector_transform(b3_space(mesh).transform)
+    N = vector_transform(b3_oracle(mesh))
     red = lambda A: (N.T @ A @ N).toarray()
     return {
         "K": red(bielastic_matrix(space, None, LAM, MU)),

@@ -23,12 +23,7 @@ from bielastic.assembly import (
 )
 from bielastic.coefficients import Coefficient
 from bielastic.mesh import TriMesh, generate_domain, refine_uniform
-from bielastic.spaces import (
-    BrokenSpace,
-    b3_space,
-    build_morley,
-    vector_transform,
-)
+from bielastic.spaces import BrokenSpace, build_morley, vector_transform
 
 LAM, MU = 0.25, 0.0625
 
@@ -423,13 +418,13 @@ class TestBrokenIdentities:
 
 
 @pytest.fixture(scope="module")
-def sq1_basis(sq1):
-    return b3_space(sq1)
+def sq1_basis(sq1, b3_oracle):
+    return b3_oracle(sq1)
 
 
 @pytest.fixture(scope="module")
 def sq1_vector_n(sq1_basis):
-    return vector_transform(sq1_basis.transform)
+    return vector_transform(sq1_basis)
 
 
 def max_abs(A):
@@ -439,7 +434,7 @@ def max_abs(A):
 
 class TestConformingIdentities:
     def test_scalar_laplace_equals_hessian(self, sq1_space, sq1_basis):
-        N = sq1_basis.transform
+        N = sq1_basis
         L = N.T @ laplace_matrix(sq1_space, components=1) @ N
         H = N.T @ hessian_matrix(sq1_space, components=1) @ N
         assert max_abs(L - H) <= 1e-10 * max_abs(L)

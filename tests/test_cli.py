@@ -2,10 +2,15 @@
 emission, and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bielastic
 import bielastic.cli as cli
 from bielastic.cli import main, parse_coefficient, parse_levels, \
     parse_tau_range
@@ -74,6 +79,10 @@ class TestRunExampleCommand:
     def test_bad_levels_text_exits_2(self, capsys):
         assert main(["run-example", "3", "--levels", "abc"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_companion_over_cap_exits_2(self, capsys):
+        assert main(["run-example", "9", "--levels", "5", "--big"]) == 2
+        assert "companion dimension" in capsys.readouterr().err
 
     def test_both_level_flags_rejected_by_parser(self):
         with pytest.raises(SystemExit) as err:
@@ -287,3 +296,48 @@ class TestSolverFailures:
             "--rho1", "3",
         ]) == 3
         assert "solver failure" in capsys.readouterr().err
+
+
+def run_cli(*args):
+    """The CLI in a fresh interpreter, so stderr holds everything a user
+    would see, warnings and tracebacks included."""
+    src = str(Path(bielastic.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=src if not path else src + os.pathsep + path)
+    return subprocess.run(
+        [sys.executable, "-m", "bielastic.cli", *args],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+
+
+class TestCoefficientErrors:
+    """Expressions that cannot be evaluated, or give non-finite values on
+    the domain, are specification errors: exit 2 with one stderr line."""
+
+    EIG = ["solve-bielastic", "--domain", "unit-square", "--level", "1",
+           "--lam", "0.25", "--mu", "0.0625", "--k", "2"]
+
+    @pytest.mark.parametrize("beta", ["1/0", "0*x1/(x1-x1)"])
+    def test_bad_weight_exits_2(self, beta):
+        proc = run_cli(*self.EIG, "--beta", beta)
+        assert proc.returncode == 2
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "Traceback" not in proc.stderr
+
+    def test_non_finite_load_exits_2(self, capsys):
+        assert main([
+            "solve-source", "--domain", "unit-square", "--level", "1",
+            "--lam", "0.25", "--mu", "0.0625",
+            "--f1", "1/(x1-x1)", "--f2", "0",
+        ]) == 2
+        assert "load is not finite" in capsys.readouterr().err
+
+    def test_non_finite_density_exits_2(self, capsys):
+        assert main([
+            "solve-tep", "--domain", "unit-square", "--level", "1",
+            "--lam", "0.25", "--mu", "0.25", "--rho0", "0.05",
+            "--rho1", "3 + 0*x1/(x1-x1)", "--k", "2",
+        ]) == 2
+        assert "not finite" in capsys.readouterr().err

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 import scipy.linalg as dla
 import scipy.sparse as sparse
+import scipy.sparse.linalg as spla
 
+import bielastic.eigen as eigen
 from bielastic.assembly import bielastic_matrix, load_vector, mass_matrix
 from bielastic.eigen import (
     ConstrainedOperator,
@@ -17,12 +19,7 @@ from bielastic.eigen import (
     solve_sym_constrained,
 )
 from bielastic.mesh import generate_domain
-from bielastic.spaces import (
-    BrokenSpace,
-    b3_space,
-    reduce_entities,
-    vector_transform,
-)
+from bielastic.spaces import BrokenSpace, reduce_entities, vector_transform
 
 LAM, MU = 0.25, 0.0625
 
@@ -94,15 +91,14 @@ class TestEigSymGen:
 
 
 @pytest.fixture(scope="module")
-def small_system():
+def small_system(b3_oracle):
     mesh = generate_domain("unit-square", 1)
     space = BrokenSpace(mesh, 3)
     A = bielastic_matrix(space, None, LAM, MU)
     M = mass_matrix(space)
     red = reduce_entities(mesh)
     lift, psi = red.vector()
-    basis = b3_space(mesh)
-    N = vector_transform(basis.transform)
+    N = vector_transform(b3_oracle(mesh))
     f = load_vector(
         space,
         lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y),
@@ -150,6 +146,20 @@ class TestConstrained:
         for j in range(6):
             x = res.vectors[:, j]
             assert np.linalg.norm(psi @ x) <= 1e-8 * np.linalg.norm(x)
+
+    def test_dense_fallback_refuses_large_kernel(self, small_system,
+                                                 monkeypatch):
+        _, A, M, lift, psi, _, _ = small_system
+        KA = (lift.T @ A @ lift).tocsr()
+        KB = (lift.T @ M @ lift).tocsr()
+
+        def arpack_fails(*args, **kwargs):
+            raise spla.ArpackError(-1)
+
+        monkeypatch.setattr(eigen.spla, "eigsh", arpack_fails)
+        monkeypatch.setattr(eigen, "DENSE_SYM_CAP", 10)
+        with pytest.raises(RuntimeError, match="dense cap"):
+            eig_sym_constrained(KA, KB, psi, 6)
 
 
 class TestEigQuadratic:

@@ -4,11 +4,13 @@ and the self test."""
 
 import io
 import json
+import time
 
 import numpy as np
 import pytest
 import sympy as sp
 
+import bielastic.harness as harness
 from bielastic.harness import (
     DEFAULT_LEVELS,
     EX1_EXACT,
@@ -431,6 +433,21 @@ class TestRunExample:
             run_example(3, levels=(1, 5))
         with pytest.raises(ValueError, match="cap"):
             run_example(3, levels=(6,), big=True)
+
+
+class TestLevelTiming:
+    @pytest.mark.parametrize("number", [1, 3, 9])
+    def test_seconds_include_building_the_space(self, number, monkeypatch):
+        make = harness.make_realization
+
+        def slow_make(mesh, element):
+            time.sleep(0.2)
+            return make(mesh, element)
+
+        monkeypatch.setattr(harness, "make_realization", slow_make)
+        report = run_example(number, levels=(1,))
+        assert report.rows
+        assert all(row["seconds"] >= 0.2 for row in report.rows)
 
 
 class TestSelfTest:

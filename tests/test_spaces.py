@@ -1,9 +1,9 @@
 """Constrained cubic space and Morley element.
 
-The null-space construction is cross-checked against a dense SVD of the
-explicit constraint matrix on small meshes (dimension and span equality),
-and conforming functions are verified against independent sympy edge
-integrals of the trace jumps.
+The entity reduction is cross-checked against a dense SVD of the explicit
+constraint matrix on small meshes (dimension and span equality), its row
+rank is certified on every domain, and conforming functions are verified
+against independent sympy edge integrals of the trace jumps.
 """
 
 import numpy as np
@@ -11,14 +11,16 @@ import pytest
 import scipy.linalg
 import sympy as sp
 
+from bielastic.eigen import kernel_basis
 from bielastic.mesh import TriMesh, generate_domain
 from bielastic.polybasis import edge_gauss, p3_shapes
 from bielastic.spaces import (
     BrokenSpace,
-    b3_space,
+    _entity_variables,
+    _phi_matrices,
+    _slot_vars,
     build_b3_constraints,
     build_morley,
-    build_nullspace,
     reduce_entities,
     vector_transform,
 )
@@ -28,14 +30,6 @@ def single_triangle():
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     tris = np.array([[0, 1, 2]])
     return TriMesh(verts, tris, domain="unit-triangle", level=0, h=1.0)
-
-
-def dense_nullspace(matrix, tol=1e-9):
-    dense = matrix.toarray()
-    u, s, vt = np.linalg.svd(dense)
-    smax = s.max() if s.size else 0.0
-    rank = int(np.sum(s > tol * smax)) if smax > 0 else 0
-    return vt[rank:].T
 
 
 class TestConstraintRows:
@@ -73,7 +67,8 @@ class TestConstraintRows:
 
 
 class TestNullspaceOracle:
-    """Dimension and span agreement with a dense SVD null space."""
+    """Dimension and span agreement of ``lift @ Z`` (Z a kernel basis of
+    psi) with the dense SVD null space of the explicit constraint rows."""
 
     CASES = [
         ("unit-square", 0),
@@ -84,58 +79,48 @@ class TestNullspaceOracle:
         ("l-shape", 0),
     ]
 
-    @pytest.mark.parametrize("domain,level", CASES)
-    def test_matches_dense_svd(self, domain, level):
-        mesh = generate_domain(domain, level)
-        cs = build_b3_constraints(mesh)
-        basis = build_nullspace(cs)
-        ref = dense_nullspace(cs.matrix)
-        assert basis.ndof == ref.shape[1]
-        if basis.ndof == 0:
+    @staticmethod
+    def assert_same_space(mesh, b3_oracle, homogeneous=True):
+        red = reduce_entities(mesh, homogeneous)
+        ref = b3_oracle(mesh, homogeneous).toarray()
+        assert red.dim == ref.shape[1]
+        if red.dim == 0:
             return
-        mine = basis.transform.toarray()
+        mine = red.lift @ kernel_basis(red.psi)
         stacked = np.hstack([ref, mine])
-        rank = np.linalg.matrix_rank(stacked, tol=1e-8)
-        assert rank == basis.ndof
-        # constructed columns are independent
-        assert np.linalg.matrix_rank(mine, tol=1e-8) == basis.ndof
+        assert np.linalg.matrix_rank(stacked, tol=1e-8) == red.dim
+        # the lifted columns are independent
+        assert np.linalg.matrix_rank(mine, tol=1e-8) == red.dim
 
-    def test_single_triangle_dim_zero(self):
-        basis = b3_space(single_triangle())
-        assert basis.ndof == 0
-        assert basis.transform.shape == (10, 0)
+    @pytest.mark.parametrize("domain,level", CASES)
+    def test_matches_dense_svd(self, domain, level, b3_oracle):
+        self.assert_same_space(generate_domain(domain, level), b3_oracle)
+
+    def test_single_triangle_dim_zero(self, b3_oracle):
+        mesh = single_triangle()
+        red = reduce_entities(mesh)
+        assert red.dim == 0
+        assert red.lift.shape == (10, 0)
+        assert b3_oracle(mesh).shape == (10, 0)
 
     def test_constraint_residual_small(self):
         mesh = generate_domain("unit-square", 2)
-        cs = build_b3_constraints(mesh)
-        basis = build_nullspace(cs)
-        resid = cs.matrix @ basis.transform
-        scale = np.abs(basis.transform.data).max()
-        rmax = np.abs(resid.data).max() if resid.nnz else 0.0
-        assert rmax <= 1e-10 * scale
-        assert basis.report["constraint_residual"] <= 1e-9
-
-    def test_report_fields(self):
-        basis = b3_space(generate_domain("unit-square", 1))
-        rep = basis.report
-        for key in ("rank", "nfree", "nrows", "nvars", "seconds"):
-            assert key in rep
-        assert rep["nfree"] == basis.ndof
+        C = build_b3_constraints(mesh).matrix
+        red = reduce_entities(mesh)
+        N = red.lift @ kernel_basis(red.psi)
+        resid = C @ N
+        assert np.abs(resid).max() <= 1e-10 * np.abs(N).max()
 
     @pytest.mark.parametrize("domain,level", [
         ("unit-square", 0), ("unit-square", 1),
         ("right-triangle", 1), ("l-shape", 0),
     ])
-    def test_free_space_matches_dense_svd(self, domain, level):
-        mesh = generate_domain(domain, level)
-        cs = build_b3_constraints(mesh, homogeneous=False)
-        basis = build_nullspace(cs)
-        ref = dense_nullspace(cs.matrix)
-        assert basis.ndof == ref.shape[1]
-        stacked = np.hstack([ref, basis.transform.toarray()])
-        assert np.linalg.matrix_rank(stacked, tol=1e-8) == basis.ndof
+    def test_free_space_matches_dense_svd(self, domain, level, b3_oracle):
+        self.assert_same_space(
+            generate_domain(domain, level), b3_oracle, homogeneous=False
+        )
 
-    def test_dimension_formulas(self):
+    def test_dimension_formulas(self, b3_oracle):
         """Scalar dims on these meshes: constrained 4*Vi + T - 1 (the
         compatibility system has exactly two redundant rows), free
         4*V + T - 3 (full rank; the generic count 4*V + T - 1 overcounts
@@ -144,28 +129,74 @@ class TestNullspaceOracle:
                               ("l-shape", 1), ("equilateral-triangle", 2)]:
             mesh = generate_domain(domain, level)
             vi = int(np.sum(~mesh.boundary_vertex))
-            constrained = b3_space(mesh)
-            assert constrained.ndof == 4 * vi + mesh.nt - 1
-            free = b3_space(mesh, homogeneous=False)
-            assert free.ndof == 4 * mesh.nv + mesh.nt - 3
+            constrained = 4 * vi + mesh.nt - 1
+            assert b3_oracle(mesh).shape[1] == constrained
+            assert reduce_entities(mesh).dim == constrained
+            free = 4 * mesh.nv + mesh.nt - 3
+            assert b3_oracle(mesh, homogeneous=False).shape[1] == free
+            assert reduce_entities(mesh, homogeneous=False).dim == free
+
+
+def full_compatibility_system(mesh, homogeneous):
+    """All 2*nt compatibility rows over entity variables, triangle-major,
+    each pair an orthonormal basis of the left null space of the
+    triangle's entity-functional matrix; also the sweep order."""
+    phi = _phi_matrices(mesh)
+    vert_var, edge_var, nvars = _entity_variables(mesh, homogeneous)
+    slot_vars = _slot_vars(mesh, vert_var, edge_var)
+    G = np.zeros((2 * mesh.nt, nvars))
+    for t in range(mesh.nt):
+        pair = scipy.linalg.null_space(phi[t].T).T  # (2, 12)
+        mask = slot_vars[t] >= 0
+        G[2 * t:2 * t + 2, slot_vars[t][mask]] = pair[:, mask]
+    cx = mesh.vertices[mesh.triangles, 0].mean(axis=1)
+    cy = mesh.vertices[mesh.triangles, 1].mean(axis=1)
+    return G, np.lexsort((cx, cy))
+
+
+class TestCompatibilityRank:
+    """Certifies the fixed row rule of ``reduce_entities``: the full
+    system has exactly two dependencies with boundary conditions and none
+    without, the last triangle's pair in sweep order carries both, and
+    the returned ``psi`` has full row rank."""
+
+    @pytest.mark.parametrize("level", [0, 1, 2, 3])
+    @pytest.mark.parametrize("domain", [
+        "unit-square", "right-triangle", "equilateral-triangle", "l-shape",
+    ])
+    def test_dependencies_and_dropped_pair(self, domain, level):
+        mesh = generate_domain(domain, level)
+        for homogeneous, ndep in ((True, 2), (False, 0)):
+            G, order = full_compatibility_system(mesh, homogeneous)
+            left = scipy.linalg.null_space(G.T)
+            assert left.shape[1] == ndep
+            psi = reduce_entities(mesh, homogeneous).psi.toarray()
+            assert psi.shape[0] == 2 * mesh.nt - ndep
+            assert np.linalg.matrix_rank(psi) == psi.shape[0]
+            if homogeneous:
+                # both dependencies weight every triangle's pair equally,
+                # so the dropped (last) pair's block is nonsingular
+                dets = np.abs(np.linalg.det(left.reshape(mesh.nt, 2, 2)))
+                assert np.allclose(mesh.nt * dets, 1.0, rtol=1e-8)
+                assert mesh.nt * dets[order[-1]] > 0.5
 
 
 class TestEntityReduction:
-    """The sparse full-rank reduction agrees with the explicit basis."""
+    """Structure of the entity reduction."""
 
-    def test_dim_and_kernel_match(self):
+    def test_dim_and_kernel_match(self, b3_oracle):
         mesh = generate_domain("unit-square", 1)
-        basis = b3_space(mesh)
+        basis = b3_oracle(mesh).toarray()
         red = reduce_entities(mesh)
-        assert red.dim == basis.ndof
+        assert red.dim == basis.shape[1]
         # psi has full row rank and its kernel lifts onto the same space
         psi = red.psi.toarray()
         assert np.linalg.matrix_rank(psi, tol=1e-8) == psi.shape[0]
         _, _, vt = np.linalg.svd(psi)
         kern = vt[psi.shape[0]:].T
         lifted = red.lift @ kern
-        stacked = np.hstack([basis.transform.toarray(), lifted])
-        assert np.linalg.matrix_rank(stacked, tol=1e-8) == basis.ndof
+        stacked = np.hstack([basis, lifted])
+        assert np.linalg.matrix_rank(stacked, tol=1e-8) == red.dim
 
     def test_lift_rows_are_local(self):
         red = reduce_entities(generate_domain("l-shape", 1))
@@ -192,14 +223,15 @@ class TestConformingFunctions:
     conditions, checked by independent integration."""
 
     def conforming_field(self, mesh, seed):
-        basis = b3_space(mesh)
+        red = reduce_entities(mesh)
         rng = np.random.default_rng(seed)
-        u = rng.standard_normal(basis.ndof)
-        return basis, (basis.transform @ u).reshape(mesh.nt, 10)
+        u = rng.standard_normal(red.dim)
+        g = kernel_basis(red.psi) @ u
+        return red, (red.lift @ g).reshape(mesh.nt, 10)
 
     def test_vertex_values_agree(self):
         mesh = generate_domain("unit-square", 1)
-        basis, coeffs = self.conforming_field(mesh, 7)
+        _, coeffs = self.conforming_field(mesh, 7)
         # Lagrange coefficient 0..2 is the vertex value
         values = {}
         for t in range(mesh.nt):
@@ -216,7 +248,7 @@ class TestConformingFunctions:
     def test_edge_jumps_vanish_quadrature(self):
         """Five-point Gauss (finer than construction) on every edge."""
         mesh = generate_domain("l-shape", 1)
-        basis, coeffs = self.conforming_field(mesh, 11)
+        _, coeffs = self.conforming_field(mesh, 11)
         shapes = p3_shapes()
         space = BrokenSpace(mesh, 3)
         s, w = edge_gauss(5)
@@ -254,7 +286,7 @@ class TestConformingFunctions:
     def test_edge_jumps_vanish_sympy(self):
         """Exact symbolic edge integrals on the coarse square mesh."""
         mesh = generate_domain("unit-square", 0)
-        basis, coeffs = self.conforming_field(mesh, 3)
+        _, coeffs = self.conforming_field(mesh, 3)
         x1, x2, s = sp.symbols("x1 x2 s")
         shapes = p3_shapes()
         # per-triangle polynomial in physical coordinates
@@ -445,14 +477,11 @@ class TestMorley:
 
 
 class TestVectorTransform:
-    def test_block_structure(self):
-        mesh = generate_domain("unit-square", 0)
-        basis = b3_space(mesh)
-        NV = vector_transform(basis.transform)
-        n_broken = basis.transform.shape[0]
-        assert NV.shape == (2 * n_broken, 2 * basis.ndof)
-        diff = (
-            NV[:n_broken, : basis.ndof] - basis.transform
-        )
+    def test_block_structure(self, b3_oracle):
+        N = b3_oracle(generate_domain("unit-square", 0))
+        NV = vector_transform(N)
+        n_broken, ndof = N.shape
+        assert NV.shape == (2 * n_broken, 2 * ndof)
+        diff = NV[:n_broken, :ndof] - N
         assert np.abs(diff.toarray()).max() == 0.0
-        assert NV[:n_broken, basis.ndof:].nnz == 0
+        assert NV[:n_broken, ndof:].nnz == 0
