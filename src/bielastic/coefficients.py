@@ -7,6 +7,7 @@ validated evaluation tree; evaluation is vectorized over numpy arrays.
 """
 
 import ast
+import copy
 import math
 
 import numpy as np
@@ -92,6 +93,19 @@ def _poly_degree(node):
     return None
 
 
+def _float_literals(tree):
+    """A copy of the tree with every integer literal made a float, so that
+    powers of literals overflow instead of growing without bound."""
+    tree = copy.deepcopy(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant):
+            try:
+                node.value = float(node.value)
+            except OverflowError:
+                raise ValueError("numeric literal out of range") from None
+    return tree
+
+
 class Coefficient:
     """A scalar field c(x1, x2), evaluated in batch."""
 
@@ -134,9 +148,14 @@ class Coefficient:
 
     @classmethod
     def expression(cls, text):
-        tree = ast.parse(text, mode="eval")
+        try:
+            tree = ast.parse(text, mode="eval")
+        except SyntaxError as exc:
+            raise ValueError(
+                f"cannot parse expression {text!r}: {exc.msg}"
+            ) from None
         _validate_tree(tree)
-        code = compile(tree, "<coefficient>", "eval")
+        code = compile(_float_literals(tree), "<coefficient>", "eval")
         namespace = {"__builtins__": {}, "pi": math.pi, **_ALLOWED_CALLS}
 
         def func(x1, x2):
@@ -148,6 +167,8 @@ class Coefficient:
                 raise ValueError(
                     f"cannot evaluate expression {text!r}: {exc}"
                 ) from None
+            if np.iscomplexobj(out):
+                raise ValueError(f"expression {text!r} has complex values")
             return np.broadcast_to(np.asarray(out, float), np.shape(x1)).copy()
 
         return cls("expression", func, _poly_degree(tree), text)

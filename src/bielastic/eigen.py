@@ -3,8 +3,9 @@ constrained (saddle-point) variants, and the quadratic-pencil companion
 solver.
 
 Constrained variants work in entity variables: a matrix K restricted to
-ker(Psi) is handled through the KKT system [[K, Psi^T], [Psi, 0]] so the
-null-space basis is never formed explicitly.
+ker(Psi) is handled through the KKT system [[K, Psi^T], [Psi, 0]].  The
+KKT system is factored in reverse Cuthill-McKee order, because COLAMD and
+minimum degree pivot off its zero block and fill in far more.
 """
 
 from dataclasses import dataclass
@@ -13,6 +14,7 @@ import numpy as np
 import scipy.linalg as dla
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 DENSE_SYM_CAP = 3000
 COMPANION_CAP = 6000
@@ -124,21 +126,30 @@ def eig_sym_gen(A, B, k, dense_cutoff=DENSE_SYM_CAP, check=True):
 
 class ConstrainedOperator:
     """LU factorization of [[K, Psi^T], [Psi, 0]]; solves K-systems on
-    ker(Psi)."""
+    ker(Psi).
+
+    ``kkt`` holds the KKT matrix symmetrically permuted by ``perm`` (reverse
+    Cuthill-McKee), and ``lu`` factors it with no further column ordering.
+    """
 
     def __init__(self, K, psi):
         self.n = K.shape[0]
         self.m = psi.shape[0]
-        self.kkt = sparse.bmat([[K, psi.T], [psi, None]], format="csc")
-        self.lu = spla.splu(self.kkt)
+        kkt = sparse.bmat([[K, psi.T], [psi, None]], format="csr")
+        self.perm = reverse_cuthill_mckee(kkt, symmetric_mode=True)
+        self.kkt = kkt[self.perm][:, self.perm].tocsc()
+        self.lu = spla.splu(self.kkt, permc_spec="NATURAL")
 
     def solve(self, b, refine=1):
         rhs = np.zeros(self.n + self.m)
         rhs[: self.n] = b
+        rhs = rhs[self.perm]
         z = self.lu.solve(rhs)
         for _ in range(refine):
             z = z + self.lu.solve(rhs - self.kkt @ z)
-        return z[: self.n]
+        x = np.empty_like(z)
+        x[self.perm] = z
+        return x[: self.n]
 
 
 class KernelProjector:

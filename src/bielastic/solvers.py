@@ -284,20 +284,29 @@ class TepBlocks:
         self.KF = real.reduced(self.broken["F"])
         self.KM = real.reduced(self.broken["Msum"])
         self.KB = real.reduced(self.broken["B"])
+        self._lambda_cache = {}
 
     def a_tau(self, tau):
         return self.KD + tau * self.KF + tau * tau * self.KM
 
     def lambda_of_tau(self, tau, k):
-        """Sorted eigenvalues of the tau-form against the elastic energy."""
-        res = self.real.eig_reduced(self.a_tau(tau), self.KB, k)
-        if res.values[0] <= 0.0:
+        """Sorted eigenvalues of the tau-form against the elastic energy.
+
+        Memoized on (tau, k): the secant search certifies each root at
+        the point its refinement evaluated last.
+        """
+        key = (float(tau), k)
+        if key not in self._lambda_cache:
+            res = self.real.eig_reduced(self.a_tau(tau), self.KB, k)
+            self._lambda_cache[key] = res.values
+        values = self._lambda_cache[key]
+        if values[0] <= 0.0:
             warnings.warn(
                 f"coercivity loss at tau={tau}: smallest eigenvalue "
-                f"{res.values[0]:.6g}",
+                f"{values[0]:.6g}",
                 RuntimeWarning,
             )
-        return res.values
+        return values.copy()
 
 
 @dataclass

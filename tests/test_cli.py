@@ -318,7 +318,9 @@ class TestCoefficientErrors:
     EIG = ["solve-bielastic", "--domain", "unit-square", "--level", "1",
            "--lam", "0.25", "--mu", "0.0625", "--k", "2"]
 
-    @pytest.mark.parametrize("beta", ["1/0", "0*x1/(x1-x1)"])
+    @pytest.mark.parametrize(
+        "beta", ["1/0", "0*x1/(x1-x1)", "2**1100", "x1 +", "x1 + (-1)**0.5"]
+    )
     def test_bad_weight_exits_2(self, beta):
         proc = run_cli(*self.EIG, "--beta", beta)
         assert proc.returncode == 2

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bielastic.coefficients import Coefficient, as_coefficient, combine
 
@@ -70,3 +72,37 @@ def test_broadcast_shape():
     out = c(np.zeros((4, 5)), np.zeros((4, 5)))
     assert out.shape == (4, 5)
     assert np.allclose(out, math.pi)
+
+
+_LEAVES = (
+    st.sampled_from(["x1", "x2", "pi"])
+    | st.integers(-10**6, 10**6).map(str)
+    | st.floats(allow_nan=False, allow_infinity=False).map(repr)
+)
+
+
+def _extend(inner):
+    binary = st.tuples(inner, st.sampled_from("+-*/"), inner).map(
+        lambda t: f"({t[0]} {t[1]} {t[2]})"
+    )
+    power = st.tuples(inner, inner).map(lambda t: f"({t[0]})**({t[1]})")
+    unary = inner.map(lambda e: f"(-{e})")
+    call = st.tuples(st.sampled_from(["sin", "cos"]), inner).map(
+        lambda t: f"{t[0]}({t[1]})"
+    )
+    return binary | power | unary | call
+
+
+EXPRESSIONS = st.recursive(_LEAVES, _extend, max_leaves=12)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(EXPRESSIONS)
+def test_expression_evaluates_or_raises_value_error(text):
+    x1, x2 = np.meshgrid(np.linspace(0.0, 1.0, 3), np.linspace(0.0, 1.0, 4))
+    try:
+        out = Coefficient.expression(text)(x1, x2)
+    except ValueError:
+        return
+    assert isinstance(out, np.ndarray)
+    assert out.shape == x1.shape

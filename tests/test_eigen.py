@@ -19,6 +19,7 @@ from bielastic.eigen import (
     solve_sym_constrained,
 )
 from bielastic.mesh import generate_domain
+from bielastic.solvers import B3Realization, fourth_order_block
 from bielastic.spaces import BrokenSpace, reduce_entities, vector_transform
 
 LAM, MU = 0.25, 0.0625
@@ -123,6 +124,24 @@ class TestConstrained:
         op = ConstrainedOperator(K, psi)
         x = op.solve(lift.T @ f)
         assert np.linalg.norm(psi @ x) <= 1e-10 * np.linalg.norm(x)
+
+    def test_kkt_solve_undoes_the_ordering(self, small_system):
+        _, A, _, lift, psi, _, f = small_system
+        K = (lift.T @ A @ lift).tocsr()
+        b = lift.T @ f
+        kkt = sparse.bmat([[K, psi.T], [psi, None]]).toarray()
+        rhs = np.concatenate([b, np.zeros(psi.shape[0])])
+        ref = np.linalg.solve(kkt, rhs)[: K.shape[0]]
+        x = ConstrainedOperator(K, psi).solve(b)
+        assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    def test_kkt_ordering_fills_less_than_colamd(self):
+        real = B3Realization(generate_domain("unit-square", 3))
+        K = real.reduced(fourth_order_block(real, 1.0, LAM, MU))
+        op = ConstrainedOperator(K, real.psi)
+        kkt = sparse.bmat([[K, real.psi.T], [real.psi, None]], format="csc")
+        assert op.kkt.shape == (6910, 6910)
+        assert op.lu.nnz < spla.splu(kkt).nnz
 
     def test_constrained_solve_matches_explicit_basis(self, small_system):
         _, A, _, lift, psi, N, f = small_system

@@ -4,6 +4,7 @@ spectral function, and both transmission-eigenvalue paths."""
 import numpy as np
 import pytest
 
+import bielastic.eigen as eigen
 from bielastic.coefficients import Coefficient
 from bielastic.mesh import generate_domain
 from bielastic.solvers import (
@@ -150,6 +151,22 @@ class TestSpectralFunction:
         signs = np.sign(f1)
         changes = np.sum(signs[:-1] != signs[1:])
         assert changes == 1
+
+    def test_repeated_tau_factors_once(self, b3_sq1, monkeypatch):
+        blocks = TepBlocks(b3_sq1, 0.25, 0.25, 1.0 / 20.0, 3.0)
+        factors = []
+        init = eigen.ConstrainedOperator.__init__
+
+        def counting_init(self, K, psi):
+            factors.append(K.shape)
+            init(self, K, psi)
+
+        monkeypatch.setattr(eigen.ConstrainedOperator, "__init__",
+                            counting_init)
+        first = blocks.lambda_of_tau(2.5, 4)
+        second = blocks.lambda_of_tau(np.float64(2.5), 4)
+        assert len(factors) == 1
+        assert np.array_equal(first, second)
 
     def test_tau_quadratic_form_value(self, ex6_blocks):
         rng = np.random.default_rng(4)
