@@ -6,6 +6,11 @@ Constrained variants work in entity variables: a matrix K restricted to
 ker(Psi) is handled through the KKT system [[K, Psi^T], [Psi, 0]].  The
 KKT system is factored in reverse Cuthill-McKee order, because COLAMD and
 minimum degree pivot off its zero block and fill in far more.
+
+The constrained eigensolver accepts a start vector in ker(Psi), so a
+sweep over a parameter can start each Lanczos run from the eigenvectors
+of the previous one, and a prebuilt ``KernelProjector``, so a caller
+whose Psi is fixed factors Psi Psi^T once for all its residual checks.
 """
 
 from dataclasses import dataclass
@@ -91,12 +96,13 @@ def _check_residuals(result, scale_of, check):
     return result
 
 
-def eig_sym_gen(A, B, k, dense_cutoff=DENSE_SYM_CAP, check=True):
+def eig_sym_gen(A, B, k, dense_cutoff=DENSE_SYM_CAP, check=True, v0=None):
     """k algebraically smallest eigenpairs of A x = lambda B x.
 
     A symmetric, B symmetric positive definite.  Dense reduction below the
     cutoff, otherwise shift-invert Lanczos about zero (A must then be
-    definite so the shift misses the spectrum).
+    definite so the shift misses the spectrum), started from ``v0`` when
+    it is given and nonzero and from the ones vector otherwise.
     """
     n = A.shape[0]
     k = min(k, n)
@@ -106,9 +112,12 @@ def eig_sym_gen(A, B, k, dense_cutoff=DENSE_SYM_CAP, check=True):
         vals, vecs = dla.eigh(Ad, Bd, subset_by_index=[0, k - 1])
         method = "dense"
     else:
-        v0 = np.ones(n) / np.sqrt(n)
+        nv0 = 0.0 if v0 is None else np.linalg.norm(v0)
+        if nv0 == 0:
+            v0, nv0 = np.ones(n), np.sqrt(n)
         vals, vecs = spla.eigsh(
-            A, k=k, M=B, sigma=0.0, v0=v0, tol=EIG_TOL, maxiter=EIG_MAXITER
+            A, k=k, M=B, sigma=0.0, v0=v0 / nv0, tol=EIG_TOL,
+            maxiter=EIG_MAXITER,
         )
         order = np.argsort(vals)
         vals, vecs = vals[order], vecs[:, order]
@@ -207,18 +216,26 @@ def _eig_constrained_dense(KA, KB, psi, k):
     return vals, Z @ y
 
 
-def eig_sym_constrained(KA, KB, psi, k, check=True):
+def eig_sym_constrained(KA, KB, psi, k, check=True, v0=None, proj=None):
     """k smallest eigenpairs of KA x = lambda KB x restricted to ker(Psi).
 
     Shift-invert about zero through the KKT factorization; KA must be
     positive definite on the kernel.  When most of the kernel spectrum is
     requested (the Lanczos basis would exceed the kernel) the problem is
     reduced densely onto an explicit null-space basis instead, and k is
-    clamped to the kernel dimension.  Residuals are measured after
-    projecting out the constraint range.
+    clamped to the kernel dimension.
+
+    ``v0`` starts the Lanczos run; it must lie in ker(Psi), for example
+    the sum of the eigenvectors of a nearby pencil, so a sweep converges
+    in fewer KKT solves.  Without it, or when it is zero, the run starts
+    from the KKT solve of KB times the ones vector.  Residuals are
+    measured after projecting out the constraint range with ``proj``, a
+    prebuilt ``KernelProjector`` of psi that a caller with a fixed psi
+    shares across calls; one is built when it is not given.
     """
     n = KA.shape[0]
-    proj = KernelProjector(psi)
+    if proj is None:
+        proj = KernelProjector(psi)
     kernel_dim = n - psi.shape[0]
     if k >= kernel_dim - 1:
         vals, vecs = _eig_constrained_dense(KA, KB, psi, k)
@@ -226,10 +243,12 @@ def eig_sym_constrained(KA, KB, psi, k, check=True):
     else:
         op = ConstrainedOperator(KA, psi)
         opinv = spla.LinearOperator((n, n), matvec=op.solve, dtype=float)
-        v0 = op.solve(KB @ np.ones(n))
-        nv0 = np.linalg.norm(v0)
+        nv0 = 0.0 if v0 is None else np.linalg.norm(v0)
         if nv0 == 0:
-            raise RuntimeError("constraint kernel start vector vanished")
+            v0 = op.solve(KB @ np.ones(n))
+            nv0 = np.linalg.norm(v0)
+            if nv0 == 0:
+                raise RuntimeError("constraint kernel start vector vanished")
         try:
             vals, vecs = spla.eigsh(
                 KA, k=k, M=KB, sigma=0.0, OPinv=opinv, v0=v0 / nv0,
@@ -244,9 +263,7 @@ def eig_sym_constrained(KA, KB, psi, k, check=True):
     bx = KB @ vecs
     scale = np.sqrt(np.einsum("ij,ij->j", vecs, bx))
     vecs = _sign_fix(vecs / scale)
-    r = KA @ vecs - (KB @ vecs) * vals
-    for j in range(r.shape[1]):
-        r[:, j] = proj(r[:, j])
+    r = proj(KA @ vecs - (KB @ vecs) * vals)
     residuals = np.linalg.norm(r, axis=0) / np.linalg.norm(vecs, axis=0)
     result = EigResult(vals, vecs, residuals, method)
     na, nb = norm1(KA), norm1(KB)

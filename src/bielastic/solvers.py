@@ -27,6 +27,7 @@ from .assembly import (
 )
 from .coefficients import as_coefficient, combine, require_finite
 from .eigen import (
+    KernelProjector,
     check_companion_size,
     eig_quadratic,
     eig_sym_constrained,
@@ -61,6 +62,7 @@ class B3Realization:
         self.reduction = reduce_entities(mesh)
         self.lift, self.psi = self.reduction.vector()
         self._kernel = None
+        self._projector = None
 
     @property
     def dofs(self):
@@ -69,14 +71,24 @@ class B3Realization:
     def reduced(self, A):
         return (self.lift.T @ A @ self.lift).tocsr()
 
+    @property
+    def projector(self):
+        """Orthogonal projector onto ker(psi), factored on first use and
+        shared by every eigensolve of this realization."""
+        if self._projector is None:
+            self._projector = KernelProjector(self.psi)
+        return self._projector
+
     def solve(self, A, f):
         g = solve_sym_constrained(
             self.reduced(A), self.psi, self.lift.T @ f
         )
         return self.lift @ g
 
-    def eig_reduced(self, KA, KB, k):
-        return eig_sym_constrained(KA, KB, self.psi, k)
+    def eig_reduced(self, KA, KB, k, v0=None):
+        return eig_sym_constrained(
+            KA, KB, self.psi, k, v0=v0, proj=self.projector
+        )
 
     def eig(self, A, B, k):
         return self.eig_reduced(self.reduced(A), self.reduced(B), k)
@@ -118,8 +130,8 @@ class MorleyRealization:
         x = solve_sym(self.reduced(A).tocsc(), self.N.T @ f)
         return self.N @ x
 
-    def eig_reduced(self, KA, KB, k):
-        return eig_sym_gen(KA, KB, k)
+    def eig_reduced(self, KA, KB, k, v0=None):
+        return eig_sym_gen(KA, KB, k, v0=v0)
 
     def eig(self, A, B, k):
         return self.eig_reduced(self.reduced(A), self.reduced(B), k)
@@ -285,6 +297,7 @@ class TepBlocks:
         self.KM = real.reduced(self.broken["Msum"])
         self.KB = real.reduced(self.broken["B"])
         self._lambda_cache = {}
+        self._last_vectors = None
 
     def a_tau(self, tau):
         return self.KD + tau * self.KF + tau * tau * self.KM
@@ -293,12 +306,20 @@ class TepBlocks:
         """Sorted eigenvalues of the tau-form against the elastic energy.
 
         Memoized on (tau, k): the secant search certifies each root at
-        the point its refinement evaluated last.
+        the point its refinement evaluated last.  Each new evaluation
+        starts its Lanczos run from the sum of the previous evaluation's
+        eigenvectors, which lies in the constraint kernel and is rich in
+        the wanted eigenvectors when tau moves little; only that last
+        eigenvector block is kept.
         """
         key = (float(tau), k)
         if key not in self._lambda_cache:
-            res = self.real.eig_reduced(self.a_tau(tau), self.KB, k)
+            v0 = None
+            if self._last_vectors is not None:
+                v0 = self._last_vectors.sum(axis=1)
+            res = self.real.eig_reduced(self.a_tau(tau), self.KB, k, v0=v0)
             self._lambda_cache[key] = res.values
+            self._last_vectors = res.vectors
         values = self._lambda_cache[key]
         if values[0] <= 0.0:
             warnings.warn(

@@ -78,6 +78,9 @@ class TestEigSymGen:
         assert dense.method == "dense" and arpack.method == "arpack"
         assert np.allclose(arpack.values, dense.values, rtol=1e-9)
         assert np.all(np.diff(dense.values) >= -1e-12)
+        for v0 in (np.zeros(n), dense.vectors.sum(axis=1)):
+            warm = eig_sym_gen(A, B, k, dense_cutoff=0, v0=v0)
+            assert np.allclose(warm.values, dense.values, rtol=1e-9)
         for res in (dense, arpack):
             bn = np.einsum("ij,ij->j", res.vectors, (B @ res.vectors))
             assert np.allclose(bn, 1.0, atol=1e-8)
@@ -117,6 +120,9 @@ class TestConstrained:
         px = proj(x)
         assert np.linalg.norm(psi @ px) <= 1e-10 * np.linalg.norm(x)
         assert np.allclose(proj(px), px, atol=1e-12)
+        X = rng.standard_normal((psi.shape[1], 3))
+        columns = np.column_stack([proj(X[:, j]) for j in range(3)])
+        assert np.allclose(proj(X), columns, rtol=0, atol=1e-13)
 
     def test_kkt_solve_stays_in_kernel(self, small_system):
         _, A, _, lift, psi, _, f = small_system
@@ -165,6 +171,19 @@ class TestConstrained:
         for j in range(6):
             x = res.vectors[:, j]
             assert np.linalg.norm(psi @ x) <= 1e-8 * np.linalg.norm(x)
+
+    def test_start_vector_and_shared_projector(self, small_system):
+        _, A, M, lift, psi, _, _ = small_system
+        KA = (lift.T @ A @ lift).tocsr()
+        KB = (lift.T @ M @ lift).tocsr()
+        cold = eig_sym_constrained(KA, KB, psi, 6)
+        proj = KernelProjector(psi)
+        for v0 in (np.zeros(KA.shape[0]), cold.vectors.sum(axis=1)):
+            res = eig_sym_constrained(KA, KB, psi, 6, v0=v0, proj=proj)
+            assert res.method == "kkt-arpack"
+            assert np.allclose(res.values, cold.values, rtol=1e-10, atol=0)
+            assert np.all(res.residuals <= 1e-8 * (
+                norm1(KA) + np.abs(res.values) * norm1(KB)))
 
     def test_dense_fallback_refuses_large_kernel(self, small_system,
                                                  monkeypatch):

@@ -3,9 +3,12 @@ spectral function, and both transmission-eigenvalue paths."""
 
 import numpy as np
 import pytest
+import scipy.linalg as dla
 
 import bielastic.eigen as eigen
 from bielastic.coefficients import Coefficient
+from bielastic.eigen import kernel_basis
+from bielastic.harness import EXAMPLES, SCAN_BRANCHES
 from bielastic.mesh import generate_domain
 from bielastic.solvers import (
     B3Realization,
@@ -168,6 +171,43 @@ class TestSpectralFunction:
         assert len(factors) == 1
         assert np.array_equal(first, second)
 
+    def test_warm_start_saves_kkt_solves(self, b3_sq1, monkeypatch):
+        solves = []
+        solve = eigen.ConstrainedOperator.solve
+
+        def counting_solve(self, b, refine=1):
+            solves.append(b.size)
+            return solve(self, b, refine)
+
+        monkeypatch.setattr(eigen.ConstrainedOperator, "solve",
+                            counting_solve)
+        warm = TepBlocks(b3_sq1, 0.25, 0.25, 1.0 / 20.0, 3.0)
+        warm.lambda_of_tau(2.5, SCAN_BRANCHES)
+        solves.clear()
+        warm_values = warm.lambda_of_tau(2.6, SCAN_BRANCHES)
+        warm_solves = len(solves)
+        cold = TepBlocks(b3_sq1, 0.25, 0.25, 1.0 / 20.0, 3.0)
+        solves.clear()
+        cold_values = cold.lambda_of_tau(2.6, SCAN_BRANCHES)
+        assert warm_solves < len(solves)
+        assert np.allclose(warm_values, cold_values, rtol=1e-10, atol=0)
+
+    def test_projector_factored_once_per_realization(self, monkeypatch):
+        real = B3Realization(generate_domain("unit-square", 1))
+        factors = []
+        init = eigen.KernelProjector.__init__
+
+        def counting_init(self, psi):
+            factors.append(psi.shape)
+            init(self, psi)
+
+        monkeypatch.setattr(eigen.KernelProjector, "__init__",
+                            counting_init)
+        blocks = TepBlocks(real, 0.25, 0.25, 1.0 / 20.0, 3.0)
+        for tau in (0.0, 1.5, 3.0):
+            blocks.lambda_of_tau(tau, 6)
+        assert len(factors) == 1
+
     def test_tau_quadratic_form_value(self, ex6_blocks):
         rng = np.random.default_rng(4)
         n = ex6_blocks.KD.shape[0]
@@ -206,6 +246,48 @@ class TestTepSecant:
                 ex6_blocks, k=2, tau_lo=0.26, tau_hi=0.40, grid=4
             )
         assert roots == []
+
+
+def _example_blocks(number, level):
+    ex = EXAMPLES[number]
+    mesh = generate_domain(ex.domain, level - 1 + ex.mesh_offset)
+    return TepBlocks(make_realization(mesh, "b3"), ex.lam, ex.mu, ex.rho0,
+                     ex.rho1)
+
+
+class TestSecantScanOracle:
+    """Every spectral-function evaluation of a full secant scan, each
+    started from the previous evaluation's eigenvectors, against a dense
+    reduction onto an orthonormal kernel basis Z of psi."""
+
+    @pytest.mark.parametrize("number, level", [
+        (6, 1), (6, 2), (7, 1), (7, 2), (8, 1), (8, 2),
+        pytest.param(9, 2, marks=pytest.mark.xfail(strict=True, reason=(
+            "single-vector Lanczos returns one copy of a multiple "
+            "eigenvalue: A(tau) has a 4-fold eigenvalue near tau=16.84, "
+            "so lambda_11 and lambda_12 come out wrong"
+        ))),
+    ])
+    def test_every_evaluation_matches_dense_reduction(self, number, level):
+        blocks = _example_blocks(number, level)
+        seen = []
+        lambda_of_tau = blocks.lambda_of_tau
+
+        def recording(tau, k):
+            values = lambda_of_tau(tau, k)
+            seen.append((tau, values))
+            return values
+
+        blocks.lambda_of_tau = recording
+        find_teps_secant(blocks, k=SCAN_BRANCHES)
+        Z = kernel_basis(blocks.real.psi)
+        k = min(SCAN_BRANCHES, Z.shape[1])
+        Bz = Z.T @ (blocks.KB @ Z)
+        for tau, values in seen:
+            Az = Z.T @ (blocks.a_tau(tau) @ Z)
+            ref = dla.eigh(Az, Bz, subset_by_index=[0, k - 1],
+                           eigvals_only=True)
+            assert values == pytest.approx(ref, rel=1e-9, abs=0)
 
 
 class TestTepQuadratic:
