@@ -11,8 +11,17 @@ The constrained eigensolver accepts a start vector in ker(Psi), so a
 sweep over a parameter can start each Lanczos run from the eigenvectors
 of the previous one, and a prebuilt ``KernelProjector``, so a caller
 whose Psi is fixed factors Psi Psi^T once for all its residual checks.
+
+The quadratic solver works on dense blocks.  For the few eigenvalues of
+smallest modulus it runs shift-invert Arnoldi at zero on the companion
+linearization, which needs one LU of K; this is valid for the
+transmission pencil, where K = D is positive definite on the kernel and
+M = Mq is positive definite, so no eigenvalue is zero or infinite.  The
+dense QZ of the whole companion pencil stays for all eigenvalues, for
+pencils too small for ARPACK, and as the fallback.
 """
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -279,9 +288,81 @@ def check_companion_size(n):
         )
 
 
+def _companion_qz(K, C, M):
+    """Every finite eigenpair of the companion pencil by dense QZ; the
+    pencil vectors are the lower halves z[n:] of z = [tau x; x]."""
+    n = K.shape[0]
+    eye = np.eye(n)
+    zero = np.zeros((n, n))
+    Amat = np.block([[-C, -K], [eye, zero]])
+    Bmat = np.block([[M, zero], [zero, eye]])
+    vals, vecs = dla.eig(Amat, Bmat)
+    finite = np.isfinite(vals) & (np.abs(vals) < 1e12)
+    return vals[finite], vecs[n:, finite]
+
+
+def _companion_arnoldi(K, C, M, nev):
+    """At least the nev eigenpairs of smallest modulus, by shift-invert
+    Arnoldi at zero on the companion pencil.
+
+    T [x; y] = [-K^-1 (C x + M y); x] has the eigenvalues 1/tau with
+    eigenvectors [x; tau x] / tau, so its largest-modulus eigenvalues
+    give the smallest tau, and the upper half z[:n] is a pencil vector.
+
+    One start vector finds one copy of a multiple eigenvalue, so each
+    Arnoldi run works on T deflated by the invariant subspace Q found so
+    far, (I - Q Q^T) T (I - Q Q^T), whose spectrum is the rest of T's.
+    Its eigenvectors w extend Q, and Rayleigh-Ritz on Q gives the
+    eigenpairs.  The runs stop when one finds nothing larger than the
+    nev-th largest eigenvalue already held, so the first run is checked
+    by a second one.  A singular K raises ``LinAlgWarning``, a failed run
+    ``ArpackError``.
+    """
+    n = K.shape[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", dla.LinAlgWarning)
+        lu = dla.lu_factor(K)
+
+    def apply(z):
+        x = dla.lu_solve(lu, C @ z[:n] + M @ z[n:])
+        return np.concatenate([-x, z[:n]])
+
+    Q = np.zeros((2 * n, 0))
+    deflate = lambda z: z - Q @ (Q.T @ z)
+    T = spla.LinearOperator(
+        (2 * n, 2 * n), matvec=lambda z: deflate(apply(deflate(np.ravel(z)))),
+        dtype=float,
+    )
+    v0 = np.cos(np.arange(1, 2 * n + 1))
+    cut = 0.0
+    while True:
+        ritz, w = spla.eigs(T, k=nev, which="LM", v0=deflate(v0),
+                            tol=EIG_TOL, maxiter=EIG_MAXITER)
+        w = w[:, np.abs(ritz) > cut]
+        if w.shape[1] == 0:
+            break
+        Q = dla.orth(np.hstack([Q, w.real, w.imag]))
+        mu, y = dla.eig(Q.T @ apply(Q))
+        cut = np.sort(np.abs(mu))[-nev]
+    return 1.0 / mu, (Q @ y)[:n]
+
+
 def eig_quadratic(K, C, M, k=None, check=True):
-    """Eigenvalues of the pencil K + tau C + tau^2 M by companion
-    linearization [[-C, -K], [I, 0]] z = tau [[M, 0], [0, I]] z.
+    """The k eigenvalues of smallest modulus (all of them when k is None)
+    of the pencil K + tau C + tau^2 M, by its companion linearization
+    [[-C, -K], [I, 0]] z = tau [[M, 0], [0, I]] z.
+
+    With k given and small next to the companion order 2n, shift-invert
+    Arnoldi at zero, with deflated reruns that recover every copy of a
+    multiple eigenvalue, computes the k + 2 of smallest modulus from one
+    dense LU of K (method ``companion-arnoldi``); the two extra values
+    keep a conjugate pair at the cut whole.  Shifting at zero is valid
+    for the transmission pencil, where K = D is positive definite on the
+    kernel; M = Mq is positive definite too, so the pencil has no
+    infinite eigenvalues.  The dense QZ of the whole companion pencil
+    (method ``companion``) runs when k is None, when k + 2 is too close
+    to 2n for ARPACK, and as the fallback when K is singular or ARPACK
+    fails.
 
     Returns eigenvalues sorted by modulus, the positive-imaginary member
     of each conjugate pair first; infinite eigenvalues are dropped.
@@ -291,18 +372,19 @@ def eig_quadratic(K, C, M, k=None, check=True):
     Kd = K.toarray() if sparse.issparse(K) else np.asarray(K, float)
     Cd = C.toarray() if sparse.issparse(C) else np.asarray(C, float)
     Md = M.toarray() if sparse.issparse(M) else np.asarray(M, float)
-    eye = np.eye(n)
-    zero = np.zeros((n, n))
-    Amat = np.block([[-Cd, -Kd], [eye, zero]])
-    Bmat = np.block([[Md, zero], [zero, eye]])
-    vals, vecs = dla.eig(Amat, Bmat)
-    finite = np.isfinite(vals) & (np.abs(vals) < 1e12)
-    vals, vecs = vals[finite], vecs[:, finite]
+    method = "companion"
+    if k is not None and 2 * (k + 2) + 1 < 2 * n:
+        try:
+            vals, x = _companion_arnoldi(Kd, Cd, Md, k + 2)
+            method = "companion-arnoldi"
+        except (dla.LinAlgWarning, spla.ArpackError):
+            pass
+    if method == "companion":
+        vals, x = _companion_qz(Kd, Cd, Md)
     order = np.lexsort((-vals.imag, np.abs(vals)))
-    vals, vecs = vals[order], vecs[:, order]
+    vals, x = vals[order], x[:, order]
     if k is not None:
-        vals, vecs = vals[:k], vecs[:, :k]
-    x = vecs[n:, :]
+        vals, x = vals[:k], x[:, :k]
     norms = np.linalg.norm(x, axis=0)
     norms[norms == 0] = 1.0
     x = _sign_fix(x / norms)
@@ -310,7 +392,7 @@ def eig_quadratic(K, C, M, k=None, check=True):
     for j, tau in enumerate(vals):
         r = Kd @ x[:, j] + tau * (Cd @ x[:, j]) + tau**2 * (Md @ x[:, j])
         residuals[j] = np.linalg.norm(r) / np.linalg.norm(x[:, j])
-    result = EigResult(vals, x, residuals, "companion")
+    result = EigResult(vals, x, residuals, method)
     nk, nc, nm = norm1(Kd), norm1(Cd), norm1(Md)
     return _check_residuals(
         result, lambda v: nk + abs(v) * nc + abs(v) ** 2 * nm, check

@@ -249,6 +249,25 @@ def check_levels(levels, big=False):
     return tuple(out)
 
 
+def check_k(k):
+    """The number of requested eigenvalues, which must be at least 1."""
+    k = int(k)
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
+    return k
+
+
+def check_tau_range(tau_lo, tau_hi):
+    """A secant scan interval: finite ends with tau_lo < tau_hi (an open
+    upper end, None, is chosen from the spectrum)."""
+    if not np.isfinite(tau_lo) or (
+        tau_hi is not None and not (np.isfinite(tau_hi) and tau_lo < tau_hi)
+    ):
+        raise ValueError(
+            f"tau range needs finite ends with lo < hi, got {tau_lo}:{tau_hi}"
+        )
+
+
 def source_order(errors):
     """Empirical orders log2(e_prev / e_next) per consecutive error pair.
 
@@ -445,7 +464,7 @@ class ExperimentReport:
                     cells.append(text)
                 cells.append(self._final_order_cell(f"lambda_{branch}"))
                 body.append(cells)
-        widths = [max(len(header[i]), *(len(r[i]) for r in body))
+        widths = [max([len(header[i])] + [len(r[i]) for r in body])
                   for i in range(len(header))]
         lines = head
         lines.append("  ".join(h.rjust(w) for h, w in zip(header, widths)))
@@ -553,9 +572,11 @@ def run_bielastic(domain, beta, lam, mu, levels=None, k=6, element="b3",
     """Weighted fourth-order eigenvalue run over the requested levels."""
     levels = check_levels(DEFAULT_LEVELS["bielastic"] if levels is None
                           else levels, big)
+    k = check_k(k)
     beta = as_coefficient(beta)
     meta = _base_meta("bielastic", domain, element, levels, lam, mu,
-                      alpha=alpha, k=k, mesh_offset=mesh_offset)
+                      alpha=alpha, k=k, mesh_offset=mesh_offset,
+                      eig_method=[])
     rows = []
     series = {}
     for lvl in levels:
@@ -564,6 +585,7 @@ def run_bielastic(domain, beta, lam, mu, levels=None, k=6, element="b3",
         real = make_realization(mesh, element)
         res = solve_bielastic_eigs(real, beta, lam, mu, k, alpha=alpha)
         seconds = time.perf_counter() - t0
+        meta["eig_method"].append(res.method)
         meta["h"].append(mesh.h)
         meta["dofs"].append(real.dofs)
         for j, value in enumerate(res.values, start=1):
@@ -599,9 +621,13 @@ def run_tep(domain, lam, mu, rho0, rho1, levels=None, k=10, element="b3",
                           big)
     if method not in ("secant", "quadratic"):
         raise ValueError(f"unknown method {method!r}")
+    k = check_k(k)
+    check_tau_range(tau_lo, tau_hi)
     rho0, rho1 = as_coefficient(rho0), as_coefficient(rho1)
     meta = _base_meta("tep", domain, element, levels, lam, mu, alpha=alpha,
                       k=k, method=method, mesh_offset=mesh_offset)
+    if method == "quadratic":
+        meta["eig_method"] = []
     rows = []
     series = {}
     case = None
@@ -631,6 +657,7 @@ def run_tep(domain, lam, mu, rho0, rho1, levels=None, k=10, element="b3",
         else:
             res = find_teps_quadratic(blocks, k)
             seconds = time.perf_counter() - t0
+            meta["eig_method"].append(res.method)
             values, residuals = _canonical_complex(res.values, res.residuals)
             for j, value in enumerate(values, start=1):
                 value = complex(value)

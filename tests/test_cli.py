@@ -1,6 +1,8 @@
 """Command line checks: argument parsing, config merging, output
 emission, and exit codes."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -9,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bielastic
 import bielastic.cli as cli
@@ -83,6 +87,30 @@ class TestRunExampleCommand:
     def test_companion_over_cap_exits_2(self, capsys):
         assert main(["run-example", "9", "--levels", "5", "--big"]) == 2
         assert "companion dimension" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("number, k", [(9, "-1"), (9, "0"), (3, "0")])
+    def test_k_below_one_exits_2(self, capsys, number, k):
+        assert main(["run-example", str(number), "--levels", "2",
+                     "--k", k]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: k must be at least 1, got {k}\n"
+
+    @pytest.mark.parametrize("tau_range", ["5:1", "3:3", "nan:3", "1:inf"])
+    def test_bad_tau_range_exits_2(self, tau_range):
+        proc = run_cli("run-example", "6", "--levels", "1",
+                       "--tau-range", tau_range)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: tau range needs finite ends")
+        assert len(proc.stderr.strip().splitlines()) == 1
+
+    def test_scan_without_roots_prints_the_header(self):
+        proc = run_cli("run-example", "6", "--levels", "1",
+                       "--tau-range", "0.25:1")
+        assert proc.returncode == 0
+        assert proc.stdout.splitlines()[-1].split() == [
+            "quantity", "L1", "(h=0.5)", "Ord"]
+        assert "no transmission eigenvalue bracketed" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_both_level_flags_rejected_by_parser(self):
         with pytest.raises(SystemExit) as err:
@@ -232,6 +260,22 @@ class TestSolveCommands:
         ]) == 0
         assert "lambda_1" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("method", ["secant", "quadratic"])
+    def test_solve_tep_k_below_one_exits_2(self, capsys, method):
+        assert main([
+            "solve-tep", "--domain", "unit-square", "--level", "1",
+            "--lam", "0.25", "--mu", "0.25", "--rho0", "0.05",
+            "--rho1", "3", "--k", "-2", "--method", method,
+        ]) == 2
+        assert "k must be at least 1" in capsys.readouterr().err
+
+    def test_solve_bielastic_k_below_one_exits_2(self, capsys):
+        assert main([
+            "solve-bielastic", "--domain", "unit-square", "--level", "1",
+            "--lam", "0.25", "--mu", "0.0625", "--k", "0",
+        ]) == 2
+        assert "k must be at least 1" in capsys.readouterr().err
+
     def test_solve_tep_invalid_densities_exit_2(self, capsys):
         assert main([
             "solve-tep", "--domain", "unit-square", "--level", "1",
@@ -343,3 +387,37 @@ class TestCoefficientErrors:
             "--rho1", "3 + 0*x1/(x1-x1)", "--k", "2",
         ]) == 2
         assert "not finite" in capsys.readouterr().err
+
+
+# level strings that select level 1 or are rejected, so no draw runs a
+# finer mesh
+LEVEL_TEXT = st.just("1") | st.sampled_from(
+    ["1-1", "1,1", "0", "0-1", "1-0", "-1", "5", "6", "x", "", "1,"]
+)
+K_TEXT = st.sampled_from([str(k) for k in range(-3, 41)] + ["x", "2.5"])
+TAU_END = st.sampled_from(["nan", "inf", "-inf", "", "x"]) | st.floats(
+    -20.0, 60.0).map(repr) | st.floats(0.0, 30.0).map(repr)
+TAU_TEXT = st.tuples(TAU_END, TAU_END).map(":".join) | st.sampled_from(
+    ["3", "1:2:3", ":"]
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(number=st.sampled_from(["6", "9"]), levels=LEVEL_TEXT,
+       k=st.none() | K_TEXT, tau_range=st.none() | TAU_TEXT)
+def test_run_example_exit_code_contract(number, levels, k, tau_range):
+    """Every input ends in a documented exit code, never a traceback."""
+    argv = ["run-example", number, f"--levels={levels}"]
+    if k is not None:
+        argv.append(f"--k={k}")
+    if tau_range is not None:
+        argv.append(f"--tau-range={tau_range}")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the text
+            code = exc.code
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err.getvalue()
+

@@ -18,6 +18,7 @@ from bielastic.eigen import (
     solve_sym,
     solve_sym_constrained,
 )
+from bielastic.harness import _canonical_complex
 from bielastic.mesh import generate_domain
 from bielastic.solvers import B3Realization, fourth_order_block
 from bielastic.spaces import BrokenSpace, reduce_entities, vector_transform
@@ -257,3 +258,57 @@ class TestEigQuadratic:
         big = sparse.eye(n, format="csr")
         with pytest.raises(ValueError, match="cap"):
             eig_quadratic(big, big, big)
+
+
+def random_pencil(rng, n):
+    """K and M symmetric positive definite, C symmetric."""
+    R = rng.standard_normal((n, n))
+    K = R @ R.T + n * np.eye(n)
+    R = rng.standard_normal((n, n))
+    M = R @ R.T + n * np.eye(n)
+    C = rng.standard_normal((n, n))
+    return K, C + C.T, M
+
+
+def same_values(a, b):
+    """Equal complex eigenvalue lists up to 1e-9 relative, compared in the
+    report's canonical order."""
+    a, _ = _canonical_complex(a, np.zeros(a.size))
+    b, _ = _canonical_complex(b, np.zeros(b.size))
+    return np.allclose(a, b, rtol=1e-9, atol=0)
+
+
+class TestEigQuadraticPath:
+    """Shift-invert Arnoldi for a few values, the dense QZ otherwise."""
+
+    def test_arnoldi_for_a_few_values(self):
+        K, C, M = random_pencil(np.random.default_rng(29), 30)
+        full = eig_quadratic(K, C, M)
+        res = eig_quadratic(K, C, M, 6)
+        assert full.method == "companion"
+        assert res.method == "companion-arnoldi"
+        assert same_values(res.values, full.values[:6])
+
+    def test_qz_when_k_is_close_to_the_companion_order(self):
+        K, C, M = random_pencil(np.random.default_rng(31), 12)
+        assert eig_quadratic(K, C, M, 9).method == "companion-arnoldi"
+        assert eig_quadratic(K, C, M, 10).method == "companion"
+
+    def test_qz_when_arpack_fails(self, monkeypatch):
+        K, C, M = random_pencil(np.random.default_rng(37), 30)
+        ref = eig_quadratic(K, C, M, 6)
+
+        def arpack_fails(*args, **kwargs):
+            raise spla.ArpackError(-1)
+
+        monkeypatch.setattr(eigen.spla, "eigs", arpack_fails)
+        res = eig_quadratic(K, C, M, 6)
+        assert res.method == "companion"
+        assert same_values(res.values, ref.values)
+
+    def test_qz_when_k_is_singular(self):
+        K, C, M = random_pencil(np.random.default_rng(41), 30)
+        K[0, :] = K[:, 0] = 0.0
+        res = eig_quadratic(K, C, M, 6)
+        assert res.method == "companion"
+        assert res.values[0] == 0.0

@@ -384,6 +384,19 @@ class TestReports:
             else:
                 assert isinstance(row["order"], float)
 
+    def test_table_of_a_report_without_rows(self, ex9_report):
+        meta = dict(ex9_report.meta, levels=[1], h=[0.5])
+        lines = ExperimentReport("tep", [], meta).table().splitlines()
+        assert lines[-1].split() == ["quantity", "L1", "(h=0.5)", "Ord"]
+
+    def test_eigensolver_path_per_level(self, ex3_report):
+        assert ex3_report.meta["eig_method"] == ["kkt-arpack", "kkt-arpack"]
+        report = run_example(9, levels=(1, 2, 3))
+        paths = ["companion", "companion-arnoldi", "companion-arnoldi"]
+        assert report.meta["eig_method"] == paths
+        assert json.loads(report.to_json())["meta"]["eig_method"] == paths
+        assert "eig_method" not in run_example(6, levels=(1,)).meta
+
 
 class TestRunExample:
     def test_square_eigenvalue_anchors(self, ex3_report):
@@ -423,6 +436,17 @@ class TestRunExample:
     def test_tau_range_only_for_secant(self):
         with pytest.raises(ValueError, match="secant"):
             run_example(9, levels=(1,), tau_range=(0.25, 9.0))
+
+    def test_k_below_one(self):
+        for number in (3, 6, 9):
+            with pytest.raises(ValueError, match="at least 1"):
+                run_example(number, levels=(1,), k=0)
+
+    def test_tau_range_needs_finite_increasing_ends(self):
+        for tau_range in ((5.0, 1.0), (3.0, 3.0), (float("nan"), 3.0),
+                          (1.0, float("inf"))):
+            with pytest.raises(ValueError, match="lo < hi"):
+                run_example(6, levels=(1,), tau_range=tau_range)
 
     def test_k_not_for_source(self):
         with pytest.raises(ValueError, match="eigenvalue"):

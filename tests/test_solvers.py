@@ -7,8 +7,8 @@ import scipy.linalg as dla
 
 import bielastic.eigen as eigen
 from bielastic.coefficients import Coefficient
-from bielastic.eigen import kernel_basis
-from bielastic.harness import EXAMPLES, SCAN_BRANCHES
+from bielastic.eigen import eig_quadratic, kernel_basis
+from bielastic.harness import EXAMPLES, SCAN_BRANCHES, _canonical_complex
 from bielastic.mesh import generate_domain
 from bielastic.solvers import (
     B3Realization,
@@ -308,6 +308,73 @@ class TestTepQuadratic:
         cvals = vals[np.abs(vals.imag) > 1e-8]
         for v in cvals:
             assert np.min(np.abs(cvals - np.conj(v))) <= 1e-8 * (1 + abs(v))
+
+
+def _dense_pencil(blocks):
+    """The kernel-reduced dense K, C, M that ``find_teps_quadratic`` hands
+    to ``eig_quadratic`` on the b3 element."""
+    real, broken = blocks.real, blocks.broken
+    Z = real.explicit_basis()
+    dense = lambda A: Z.T @ (real.reduced(A) @ Z.toarray())
+    return (dense(broken["D"]), dense(broken["F"] - broken["B"]),
+            dense(broken["Mq"]))
+
+
+def _qz_values(K, C, M):
+    """Every finite eigenvalue of the companion pencil by one dense QZ,
+    in the order of ``eig_quadratic``."""
+    n = K.shape[0]
+    eye, zero = np.eye(n), np.zeros((n, n))
+    vals = dla.eigvals(np.block([[-C, -K], [eye, zero]]),
+                       np.block([[M, zero], [zero, eye]]))
+    vals = vals[np.isfinite(vals)]
+    return vals[np.lexsort((-vals.imag, np.abs(vals)))]
+
+
+@pytest.fixture(scope="module")
+def tep_pencils():
+    """Dense pencil and QZ eigenvalues of a built-in transmission example
+    at one level, built on first use."""
+    cache = {}
+
+    def get(number, level):
+        if (number, level) not in cache:
+            pencil = _dense_pencil(_example_blocks(number, level))
+            cache[number, level] = pencil, _qz_values(*pencil)
+        return cache[number, level]
+
+    return get
+
+
+class TestTepArnoldi:
+    """Shift-invert Arnoldi on the companion pencil against the dense QZ
+    of the whole pencil."""
+
+    @pytest.mark.parametrize("k", [10, 20])
+    @pytest.mark.parametrize("number, level", [
+        (number, level) for number in (6, 7, 8, 9) for level in (2, 3)
+    ])
+    def test_matches_qz(self, tep_pencils, number, level, k):
+        (K, C, M), ref = tep_pencils(number, level)
+        res = eig_quadratic(K, C, M, k)
+        assert res.method == "companion-arnoldi"
+        got, _ = _canonical_complex(res.values, res.residuals)
+        want, _ = _canonical_complex(ref[:k], np.zeros(k))
+        assert np.all(np.abs(got - want) <= 1e-9 * np.abs(want))
+        # the last value may be a pair member whose partner is cut off
+        head = res.values[:-1]
+        for v in head[np.abs(head.imag) > 1e-8 * np.abs(head)]:
+            assert np.min(np.abs(res.values - np.conj(v))) <= 1e-8 * abs(v)
+
+    @pytest.mark.parametrize("k", [10, 20])
+    def test_duplicated_pencil_returns_every_copy(self, tep_pencils, k):
+        (K, C, M), ref = tep_pencils(9, 3)
+        twice = [dla.block_diag(A, A) for A in (K, C, M)]
+        res = eig_quadratic(*twice, k)
+        assert res.method == "companion-arnoldi"
+        got, _ = _canonical_complex(res.values, res.residuals)
+        want, _ = _canonical_complex(np.repeat(ref, 2)[:k], np.zeros(k))
+        assert np.all(np.abs(got - want) <= 1e-9 * np.abs(want))
 
 
 class TestTepMorley:
