@@ -53,6 +53,20 @@ def parse_tau_range(text):
     return float(lo), float(hi)
 
 
+def _join_tau_range(argv):
+    """Rewrite "--tau-range -5:3" as "--tau-range=-5:3": argparse reads a
+    value that starts with "-" as an option, which a range with a negative
+    lower end does."""
+    out = []
+    for arg in argv:
+        if (out and out[-1] == "--tau-range" and arg.startswith("-")
+                and not arg.startswith("--") and ":" in arg):
+            out[-1] = f"--tau-range={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def parse_coefficient(text):
     """A plain number becomes a constant, anything else an expression in
     x1 and x2."""
@@ -258,15 +272,18 @@ def _dispatch(ns):
         return _emit(report, ns)
 
     _require(ns, "rho0", "rho1")
+    method = ns.get("method") or "secant"
     tau_lo, tau_hi = 0.25, None
     if ns.get("tau_range") is not None:
+        if method != "secant":
+            raise ValueError("tau_range applies only to the secant method")
         tau_lo, tau_hi = parse_tau_range(ns["tau_range"])
     report = run_tep(
         ns["domain"], float(ns["lam"]), float(ns["mu"]),
         parse_coefficient(ns["rho0"]), parse_coefficient(ns["rho1"]),
         levels=levels, k=int(ns["k"]) if ns.get("k") is not None else 10,
         element=element, alpha=ns.get("alpha"),
-        method=ns.get("method") or "secant", tau_lo=tau_lo, tau_hi=tau_hi,
+        method=method, tau_lo=tau_lo, tau_hi=tau_hi,
         mesh_offset=0, big=bool(ns.get("big")),
     )
     return _emit(report, ns)
@@ -274,7 +291,8 @@ def _dispatch(ns):
 
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(
+        _join_tau_range(sys.argv[1:] if argv is None else argv))
     try:
         ns = _merge_config(args)
         return _dispatch(ns)

@@ -625,9 +625,8 @@ def run_tep(domain, lam, mu, rho0, rho1, levels=None, k=10, element="b3",
     check_tau_range(tau_lo, tau_hi)
     rho0, rho1 = as_coefficient(rho0), as_coefficient(rho1)
     meta = _base_meta("tep", domain, element, levels, lam, mu, alpha=alpha,
-                      k=k, method=method, mesh_offset=mesh_offset)
-    if method == "quadratic":
-        meta["eig_method"] = []
+                      k=k, method=method, mesh_offset=mesh_offset,
+                      eig_method=[])
     rows = []
     series = {}
     case = None
@@ -643,6 +642,7 @@ def run_tep(domain, lam, mu, rho0, rho1, levels=None, k=10, element="b3",
                 tau_lo=tau_lo, tau_hi=tau_hi, grid=grid,
             )[:k]
             seconds = time.perf_counter() - t0
+            meta["eig_method"].append(dict(blocks.eig_methods))
             for j, root in enumerate(roots, start=1):
                 series.setdefault(f"lambda_{j}", []).append(root.tau)
                 rows.append({

@@ -10,6 +10,7 @@ compatibility rows.  The Morley element always carries its explicit
 """
 
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -298,6 +299,7 @@ class TepBlocks:
         self.KB = real.reduced(self.broken["B"])
         self._lambda_cache = {}
         self._last_vectors = None
+        self.eig_methods = Counter()
 
     def a_tau(self, tau):
         return self.KD + tau * self.KF + tau * tau * self.KM
@@ -310,7 +312,8 @@ class TepBlocks:
         starts its Lanczos run from the sum of the previous evaluation's
         eigenvectors, which lies in the constraint kernel and is rich in
         the wanted eigenvectors when tau moves little; only that last
-        eigenvector block is kept.
+        eigenvector block is kept.  ``eig_methods`` counts the eigensolves
+        that the memo did not serve by ``EigResult.method``.
         """
         key = (float(tau), k)
         if key not in self._lambda_cache:
@@ -320,6 +323,7 @@ class TepBlocks:
             res = self.real.eig_reduced(self.a_tau(tau), self.KB, k, v0=v0)
             self._lambda_cache[key] = res.values
             self._last_vectors = res.vectors
+            self.eig_methods[res.method] += 1
         values = self._lambda_cache[key]
         if values[0] <= 0.0:
             warnings.warn(

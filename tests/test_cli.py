@@ -112,6 +112,17 @@ class TestRunExampleCommand:
         assert "no transmission eigenvalue bracketed" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("tau_range", ["-5:3", "-3:-5"])
+    def test_negative_tau_range_reads_like_the_equals_form(self, tau_range):
+        spaced = run_cli("run-example", "6", "--levels", "1",
+                         "--tau-range", tau_range)
+        joined = run_cli("run-example", "6", "--levels", "1",
+                         f"--tau-range={tau_range}")
+        assert "expected one argument" not in spaced.stderr
+        assert spaced.returncode == joined.returncode
+        assert spaced.stdout == joined.stdout
+        assert spaced.stderr == joined.stderr
+
     def test_both_level_flags_rejected_by_parser(self):
         with pytest.raises(SystemExit) as err:
             main(["run-example", "3", "--level", "1", "--levels", "1-2"])
@@ -259,6 +270,15 @@ class TestSolveCommands:
             "--rho1", "3", "--k", "4", "--method", "quadratic",
         ]) == 0
         assert "lambda_1" in capsys.readouterr().out
+
+    def test_solve_tep_tau_range_needs_the_secant_method(self, capsys):
+        assert main([
+            "solve-tep", "--domain", "unit-square", "--level", "1",
+            "--lam", "0.25", "--mu", "0.25", "--rho0", "0.05",
+            "--rho1", "3", "--method", "quadratic", "--tau-range", "1:2",
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: tau_range applies only to the secant method\n"
 
     @pytest.mark.parametrize("method", ["secant", "quadratic"])
     def test_solve_tep_k_below_one_exits_2(self, capsys, method):

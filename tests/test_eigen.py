@@ -112,7 +112,62 @@ def small_system(b3_oracle):
     return space, A, M, lift, psi, N, f
 
 
+class CountingFactor:
+    """Stands in for ``ConstrainedOperator.lu``; records every triangular
+    solve's right-hand side and result."""
+
+    def __init__(self, lu):
+        self.lu = lu
+        self.inputs, self.outputs = [], []
+
+    def solve(self, rhs):
+        self.inputs.append(rhs)
+        self.outputs.append(self.lu.solve(rhs))
+        return self.outputs[-1]
+
+
+def random_kkt_parts(rng, n=40, m=10):
+    """A well-conditioned K and a full-row-rank psi."""
+    psi = sparse.random(m, n, density=0.2, random_state=rng) + sparse.eye(m, n)
+    return random_spd(rng, n), sparse.csr_matrix(psi)
+
+
 class TestConstrained:
+    def test_solve_skips_refinement_when_backward_stable(self):
+        rng = np.random.default_rng(3)
+        K, psi = random_kkt_parts(rng)
+        op = ConstrainedOperator(K, psi)
+        op.lu = factor = CountingFactor(op.lu)
+        kkt = sparse.bmat([[K, psi.T], [psi, None]]).toarray()
+        for _ in range(3):
+            b = rng.standard_normal(K.shape[0])
+            ref = np.linalg.solve(kkt, np.concatenate(
+                [b, np.zeros(psi.shape[0])]))[: K.shape[0]]
+            x = op.solve(b)
+            assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+        assert len(factor.inputs) == 3
+
+    def test_solve_refines_an_inaccurate_first_solve(self):
+        # the factor of a perturbed KKT matrix stands in for a first solve
+        # that is not backward stable
+        rng = np.random.default_rng(5)
+        K, psi = random_kkt_parts(rng)
+        op = ConstrainedOperator(K, psi)
+        shift = 1e-10 * norm1(op.kkt) * sparse.eye(op.kkt.shape[0])
+        op.lu = factor = CountingFactor(
+            spla.splu((op.kkt + shift).tocsc(), permc_spec="NATURAL"))
+        x = op.solve(rng.standard_normal(K.shape[0]))
+        assert len(factor.inputs) == 2
+        rhs = factor.inputs[0]
+        bound = eigen.REFINE_TOL * np.linalg.norm(rhs)
+        first = factor.outputs[0]
+        assert np.linalg.norm(rhs - op.kkt @ first) > 100 * bound
+        z = first + factor.outputs[1]
+        assert np.linalg.norm(rhs - op.kkt @ z) <= bound
+        full = np.empty_like(z)
+        full[op.perm] = z
+        assert np.array_equal(x, full[: K.shape[0]])
+
     def test_projector_annihilates_constraints(self, small_system):
         _, _, _, _, psi, _, _ = small_system
         proj = KernelProjector(psi)
@@ -288,6 +343,18 @@ class TestEigQuadraticPath:
         assert full.method == "companion"
         assert res.method == "companion-arnoldi"
         assert same_values(res.values, full.values[:6])
+
+    @pytest.mark.parametrize("k", [None, 20])
+    def test_each_conjugate_pair_lists_its_positive_member_first(self, k):
+        K, C, M = random_pencil(np.random.default_rng(29), 30)
+        vals = eig_quadratic(K, C, M, k).values
+        j = 0
+        while j < vals.size:
+            if vals[j].imag != 0:
+                assert vals[j].imag > 0
+                assert vals[j + 1] == np.conj(vals[j])
+                j += 1
+            j += 1
 
     def test_qz_when_k_is_close_to_the_companion_order(self):
         K, C, M = random_pencil(np.random.default_rng(31), 12)

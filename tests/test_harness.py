@@ -395,7 +395,14 @@ class TestReports:
         paths = ["companion", "companion-arnoldi", "companion-arnoldi"]
         assert report.meta["eig_method"] == paths
         assert json.loads(report.to_json())["meta"]["eig_method"] == paths
-        assert "eig_method" not in run_example(6, levels=(1,)).meta
+
+    def test_secant_eigensolves_per_level(self):
+        report = run_example(6, levels=(1, 2))
+        paths = report.meta["eig_method"]
+        assert [list(level) for level in paths] == [["kkt-dense"],
+                                                    ["kkt-arpack"]]
+        assert all(count > 0 for level in paths for count in level.values())
+        assert json.loads(report.to_json())["meta"]["eig_method"] == paths
 
 
 class TestRunExample:

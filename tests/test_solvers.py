@@ -208,6 +208,12 @@ class TestSpectralFunction:
             blocks.lambda_of_tau(tau, 6)
         assert len(factors) == 1
 
+    def test_eig_methods_count_the_eigensolves(self, b3_sq1):
+        blocks = TepBlocks(b3_sq1, 0.25, 0.25, 1.0 / 20.0, 3.0)
+        for tau in (0.0, 1.5, 1.5, 3.0):
+            blocks.lambda_of_tau(tau, 6)
+        assert blocks.eig_methods == {"kkt-arpack": 3}
+
     def test_tau_quadratic_form_value(self, ex6_blocks):
         rng = np.random.default_rng(4)
         n = ex6_blocks.KD.shape[0]
@@ -288,6 +294,26 @@ class TestSecantScanOracle:
             ref = dla.eigh(Az, Bz, subset_by_index=[0, k - 1],
                            eigvals_only=True)
             assert values == pytest.approx(ref, rel=1e-9, abs=0)
+
+
+class TestConstrainedPath:
+    """Dense kernel reduction where ARPACK's Lanczos basis would span the
+    kernel (example 6, level 1: kernel 22, ncv 25), KKT-ARPACK beyond it
+    (level 2: kernel 134)."""
+
+    @pytest.mark.parametrize("level, method", [(1, "kkt-dense"),
+                                               (2, "kkt-arpack")])
+    def test_path_and_values(self, level, method):
+        blocks = _example_blocks(6, level)
+        A = blocks.a_tau(12.0)
+        res = eigen.eig_sym_constrained(A, blocks.KB, blocks.real.psi,
+                                        SCAN_BRANCHES)
+        assert res.method == method
+        Z = kernel_basis(blocks.real.psi)
+        ref = dla.eigh(Z.T @ (A @ Z), Z.T @ (blocks.KB @ Z),
+                       subset_by_index=[0, SCAN_BRANCHES - 1],
+                       eigvals_only=True)
+        assert res.values == pytest.approx(ref, rel=1e-10, abs=0)
 
 
 class TestTepQuadratic:
