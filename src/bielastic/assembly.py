@@ -2,7 +2,9 @@
 
 Every matrix is block-diagonal per triangle over broken coefficients; vector
 fields use a component-major layout, so a two-component form is the 2x2
-block matrix of scalar-layout pieces.  Quadrature degree is chosen from the
+block matrix of scalar-layout pieces.  Every matrix comes from one kernel,
+``_form``: each form lists, per component block, its weighted products of
+tabulated fields (values, gradients, Hessians).  Quadrature degree is chosen from the
 polynomial degree of the integrand when the coefficient is polynomial and
 capped at the finest available rule otherwise (rational or trigonometric
 coefficients are integrated at degree 12; the consistency error this leaves
@@ -13,6 +15,8 @@ sigma(u) = 2 mu eps(u) + lam tr(eps(u)) I, and the divergence identity
 div sigma(u) = mu Lap(u) + (lam + mu) grad(div u)
             = (lam + 2 mu) grad(div u) - mu curl(rot u).
 """
+
+from collections import defaultdict
 
 import numpy as np
 import scipy.sparse as sparse
@@ -97,190 +101,126 @@ def _curlrot_fields(tab):
     return (-hyy, hxy), (hxy, -hxx)
 
 
-def _pair_form(space, coeff, fields_for, base_degree, degree=None,
-               positive=False):
-    """Generic 2x2 component form: entries sum_k int c A_k(u) A_k(v)."""
+_UPPER = ((0, 0), (0, 1), (1, 1))
+_ALL = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
+def _dot_terms(left, right, blocks):
+    """Block (a, b) of sum_k c left[a][k] right[b][k] for two-vector fields."""
+    return {(a, b): [(1, f, g) for f, g in zip(left[a], right[b])]
+            for a, b in blocks}
+
+
+def _form(space, coeff, base_degree, terms, degree=None, positive=False):
+    """The one form kernel: block (a, b) gets sum over its terms (s, f, g)
+    of s int c f_i g_j, with f and g tabulated fields of ``terms(tab)``.
+
+    A form listing only block (0, 0) is scalar and repeated on both
+    components; one listing (0, 1) but not (1, 0) is symmetric, and its
+    (1, 0) block is the transpose of (0, 1).
+    """
     coeff = None if coeff is None else as_coefficient(coeff)
     deg = _pick_degree(base_degree, coeff, degree)
     nt, nloc = space.mesh.nt, space.nloc
-    blocks = [[np.zeros((nt, nloc, nloc)) for _ in range(2)]
-              for _ in range(2)]
+    blocks = defaultdict(lambda: np.zeros((nt, nloc, nloc)))
     for sel, tab, cw, xq in _chunks(space, deg):
         w = _coeff_weights(coeff, cw, xq, positive)
-        fields = fields_for(tab)
-        for a in range(2):
-            for b in range(a, 2):
-                acc = None
-                for fa, fb in zip(fields[a], fields[b]):
-                    term = np.einsum("tq,tqi,tqj->tij", w, fa, fb,
+        for ab, parts in terms(tab).items():
+            acc = blocks[ab][sel]
+            for s, f, g in parts:
+                acc += s * np.einsum("tq,tqi,tqj->tij", w, f, g,
                                      optimize=True)
-                    acc = term if acc is None else acc + term
-                blocks[a][b][sel] += acc
-    blocks[1][0] = blocks[0][1].transpose(0, 2, 1)
+    if (0, 1) in blocks and (1, 0) not in blocks:
+        blocks[1, 0] = blocks[0, 1].transpose(0, 2, 1)
+    mats = {ab: _block_diag(space, b) for ab, b in blocks.items()}
+    mats.setdefault((1, 1), mats[0, 0])
     return sparse.bmat(
-        [[_block_diag(space, blocks[a][b]) for b in range(2)]
-         for a in range(2)],
+        [[mats.get((a, b)) for b in range(2)] for a in range(2)],
         format="csr",
     )
 
 
-def mass_matrix(space, coeff=None, degree=None, components=2,
-                positive=False):
+def mass_matrix(space, coeff=None, degree=None, positive=False):
     """(c u, v); block-diagonal in the components."""
-    coeff = None if coeff is None else as_coefficient(coeff)
-    deg = _pick_degree(2 * space.degree, coeff, degree)
-    nt, nloc = space.mesh.nt, space.nloc
-    blocks = np.zeros((nt, nloc, nloc))
-    for sel, tab, cw, xq in _chunks(space, deg):
-        w = _coeff_weights(coeff, cw, xq, positive)
-        blocks[sel] = np.einsum("tq,tqi,tqj->tij", w, tab["v"], tab["v"],
-                                optimize=True)
-    scalar = _block_diag(space, blocks)
-    if components == 1:
-        return scalar
-    return sparse.block_diag((scalar, scalar), format="csr")
+    return _form(space, coeff, 2 * space.degree,
+                 lambda tab: {(0, 0): [(1, tab["v"], tab["v"])]},
+                 degree, positive)
 
 
-def laplace_matrix(space, coeff=None, degree=None, components=2):
+def laplace_matrix(space, coeff=None, degree=None):
     """(c Lap u, Lap v) componentwise."""
-    coeff = None if coeff is None else as_coefficient(coeff)
-    deg = _pick_degree(2 * (space.degree - 2), coeff, degree)
-    nt, nloc = space.mesh.nt, space.nloc
-    blocks = np.zeros((nt, nloc, nloc))
-    for sel, tab, cw, xq in _chunks(space, deg):
-        w = _coeff_weights(coeff, cw, xq)
+    def terms(tab):
         lap = tab["hxx"] + tab["hyy"]
-        blocks[sel] = np.einsum("tq,tqi,tqj->tij", w, lap, lap,
-                                optimize=True)
-    scalar = _block_diag(space, blocks)
-    if components == 1:
-        return scalar
-    return sparse.block_diag((scalar, scalar), format="csr")
+        return {(0, 0): [(1, lap, lap)]}
+    return _form(space, coeff, 2 * (space.degree - 2), terms, degree)
 
 
-def hessian_matrix(space, coeff=None, degree=None, components=2):
+def hessian_matrix(space, coeff=None, degree=None):
     """(c D2 u, D2 v) with the mixed derivative counted twice."""
-    coeff = None if coeff is None else as_coefficient(coeff)
-    deg = _pick_degree(2 * (space.degree - 2), coeff, degree)
-    nt, nloc = space.mesh.nt, space.nloc
-    blocks = np.zeros((nt, nloc, nloc))
-    for sel, tab, cw, xq in _chunks(space, deg):
-        w = _coeff_weights(coeff, cw, xq)
-        acc = np.einsum("tq,tqi,tqj->tij", w, tab["hxx"], tab["hxx"],
-                        optimize=True)
-        acc += 2 * np.einsum("tq,tqi,tqj->tij", w, tab["hxy"], tab["hxy"],
-                             optimize=True)
-        acc += np.einsum("tq,tqi,tqj->tij", w, tab["hyy"], tab["hyy"],
-                         optimize=True)
-        blocks[sel] = acc
-    scalar = _block_diag(space, blocks)
-    if components == 1:
-        return scalar
-    return sparse.block_diag((scalar, scalar), format="csr")
+    def terms(tab):
+        hxx, hxy, hyy = tab["hxx"], tab["hxy"], tab["hyy"]
+        return {(0, 0): [(1, hxx, hxx), (2, hxy, hxy), (1, hyy, hyy)]}
+    return _form(space, coeff, 2 * (space.degree - 2), terms, degree)
 
 
 def bielastic_matrix(space, coeff, lam, mu, degree=None, positive=False):
     """(c div sigma(u), div sigma(v)) on the two-component space."""
-    return _pair_form(
-        space, coeff, lambda tab: _divsigma_fields(tab, lam, mu),
-        2 * (space.degree - 2), degree, positive,
-    )
+    def terms(tab):
+        d = _divsigma_fields(tab, lam, mu)
+        return _dot_terms(d, d, _UPPER)
+    return _form(space, coeff, 2 * (space.degree - 2), terms, degree,
+                 positive)
 
 
 def graddiv_matrix(space, coeff=None, degree=None):
     """(c grad div u, grad div v)."""
-    return _pair_form(space, coeff, _graddiv_fields,
-                      2 * (space.degree - 2), degree)
+    def terms(tab):
+        gd = _graddiv_fields(tab)
+        return _dot_terms(gd, gd, _UPPER)
+    return _form(space, coeff, 2 * (space.degree - 2), terms, degree)
 
 
 def curlrot_matrix(space, coeff=None, degree=None):
     """(c curl rot u, curl rot v)."""
-    return _pair_form(space, coeff, _curlrot_fields,
-                      2 * (space.degree - 2), degree)
+    def terms(tab):
+        cr = _curlrot_fields(tab)
+        return _dot_terms(cr, cr, _UPPER)
+    return _form(space, coeff, 2 * (space.degree - 2), terms, degree)
 
 
 def elastic_matrix(space, lam, mu, coeff=None, degree=None):
     """(c sigma(u), grad v) = int c [2 mu eps(u):eps(v) + lam div u div v]."""
-    coeff = None if coeff is None else as_coefficient(coeff)
-    deg = _pick_degree(2 * (space.degree - 1), coeff, degree)
-    nt, nloc = space.mesh.nt, space.nloc
-    b11 = np.zeros((nt, nloc, nloc))
-    b12 = np.zeros((nt, nloc, nloc))
-    b22 = np.zeros((nt, nloc, nloc))
-    for sel, tab, cw, xq in _chunks(space, deg):
-        w = _coeff_weights(coeff, cw, xq)
+    def terms(tab):
         gx, gy = tab["gx"], tab["gy"]
-
-        def pair(wa, fa, fb):
-            return wa * np.einsum("tq,tqi,tqj->tij", w, fa, fb,
-                                  optimize=True)
-
-        b11[sel] = pair(2 * mu + lam, gx, gx) + pair(mu, gy, gy)
-        b22[sel] = pair(2 * mu + lam, gy, gy) + pair(mu, gx, gx)
-        b12[sel] = pair(mu, gy, gx) + pair(lam, gx, gy)
-    B11 = _block_diag(space, b11)
-    B22 = _block_diag(space, b22)
-    B12 = _block_diag(space, b12)
-    B21 = _block_diag(space, b12.transpose(0, 2, 1))
-    return sparse.bmat([[B11, B12], [B21, B22]], format="csr")
+        return {
+            (0, 0): [(2 * mu + lam, gx, gx), (mu, gy, gy)],
+            (0, 1): [(mu, gy, gx), (lam, gx, gy)],
+            (1, 1): [(2 * mu + lam, gy, gy), (mu, gx, gx)],
+        }
+    return _form(space, coeff, 2 * (space.degree - 1), terms, degree)
 
 
 def mixed_divsigma_matrix(space, coeff, lam, mu, degree=None,
                           positive=False):
     """F[i, j] = (c phi_j, div sigma(phi_i)): value against the operator."""
-    coeff = None if coeff is None else as_coefficient(coeff)
-    deg = _pick_degree(2 * space.degree - 2, coeff, degree)
-    nt, nloc = space.mesh.nt, space.nloc
-    blocks = [[np.zeros((nt, nloc, nloc)) for _ in range(2)]
-              for _ in range(2)]
-    for sel, tab, cw, xq in _chunks(space, deg):
-        w = _coeff_weights(coeff, cw, xq, positive)
-        dfields = _divsigma_fields(tab, lam, mu)
-        for a in range(2):
-            for b in range(2):
-                blocks[a][b][sel] = np.einsum(
-                    "tq,tqi,tqj->tij", w, dfields[a][b], tab["v"],
-                    optimize=True,
-                )
-    return sparse.bmat(
-        [[_block_diag(space, blocks[a][b]) for b in range(2)]
-         for a in range(2)],
-        format="csr",
-    )
+    def terms(tab):
+        d = _divsigma_fields(tab, lam, mu)
+        return {(a, b): [(1, d[a][b], tab["v"])] for a, b in _ALL}
+    return _form(space, coeff, 2 * space.degree - 2, terms, degree, positive)
 
 
 def mixed_graddiv_curlrot_matrix(space, coeff=None, degree=None):
     """M[i, j] = (c grad div phi_j, curl rot phi_i)."""
-    coeff = None if coeff is None else as_coefficient(coeff)
-    deg = _pick_degree(2 * (space.degree - 2), coeff, degree)
-    nt, nloc = space.mesh.nt, space.nloc
-    blocks = [[np.zeros((nt, nloc, nloc)) for _ in range(2)]
-              for _ in range(2)]
-    for sel, tab, cw, xq in _chunks(space, deg):
-        w = _coeff_weights(coeff, cw, xq)
-        cr = _curlrot_fields(tab)
-        gd = _graddiv_fields(tab)
-        for a in range(2):
-            for b in range(2):
-                acc = None
-                for fa, fb in zip(cr[a], gd[b]):
-                    term = np.einsum("tq,tqi,tqj->tij", w, fa, fb,
-                                     optimize=True)
-                    acc = term if acc is None else acc + term
-                blocks[a][b][sel] = acc
-    return sparse.bmat(
-        [[_block_diag(space, blocks[a][b]) for b in range(2)]
-         for a in range(2)],
-        format="csr",
-    )
+    def terms(tab):
+        return _dot_terms(_curlrot_fields(tab), _graddiv_fields(tab), _ALL)
+    return _form(space, coeff, 2 * (space.degree - 2), terms, degree)
 
 
 def load_vector(space, f1, f2, degree=10):
     """Broken load (f, v) for a two-component right-hand side."""
-    deg = degree
     nt, nloc = space.mesh.nt, space.nloc
     out = np.zeros((2, nt, nloc))
-    for sel, tab, cw, xq in _chunks(space, deg):
+    for sel, tab, cw, xq in _chunks(space, degree):
         x, y = xq[..., 0], xq[..., 1]
         for c, f in enumerate((f1, f2)):
             fv = require_finite(np.asarray(f(x, y), dtype=float), "load")

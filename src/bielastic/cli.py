@@ -24,21 +24,6 @@ from .harness import (
 )
 from .mesh import DOMAINS, dump_mesh, generate_domain
 
-CONFIG_KEYS = {
-    "solve-source": {"domain", "level", "levels", "element", "alpha", "beta",
-                     "lam", "mu", "f1", "f2", "out", "format"},
-    "solve-bielastic": {"domain", "level", "levels", "element", "alpha",
-                        "beta", "lam", "mu", "k", "out", "format"},
-    "solve-tep": {"domain", "level", "levels", "element", "alpha", "lam",
-                  "mu", "rho0", "rho1", "k", "method", "tau_range", "out",
-                  "format"},
-    "run-example": {"levels", "level", "element", "alpha", "method", "k",
-                    "tau_range", "out", "format"},
-    "dump-mesh": {"domain", "level", "out"},
-    "self-test": set(),
-}
-
-
 def parse_levels(text):
     """Levels given as a range "1-3" or a comma list "1,2,4"."""
     text = str(text).strip()
@@ -163,7 +148,10 @@ def _merge_config(args):
         config = json.load(handle)
     if not isinstance(config, dict):
         raise ValueError("config must be a JSON object")
-    allowed = CONFIG_KEYS[ns["command"]]
+    # every option of the subcommand, except the positional example number
+    # and --big, a store_true flag that is False, never None, when absent,
+    # so a config value could never fill it
+    allowed = set(ns) - {"command", "config", "number", "big"}
     for key, value in config.items():
         key = key.replace("-", "_")
         if key not in allowed:

@@ -139,14 +139,22 @@ def eig_sym_gen(A, B, k, dense_cutoff=DENSE_SYM_CAP, check=True, v0=None):
             A, k=k, M=B, sigma=0.0, v0=v0 / nv0, tol=EIG_TOL,
             maxiter=EIG_MAXITER,
         )
-        order = np.argsort(vals)
-        vals, vecs = vals[order], vecs[:, order]
         method = "arpack"
-    # B-normalize (dense path already is, up to roundoff) and fix signs
+    return _sym_result(A, B, vals, vecs, method, check)
+
+
+def _sym_result(A, B, vals, vecs, method, check, proj=None):
+    """Sort the eigenpairs ascending, B-normalize (a dense solve already
+    is, up to roundoff) and orient them, and check their residuals,
+    projected by ``proj`` when given."""
+    order = np.argsort(vals)
+    vals, vecs = vals[order], vecs[:, order]
     bx = B @ vecs
     scale = np.sqrt(np.einsum("ij,ij->j", vecs, bx))
     vecs = _sign_fix(vecs / scale)
     r = A @ vecs - (B @ vecs) * vals
+    if proj is not None:
+        r = proj(r)
     residuals = np.linalg.norm(r, axis=0) / np.linalg.norm(vecs, axis=0)
     result = EigResult(vals, vecs, residuals, method)
     na, nb = norm1(A), norm1(B)
@@ -296,16 +304,7 @@ def eig_sym_constrained(KA, KB, psi, k, check=True, v0=None, proj=None):
         except spla.ArpackError:
             vals, vecs = _eig_constrained_dense(KA, KB, psi, k)
             method = "kkt-dense"
-    order = np.argsort(vals)
-    vals, vecs = vals[order], vecs[:, order]
-    bx = KB @ vecs
-    scale = np.sqrt(np.einsum("ij,ij->j", vecs, bx))
-    vecs = _sign_fix(vecs / scale)
-    r = proj(KA @ vecs - (KB @ vecs) * vals)
-    residuals = np.linalg.norm(r, axis=0) / np.linalg.norm(vecs, axis=0)
-    result = EigResult(vals, vecs, residuals, method)
-    na, nb = norm1(KA), norm1(KB)
-    return _check_residuals(result, lambda v: na + abs(v) * nb, check)
+    return _sym_result(KA, KB, vals, vecs, method, check, proj)
 
 
 def check_companion_size(n):

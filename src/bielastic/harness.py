@@ -533,6 +533,33 @@ def _label_raw(label):
     return label
 
 
+def _run_levels(domain, element, levels, mesh_offset, meta, solve):
+    """The level loop of every run kind.
+
+    Each level builds its mesh and realization and calls ``solve(real)``,
+    which returns the level's rows and a value per tracked label.  The
+    loop times the whole level, space included, prefixes each row with
+    level, h and dofs and ends it with seconds, and appends h and dofs to
+    ``meta``.  Returns the rows and, for each label present at every
+    level, its values across the levels.
+    """
+    rows, series = [], {}
+    for lvl in levels:
+        t0 = time.perf_counter()
+        mesh = generate_domain(domain, lvl - 1 + mesh_offset)
+        real = make_realization(mesh, element)
+        level_rows, values = solve(real)
+        seconds = time.perf_counter() - t0
+        meta["h"].append(mesh.h)
+        meta["dofs"].append(real.dofs)
+        for label, value in values.items():
+            series.setdefault(label, []).append(value)
+        rows += [{"level": lvl, "h": mesh.h, "dofs": real.dofs, **row,
+                  "seconds": seconds} for row in level_rows]
+    return rows, {label: values for label, values in series.items()
+                  if len(values) == len(levels)}
+
+
 def run_source(domain, beta, lam, mu, f1, f2, exact=None, levels=None,
                element="b3", alpha=None, mesh_offset=1, big=False):
     """Source-problem convergence run over the requested levels."""
@@ -542,27 +569,19 @@ def run_source(domain, beta, lam, mu, f1, f2, exact=None, levels=None,
     meta = _base_meta("source", domain, element, levels, lam, mu,
                       alpha=alpha, mesh_offset=mesh_offset,
                       norm_kind="error" if exact is not None else "solution")
-    rows = []
-    series = {norm: [] for norm in SOURCE_NORMS}
-    for lvl in levels:
-        t0 = time.perf_counter()
-        mesh = generate_domain(domain, lvl - 1 + mesh_offset)
-        real = make_realization(mesh, element)
+
+    def solve(real):
         res = solve_source(real, beta, lam, mu, f1, f2, exact=exact,
                            alpha=alpha)
         norms = res.norms if exact is not None else error_norms(
             real.space, res.broken, _zero_exact()
         )
-        seconds = time.perf_counter() - t0
-        meta["h"].append(mesh.h)
-        meta["dofs"].append(res.dofs)
-        for norm in SOURCE_NORMS:
-            series[norm].append(norms[norm])
-            rows.append({
-                "level": lvl, "h": mesh.h, "dofs": res.dofs, "norm": norm,
-                "error": float(norms[norm]), "order": None,
-                "seconds": seconds,
-            })
+        rows = [{"norm": norm, "error": float(norms[norm]), "order": None}
+                for norm in SOURCE_NORMS]
+        return rows, {norm: norms[norm] for norm in SOURCE_NORMS}
+
+    rows, series = _run_levels(domain, element, levels, mesh_offset, meta,
+                               solve)
     orders = _attach_orders(rows, "norm", levels, series, mode="source")
     return ExperimentReport("source", rows, meta, orders)
 
@@ -577,27 +596,19 @@ def run_bielastic(domain, beta, lam, mu, levels=None, k=6, element="b3",
     meta = _base_meta("bielastic", domain, element, levels, lam, mu,
                       alpha=alpha, k=k, mesh_offset=mesh_offset,
                       eig_method=[])
-    rows = []
-    series = {}
-    for lvl in levels:
-        t0 = time.perf_counter()
-        mesh = generate_domain(domain, lvl - 1 + mesh_offset)
-        real = make_realization(mesh, element)
+
+    def solve(real):
         res = solve_bielastic_eigs(real, beta, lam, mu, k, alpha=alpha)
-        seconds = time.perf_counter() - t0
         meta["eig_method"].append(res.method)
-        meta["h"].append(mesh.h)
-        meta["dofs"].append(real.dofs)
-        for j, value in enumerate(res.values, start=1):
-            series.setdefault(f"lambda_{j}", []).append(float(value))
-            rows.append({
-                "level": lvl, "h": mesh.h, "dofs": real.dofs, "branch": j,
-                "value_re": float(value), "value_im": 0.0, "order": None,
-                "residual": float(res.residuals[j - 1]), "seconds": seconds,
-            })
-    full = {lab: vals for lab, vals in series.items()
-            if len(vals) == len(levels)}
-    orders = _attach_orders(rows, "branch", levels, full)
+        rows = [{"branch": j, "value_re": float(value), "value_im": 0.0,
+                 "order": None, "residual": float(res.residuals[j - 1])}
+                for j, value in enumerate(res.values, start=1)]
+        return rows, {f"lambda_{j}": float(value)
+                      for j, value in enumerate(res.values, start=1)}
+
+    rows, series = _run_levels(domain, element, levels, mesh_offset, meta,
+                               solve)
+    orders = _attach_orders(rows, "branch", levels, series)
     return ExperimentReport("bielastic", rows, meta, orders)
 
 
@@ -627,53 +638,39 @@ def run_tep(domain, lam, mu, rho0, rho1, levels=None, k=10, element="b3",
     meta = _base_meta("tep", domain, element, levels, lam, mu, alpha=alpha,
                       k=k, method=method, mesh_offset=mesh_offset,
                       eig_method=[])
-    rows = []
-    series = {}
-    case = None
-    for lvl in levels:
-        t0 = time.perf_counter()
-        mesh = generate_domain(domain, lvl - 1 + mesh_offset)
-        real = make_realization(mesh, element)
+
+    def solve(real):
         blocks = TepBlocks(real, lam, mu, rho0, rho1, alpha=alpha)
-        case = blocks.case
+        meta["case"] = blocks.case
         if method == "secant":
             roots = find_teps_secant(
                 blocks, k=max(SCAN_BRANCHES, k + 2),
                 tau_lo=tau_lo, tau_hi=tau_hi, grid=grid,
             )[:k]
-            seconds = time.perf_counter() - t0
             meta["eig_method"].append(dict(blocks.eig_methods))
-            for j, root in enumerate(roots, start=1):
-                series.setdefault(f"lambda_{j}", []).append(root.tau)
-                rows.append({
-                    "level": lvl, "h": mesh.h, "dofs": real.dofs,
-                    "branch": j, "value_re": float(root.tau),
-                    "value_im": 0.0, "order": None,
-                    "residual": float(root.residual), "seconds": seconds,
-                    "crossing": bool(root.crossing_flag),
-                    "scan_branch": int(root.branch),
-                    "iterations": int(root.iterations),
-                })
-        else:
-            res = find_teps_quadratic(blocks, k)
-            seconds = time.perf_counter() - t0
-            meta["eig_method"].append(res.method)
-            values, residuals = _canonical_complex(res.values, res.residuals)
-            for j, value in enumerate(values, start=1):
-                value = complex(value)
-                series.setdefault(f"lambda_{j}", []).append(value)
-                rows.append({
-                    "level": lvl, "h": mesh.h, "dofs": real.dofs,
-                    "branch": j, "value_re": value.real,
-                    "value_im": value.imag, "order": None,
-                    "residual": float(residuals[j - 1]), "seconds": seconds,
-                })
-        meta["h"].append(mesh.h)
-        meta["dofs"].append(real.dofs)
-    meta["case"] = case
-    full = {lab: vals for lab, vals in series.items()
-            if len(vals) == len(levels)}
-    orders = _attach_orders(rows, "branch", levels, full)
+            rows = [{"branch": j, "value_re": float(root.tau),
+                     "value_im": 0.0, "order": None,
+                     "residual": float(root.residual),
+                     "crossing": bool(root.crossing_flag),
+                     "scan_branch": int(root.branch),
+                     "iterations": int(root.iterations)}
+                    for j, root in enumerate(roots, start=1)]
+            return rows, {f"lambda_{j}": root.tau
+                          for j, root in enumerate(roots, start=1)}
+        res = find_teps_quadratic(blocks, k)
+        meta["eig_method"].append(res.method)
+        values, residuals = _canonical_complex(res.values, res.residuals)
+        values = [complex(value) for value in values]
+        rows = [{"branch": j, "value_re": value.real,
+                 "value_im": value.imag, "order": None,
+                 "residual": float(residuals[j - 1])}
+                for j, value in enumerate(values, start=1)]
+        return rows, {f"lambda_{j}": value
+                      for j, value in enumerate(values, start=1)}
+
+    rows, series = _run_levels(domain, element, levels, mesh_offset, meta,
+                               solve)
+    orders = _attach_orders(rows, "branch", levels, series)
     return ExperimentReport("tep", rows, meta, orders)
 
 

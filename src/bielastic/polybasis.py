@@ -21,10 +21,6 @@ from numpy.polynomial.legendre import leggauss
 
 QUAD_DEGREES = (2, 4, 6, 8, 10, 12)
 
-# default exactness degrees: operator matrices / right-hand sides and norms
-DEGREE_STIFFNESS = 6
-DEGREE_DATA = 10
-
 
 def _monomial_exponents(degree):
     return [(i, j) for d in range(degree + 1) for i, j in

@@ -257,12 +257,13 @@ class TepBlocks:
     """Cached primitive blocks of the transmission-eigenvalue forms.
 
     With lo/hi the small/large density and r = (hi - lo)^-1, the
-    tau-dependent form is D + tau (F0 + F0') + tau^2 (M1 + M2) where
-    D is the r-weighted fourth-order block, F0 mixes values against the
-    stress divergence with weight r*lo, M1 = Mass(r*lo^2), M2 = Mass(lo).
-    The search pencil subtracts tau times the elastic-energy form B, and
-    the quadratic path uses the same algebra arranged as
-    K + tau C + tau^2 M with K = D, C = F0 + F0' - B, M = Mass(r*lo*hi).
+    tau-dependent form is D + tau (F0 + F0') + tau^2 Mq where D is the
+    r-weighted fourth-order block, F0 mixes values against the stress
+    divergence with weight r*lo, and Mq = Mass(r*lo*hi), which is
+    Mass(r*lo^2) + Mass(lo) because r*lo^2 + lo = r*lo*hi.  The search
+    pencil subtracts tau times the elastic-energy form B, and the
+    quadratic path uses the same algebra arranged as K + tau C + tau^2 M
+    with K = D, C = F0 + F0' - B, M = Mq.
     """
 
     def __init__(self, real, lam, mu, rho0, rho1, alpha=None):
@@ -280,22 +281,18 @@ class TepBlocks:
         F0 = mixed_divsigma_matrix(
             sp, combine("mul", r, lo), lam, mu, positive=True
         )
-        M1 = mass_matrix(sp, combine("mul", r, combine("mul", lo, lo)),
-                         positive=True)
-        M2 = mass_matrix(sp, lo, positive=True)
         B = elastic_matrix(sp, lam, mu)
         Mq = mass_matrix(sp, combine("mul", r, combine("mul", lo, hi)),
                          positive=True)
         self.broken = {
             "D": D.tocsr(),
             "F": (F0 + F0.T).tocsr(),
-            "Msum": (M1 + M2).tocsr(),
             "B": B.tocsr(),
             "Mq": Mq.tocsr(),
         }
         self.KD = real.reduced(self.broken["D"])
         self.KF = real.reduced(self.broken["F"])
-        self.KM = real.reduced(self.broken["Msum"])
+        self.KM = real.reduced(self.broken["Mq"])
         self.KB = real.reduced(self.broken["B"])
         self._lambda_cache = {}
         self._last_vectors = None

@@ -180,6 +180,16 @@ class TestConfig:
         assert main(["run-example", "3", "--config", str(cfg)]) == 2
         assert "unknown config key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, key", [
+        ("solve-source", "rho0"), ("solve-tep", "f1"),
+    ])
+    def test_option_of_another_command_is_unknown(self, tmp_path, capsys,
+                                                  command, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: "1"}))
+        assert main([command, "--config", str(cfg)]) == 2
+        assert "unknown config key" in capsys.readouterr().err
+
     def test_config_must_be_object_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("[1, 2]")

@@ -6,7 +6,8 @@ import pytest
 import scipy.linalg as dla
 
 import bielastic.eigen as eigen
-from bielastic.coefficients import Coefficient
+from bielastic.assembly import mass_matrix
+from bielastic.coefficients import Coefficient, combine
 from bielastic.eigen import eig_quadratic, kernel_basis
 from bielastic.harness import EXAMPLES, SCAN_BRANCHES, _canonical_complex
 from bielastic.mesh import generate_domain
@@ -259,6 +260,20 @@ def _example_blocks(number, level):
     mesh = generate_domain(ex.domain, level - 1 + ex.mesh_offset)
     return TepBlocks(make_realization(mesh, "b3"), ex.lam, ex.mu, ex.rho0,
                      ex.rho1)
+
+
+@pytest.mark.parametrize("number", [6, 7, 8, 9])
+def test_tau_mass_is_the_sum_of_both_mass_forms(number):
+    """KM = Mass(r lo hi) equals Mass(r lo^2 + lo), the tau^2 block the
+    tau-form was first written with, since r lo^2 + lo = r lo hi."""
+    blocks = _example_blocks(number, 1)
+    ex = EXAMPLES[number]
+    lo, hi = ((ex.rho0, ex.rho1) if blocks.case == "standard"
+              else (ex.rho1, ex.rho0))
+    r = combine("div", 1.0, combine("sub", hi, lo))
+    weight = combine("add", combine("mul", r, combine("mul", lo, lo)), lo)
+    ref = blocks.real.reduced(mass_matrix(blocks.real.space, weight))
+    assert abs(blocks.KM - ref).max() <= 1e-13 * abs(ref).max()
 
 
 class TestSecantScanOracle:
