@@ -15,14 +15,9 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from .coefficients import Coefficient
-from .harness import (
-    run_bielastic,
-    run_example,
-    run_source,
-    run_tep,
-    self_test,
-)
-from .mesh import DOMAINS, dump_mesh, generate_domain
+from .harness import ExampleDef, run_example, self_test
+from .mesh import DOMAINS, LEVEL_CAP, dump_mesh, generate_domain
+
 
 def parse_levels(text):
     """Levels given as a range "1-3" or a comma list "1,2,4"."""
@@ -202,6 +197,26 @@ def _emit(report, ns):
     return 0
 
 
+def _adhoc_example(ns):
+    """The unnumbered example that a solve command's options describe."""
+    _require(ns, "domain", "lam", "mu")
+    kind = ns["command"].removeprefix("solve-")
+    beta = 1.0 if ns.get("beta") is None else ns["beta"]
+    if kind == "tep":
+        _require(ns, "rho0", "rho1")
+        coeffs = dict(rho0=parse_coefficient(ns["rho0"]),
+                      rho1=parse_coefficient(ns["rho1"]), branches=10)
+    elif kind == "bielastic":
+        coeffs = dict(beta=parse_coefficient(beta), branches=6)
+    else:
+        _require(ns, "f1", "f2")
+        coeffs = dict(beta=parse_coefficient(beta),
+                      loads=(Coefficient.expression(ns["f1"]),
+                             Coefficient.expression(ns["f2"])))
+    return ExampleDef(None, kind, ns["domain"], float(ns["lam"]),
+                      float(ns["mu"]), 0, **coeffs)
+
+
 def _dispatch(ns):
     cmd = ns["command"]
     if cmd == "self-test":
@@ -209,8 +224,10 @@ def _dispatch(ns):
 
     if cmd == "dump-mesh":
         _require(ns, "domain", "level")
-        if ns["level"] < 1:
-            raise ValueError("levels are 1-based")
+        # the 1-based level L is level L - 1 of the mesh hierarchy
+        if not 1 <= ns["level"] <= LEVEL_CAP + 1:
+            raise ValueError(
+                f"levels are 1-based, from 1 to {LEVEL_CAP + 1}")
         mesh = generate_domain(ns["domain"], int(ns["level"]) - 1)
         if ns.get("out"):
             with open(ns["out"], "w") as handle:
@@ -220,59 +237,13 @@ def _dispatch(ns):
         return 0
 
     levels = _levels(ns)
-    element = ns.get("element") or "b3"
-    if ns.get("alpha") is not None and element != "morley":
-        raise ValueError("alpha applies only to the morley element")
-
-    if cmd == "run-example":
-        tau_range = (parse_tau_range(ns["tau_range"])
-                     if ns.get("tau_range") is not None else None)
-        report = run_example(
-            ns["number"], levels=levels, element=element,
-            alpha=ns.get("alpha"), method=ns.get("method"), k=ns.get("k"),
-            tau_range=tau_range, big=bool(ns.get("big")),
-        )
-        return _emit(report, ns)
-
-    _require(ns, "domain", "lam", "mu")
-    if cmd == "solve-source":
-        _require(ns, "f1", "f2")
-        beta = parse_coefficient(ns.get("beta") if ns.get("beta") is not None
-                                 else 1.0)
-        f1 = Coefficient.expression(ns["f1"])
-        f2 = Coefficient.expression(ns["f2"])
-        report = run_source(
-            ns["domain"], beta, float(ns["lam"]), float(ns["mu"]), f1, f2,
-            exact=None, levels=levels, element=element, alpha=ns.get("alpha"),
-            mesh_offset=0, big=bool(ns.get("big")),
-        )
-        return _emit(report, ns)
-
-    if cmd == "solve-bielastic":
-        beta = parse_coefficient(ns.get("beta") if ns.get("beta") is not None
-                                 else 1.0)
-        report = run_bielastic(
-            ns["domain"], beta, float(ns["lam"]), float(ns["mu"]),
-            levels=levels, k=int(ns["k"]) if ns.get("k") is not None else 6,
-            element=element, alpha=ns.get("alpha"), mesh_offset=0,
-            big=bool(ns.get("big")),
-        )
-        return _emit(report, ns)
-
-    _require(ns, "rho0", "rho1")
-    method = ns.get("method") or "secant"
-    tau_lo, tau_hi = 0.25, None
-    if ns.get("tau_range") is not None:
-        if method != "secant":
-            raise ValueError("tau_range applies only to the secant method")
-        tau_lo, tau_hi = parse_tau_range(ns["tau_range"])
-    report = run_tep(
-        ns["domain"], float(ns["lam"]), float(ns["mu"]),
-        parse_coefficient(ns["rho0"]), parse_coefficient(ns["rho1"]),
-        levels=levels, k=int(ns["k"]) if ns.get("k") is not None else 10,
-        element=element, alpha=ns.get("alpha"),
-        method=method, tau_lo=tau_lo, tau_hi=tau_hi,
-        mesh_offset=0, big=bool(ns.get("big")),
+    example = ns["number"] if cmd == "run-example" else _adhoc_example(ns)
+    tau_range = (parse_tau_range(ns["tau_range"])
+                 if ns.get("tau_range") is not None else None)
+    report = run_example(
+        example, levels=levels, element=ns.get("element") or "b3",
+        alpha=ns.get("alpha"), method=ns.get("method"), k=ns.get("k"),
+        tau_range=tau_range, big=bool(ns.get("big")),
     )
     return _emit(report, ns)
 

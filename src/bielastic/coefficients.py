@@ -176,9 +176,6 @@ class Coefficient:
     def __call__(self, x1, x2):
         return self._func(np.asarray(x1, float), np.asarray(x2, float))
 
-    def min_at(self, x1, x2):
-        return float(np.min(self(x1, x2)))
-
     def __repr__(self):
         return f"Coefficient({self.kind}: {self.label})"
 
@@ -197,7 +194,7 @@ def as_coefficient(c):
     return Coefficient.constant(c)
 
 
-def combine(op, a, b, label=None):
+def combine(op, a, b):
     """Pointwise combination of two coefficients (used for density algebra
     like rho0*rho1/(rho1-rho0))."""
     a = as_coefficient(a)
@@ -227,5 +224,5 @@ def combine(op, a, b, label=None):
         "derived",
         func,
         deg,
-        label or f"({a.label}) {sym} ({b.label})",
+        f"({a.label}) {sym} ({b.label})",
     )

@@ -101,9 +101,7 @@ def solve_sym(A, b):
     return x
 
 
-def _check_residuals(result, scale_of, check):
-    if not check:
-        return result
+def _check_residuals(result, scale_of):
     bounds = np.array([scale_of(v) for v in result.values])
     bad = result.residuals > RESIDUAL_FACTOR * bounds
     if np.any(bad):
@@ -116,7 +114,7 @@ def _check_residuals(result, scale_of, check):
     return result
 
 
-def eig_sym_gen(A, B, k, dense_cutoff=DENSE_SYM_CAP, check=True, v0=None):
+def eig_sym_gen(A, B, k, dense_cutoff=DENSE_SYM_CAP, v0=None):
     """k algebraically smallest eigenpairs of A x = lambda B x.
 
     A symmetric, B symmetric positive definite.  Dense reduction below the
@@ -140,10 +138,10 @@ def eig_sym_gen(A, B, k, dense_cutoff=DENSE_SYM_CAP, check=True, v0=None):
             maxiter=EIG_MAXITER,
         )
         method = "arpack"
-    return _sym_result(A, B, vals, vecs, method, check)
+    return _sym_result(A, B, vals, vecs, method)
 
 
-def _sym_result(A, B, vals, vecs, method, check, proj=None):
+def _sym_result(A, B, vals, vecs, method, proj=None):
     """Sort the eigenpairs ascending, B-normalize (a dense solve already
     is, up to roundoff) and orient them, and check their residuals,
     projected by ``proj`` when given."""
@@ -158,7 +156,7 @@ def _sym_result(A, B, vals, vecs, method, check, proj=None):
     residuals = np.linalg.norm(r, axis=0) / np.linalg.norm(vecs, axis=0)
     result = EigResult(vals, vecs, residuals, method)
     na, nb = norm1(A), norm1(B)
-    return _check_residuals(result, lambda v: na + abs(v) * nb, check)
+    return _check_residuals(result, lambda v: na + abs(v) * nb)
 
 
 class ConstrainedOperator:
@@ -257,7 +255,7 @@ def _eig_constrained_dense(KA, KB, psi, k):
     return vals, Z @ y
 
 
-def eig_sym_constrained(KA, KB, psi, k, check=True, v0=None, proj=None):
+def eig_sym_constrained(KA, KB, psi, k, v0=None, proj=None):
     """k smallest eigenpairs of KA x = lambda KB x restricted to ker(Psi).
 
     Shift-invert about zero through the KKT factorization; KA must be
@@ -304,7 +302,7 @@ def eig_sym_constrained(KA, KB, psi, k, check=True, v0=None, proj=None):
         except spla.ArpackError:
             vals, vecs = _eig_constrained_dense(KA, KB, psi, k)
             method = "kkt-dense"
-    return _sym_result(KA, KB, vals, vecs, method, check, proj)
+    return _sym_result(KA, KB, vals, vecs, method, proj)
 
 
 def check_companion_size(n):
@@ -383,7 +381,7 @@ def _companion_arnoldi(K, C, M, nev):
     return 1.0 / mu, (Q @ y)[:n]
 
 
-def eig_quadratic(K, C, M, k=None, check=True):
+def eig_quadratic(K, C, M, k=None):
     """The k eigenvalues of smallest modulus (all of them when k is None)
     of the pencil K + tau C + tau^2 M, by its companion linearization
     [[-C, -K], [I, 0]] z = tau [[M, 0], [0, I]] z.
@@ -431,5 +429,5 @@ def eig_quadratic(K, C, M, k=None, check=True):
     result = EigResult(vals, x, residuals, method)
     nk, nc, nm = norm1(Kd), norm1(Cd), norm1(Md)
     return _check_residuals(
-        result, lambda v: nk + abs(v) * nc + abs(v) ** 2 * nm, check
+        result, lambda v: nk + abs(v) * nc + abs(v) ** 2 * nm
     )

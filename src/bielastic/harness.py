@@ -161,9 +161,10 @@ EX2_EXACT = _mirror_exact(_ex2_v, _ex2_gx, _ex2_gy, _ex2_hxx, _ex2_hxy,
 
 @dataclass(frozen=True)
 class ExampleDef:
-    """One built-in experiment: domain, coefficients, and run defaults."""
+    """One experiment: domain, coefficients, and run defaults.  The
+    built-in examples carry their number; an ad-hoc run has none."""
 
-    number: int
+    number: int | None
     kind: str
     domain: str
     lam: float
@@ -305,13 +306,7 @@ def eig_order(values, ref=None):
         if vals.size < 2:
             raise ValueError("need at least two values")
         errs = np.abs(vals - ref)
-    out = []
-    for a, b in zip(errs, errs[1:]):
-        if a == 0.0 or b == 0.0:
-            out.append("exact")
-        else:
-            out.append(float(np.log2(a / b)))
-    return out
+    return source_order(errs)
 
 
 def _plain(obj):
@@ -503,61 +498,53 @@ def _base_meta(kind, domain, element, levels, lam, mu, **extra):
     return meta
 
 
-def _attach_orders(rows, label_key, levels, series, ref=None, mode="eig"):
-    """Compute per-pair orders for each tracked label and write them into
-    the matching rows (orders attach to the finest level of each pair or
-    triple)."""
+def _attach_orders(rows, key, levels):
+    """Per-pair orders of each quantity present at every level, written
+    into the rows they attach to: the finer level of each pair of source
+    errors, the finest level of each triple of eigenvalues."""
+    groups = {}
+    for row in rows:
+        groups.setdefault(row[key], []).append(row)
     out = {}
-    for label, values in series.items():
-        if mode == "source":
-            ords = source_order(values) if len(values) >= 2 else []
-            offset = 1
+    for name, group in groups.items():
+        if len(group) != len(levels):
+            continue
+        if key == "norm":
+            label, offset = name, 1
+            errs = [row["error"] for row in group]
+            ords = source_order(errs) if len(errs) >= 2 else []
         else:
-            if len(values) < (2 if ref is not None else 3):
+            label, offset = f"lambda_{name}", 2
+            if len(group) < 3:
                 continue
-            ords = eig_order(values, ref=ref)
-            offset = 1 if ref is not None else 2
-        final = ords[-1] if ords else None
-        out[label] = {"orders": ords, "final": final}
-        for i, value in enumerate(ords):
-            level = levels[i + offset]
-            for row in rows:
-                if row["level"] == level and row[label_key] == _label_raw(label):
-                    row["order"] = value
+            ords = eig_order([complex(row["value_re"], row["value_im"])
+                              for row in group])
+        out[label] = {"orders": ords, "final": ords[-1] if ords else None}
+        for row, value in zip(group[offset:], ords):
+            row["order"] = value
     return out
-
-
-def _label_raw(label):
-    if isinstance(label, str) and label.startswith("lambda_"):
-        return int(label.split("_")[1])
-    return label
 
 
 def _run_levels(domain, element, levels, mesh_offset, meta, solve):
     """The level loop of every run kind.
 
     Each level builds its mesh and realization and calls ``solve(real)``,
-    which returns the level's rows and a value per tracked label.  The
-    loop times the whole level, space included, prefixes each row with
-    level, h and dofs and ends it with seconds, and appends h and dofs to
-    ``meta``.  Returns the rows and, for each label present at every
-    level, its values across the levels.
+    which returns the level's rows.  The loop times the whole level, space
+    included, prefixes each row with level, h and dofs and ends it with
+    seconds, and appends h and dofs to ``meta``.
     """
-    rows, series = [], {}
+    rows = []
     for lvl in levels:
         t0 = time.perf_counter()
         mesh = generate_domain(domain, lvl - 1 + mesh_offset)
         real = make_realization(mesh, element)
-        level_rows, values = solve(real)
+        level_rows = solve(real)
         seconds = time.perf_counter() - t0
         meta["h"].append(mesh.h)
         meta["dofs"].append(real.dofs)
-        for label, value in values.items():
-            series.setdefault(label, []).append(value)
         rows += [{"level": lvl, "h": mesh.h, "dofs": real.dofs, **row,
                   "seconds": seconds} for row in level_rows]
-    return rows, {label: values for label, values in series.items()
-                  if len(values) == len(levels)}
+    return rows
 
 
 def run_source(domain, beta, lam, mu, f1, f2, exact=None, levels=None,
@@ -576,13 +563,11 @@ def run_source(domain, beta, lam, mu, f1, f2, exact=None, levels=None,
         norms = res.norms if exact is not None else error_norms(
             real.space, res.broken, _zero_exact()
         )
-        rows = [{"norm": norm, "error": float(norms[norm]), "order": None}
+        return [{"norm": norm, "error": float(norms[norm]), "order": None}
                 for norm in SOURCE_NORMS]
-        return rows, {norm: norms[norm] for norm in SOURCE_NORMS}
 
-    rows, series = _run_levels(domain, element, levels, mesh_offset, meta,
-                               solve)
-    orders = _attach_orders(rows, "norm", levels, series, mode="source")
+    rows = _run_levels(domain, element, levels, mesh_offset, meta, solve)
+    orders = _attach_orders(rows, "norm", levels)
     return ExperimentReport("source", rows, meta, orders)
 
 
@@ -600,15 +585,12 @@ def run_bielastic(domain, beta, lam, mu, levels=None, k=6, element="b3",
     def solve(real):
         res = solve_bielastic_eigs(real, beta, lam, mu, k, alpha=alpha)
         meta["eig_method"].append(res.method)
-        rows = [{"branch": j, "value_re": float(value), "value_im": 0.0,
+        return [{"branch": j, "value_re": float(value), "value_im": 0.0,
                  "order": None, "residual": float(res.residuals[j - 1])}
                 for j, value in enumerate(res.values, start=1)]
-        return rows, {f"lambda_{j}": float(value)
-                      for j, value in enumerate(res.values, start=1)}
 
-    rows, series = _run_levels(domain, element, levels, mesh_offset, meta,
-                               solve)
-    orders = _attach_orders(rows, "branch", levels, series)
+    rows = _run_levels(domain, element, levels, mesh_offset, meta, solve)
+    orders = _attach_orders(rows, "branch", levels)
     return ExperimentReport("bielastic", rows, meta, orders)
 
 
@@ -624,15 +606,20 @@ def _canonical_complex(values, residuals):
 
 
 def run_tep(domain, lam, mu, rho0, rho1, levels=None, k=10, element="b3",
-            alpha=None, method="secant", tau_lo=0.25, tau_hi=None, grid=60,
+            alpha=None, method="secant", tau_range=None, grid=60,
             mesh_offset=0, big=False):
     """Transmission-eigenvalue run via secant root tracking (real values)
-    or companion linearization (complex values allowed)."""
-    levels = check_levels(DEFAULT_LEVELS["tep"] if levels is None else levels,
-                          big)
+    or companion linearization (complex values allowed).  ``tau_range``
+    is the secant scan interval (lo, hi); it defaults to (0.25, None),
+    an upper end chosen from the spectrum."""
     if method not in ("secant", "quadratic"):
         raise ValueError(f"unknown method {method!r}")
+    if tau_range is not None and method != "secant":
+        raise ValueError("tau_range applies only to the secant method")
+    levels = check_levels(DEFAULT_LEVELS["tep"] if levels is None else levels,
+                          big)
     k = check_k(k)
+    tau_lo, tau_hi = (0.25, None) if tau_range is None else tau_range
     check_tau_range(tau_lo, tau_hi)
     rho0, rho1 = as_coefficient(rho0), as_coefficient(rho1)
     meta = _base_meta("tep", domain, element, levels, lam, mu, alpha=alpha,
@@ -648,54 +635,50 @@ def run_tep(domain, lam, mu, rho0, rho1, levels=None, k=10, element="b3",
                 tau_lo=tau_lo, tau_hi=tau_hi, grid=grid,
             )[:k]
             meta["eig_method"].append(dict(blocks.eig_methods))
-            rows = [{"branch": j, "value_re": float(root.tau),
+            return [{"branch": j, "value_re": float(root.tau),
                      "value_im": 0.0, "order": None,
                      "residual": float(root.residual),
                      "crossing": bool(root.crossing_flag),
                      "scan_branch": int(root.branch),
                      "iterations": int(root.iterations)}
                     for j, root in enumerate(roots, start=1)]
-            return rows, {f"lambda_{j}": root.tau
-                          for j, root in enumerate(roots, start=1)}
         res = find_teps_quadratic(blocks, k)
         meta["eig_method"].append(res.method)
         values, residuals = _canonical_complex(res.values, res.residuals)
-        values = [complex(value) for value in values]
-        rows = [{"branch": j, "value_re": value.real,
+        return [{"branch": j, "value_re": value.real,
                  "value_im": value.imag, "order": None,
                  "residual": float(residuals[j - 1])}
-                for j, value in enumerate(values, start=1)]
-        return rows, {f"lambda_{j}": value
-                      for j, value in enumerate(values, start=1)}
+                for j, value in enumerate(map(complex, values), start=1)]
 
-    rows, series = _run_levels(domain, element, levels, mesh_offset, meta,
-                               solve)
-    orders = _attach_orders(rows, "branch", levels, series)
+    rows = _run_levels(domain, element, levels, mesh_offset, meta, solve)
+    orders = _attach_orders(rows, "branch", levels)
     return ExperimentReport("tep", rows, meta, orders)
 
 
-def run_example(number, levels=None, element="b3", alpha=None, method=None,
+def run_example(example, levels=None, element="b3", alpha=None, method=None,
                 k=None, tau_range=None, big=False):
-    """Execute one built-in example and return its report.
+    """Execute one experiment and return its report.
 
-    Overrides are validated against the example kind: alpha requires the
-    morley element, method and tau_range apply only to transmission runs,
-    and k only to eigenvalue runs.
+    ``example`` is a built-in example number or an ``ExampleDef``; the
+    command line's solve commands pass an unnumbered one.  Overrides are
+    validated against the example kind: method and tau_range apply only
+    to transmission runs, and k only to eigenvalue runs.
     """
-    try:
-        ex = EXAMPLES[int(number)]
-    except (KeyError, TypeError, ValueError):
-        raise ValueError(f"unknown example {number!r}; valid numbers are 1-9")
-    if alpha is not None and element != "morley":
-        raise ValueError("alpha applies only to the morley element")
+    if isinstance(example, ExampleDef):
+        ex = example
+    else:
+        try:
+            ex = EXAMPLES[int(example)]
+        except (KeyError, TypeError, ValueError):
+            raise ValueError(
+                f"unknown example {example!r}; valid numbers are 1-9")
     if method is not None and ex.kind != "tep":
         raise ValueError("method applies only to transmission runs")
     if tau_range is not None and ex.kind != "tep":
         raise ValueError("tau_range applies only to transmission runs")
     if k is not None and ex.kind == "source":
         raise ValueError("k applies only to eigenvalue runs")
-    if levels is None:
-        levels = DEFAULT_LEVELS[ex.kind]
+    k = ex.branches if k is None else int(k)
     if ex.kind == "source":
         report = run_source(
             ex.domain, ex.beta, ex.lam, ex.mu, ex.loads[0], ex.loads[1],
@@ -704,23 +687,20 @@ def run_example(number, levels=None, element="b3", alpha=None, method=None,
         )
     elif ex.kind == "bielastic":
         report = run_bielastic(
-            ex.domain, ex.beta, ex.lam, ex.mu, levels=levels,
-            k=ex.branches if k is None else int(k), element=element,
-            alpha=alpha, mesh_offset=ex.mesh_offset, big=big,
+            ex.domain, ex.beta, ex.lam, ex.mu, levels=levels, k=k,
+            element=element, alpha=alpha, mesh_offset=ex.mesh_offset,
+            big=big,
         )
     else:
-        chosen = ex.method if method is None else method
-        if tau_range is not None and chosen != "secant":
-            raise ValueError("tau_range applies only to the secant method")
-        tau_lo, tau_hi = (0.25, None) if tau_range is None else tau_range
         report = run_tep(
-            ex.domain, ex.lam, ex.mu, ex.rho0, ex.rho1, levels=levels,
-            k=ex.branches if k is None else int(k), element=element,
-            alpha=alpha, method=chosen, tau_lo=tau_lo, tau_hi=tau_hi,
-            mesh_offset=ex.mesh_offset, big=big,
+            ex.domain, ex.lam, ex.mu, ex.rho0, ex.rho1, levels=levels, k=k,
+            element=element, alpha=alpha,
+            method=ex.method if method is None else method,
+            tau_range=tau_range, mesh_offset=ex.mesh_offset, big=big,
         )
-    report.meta["example"] = ex.number
-    report.meta["note"] = ex.note
+    if ex.number is not None:
+        report.meta["example"] = ex.number
+        report.meta["note"] = ex.note
     return report
 
 

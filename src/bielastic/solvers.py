@@ -172,7 +172,8 @@ def coefficient_max(space, coeff, degree=12):
 def fourth_order_block(real, coeff, lam, mu, alpha=None, inclusive=False):
     """The weighted (div sigma, div sigma) block.
 
-    On the cubic element the form is assembled directly.  On Morley it is
+    On the cubic element the form is assembled directly, and an alpha is
+    refused, since no stabilization applies.  On Morley it is
     replaced by the alpha-split stabilization: (coeff - alpha) times the
     fourth-order form plus alpha mu^2 times the full-Hessian form plus
     alpha (lambda^2 + 2 lambda mu) times the grad-div form.  The admissible
@@ -182,6 +183,8 @@ def fourth_order_block(real, coeff, lam, mu, alpha=None, inclusive=False):
     sp = real.space
     coeff = as_coefficient(coeff)
     if real.element == "b3":
+        if alpha is not None:
+            raise ValueError("alpha applies only to the morley element")
         return bielastic_matrix(sp, coeff, lam, mu, positive=True)
     if alpha is None:
         raise ValueError("the Morley element requires a stabilization alpha")

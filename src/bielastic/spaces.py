@@ -15,7 +15,8 @@ Three layers live here:
   broken-P3 coefficients; it is the independent check of the reduction.
 
 * ``MorleySpace``: the quadratic element with vertex values and edge mean
-  normal derivatives, built from per-triangle dual-basis inversion.
+  normal derivatives, built from per-triangle dual-basis inversion and
+  numbered like the ``b3`` entity variables with one variable per edge.
 
 Both conforming spaces carry a sparse map to broken coefficients (one
 scalar component): ``lift`` from entity variables for ``b3`` and
@@ -273,10 +274,12 @@ def build_b3_constraints(mesh, homogeneous=True):
     return ConstraintSystem(mesh, matrix, np.array(kinds), homogeneous)
 
 
-def _entity_variables(mesh, homogeneous=True):
+def _entity_variables(mesh, homogeneous=True, per_edge=3):
     """Number the entity variables: vertex values first, then the
-    (mean, n-moment0, n-moment1) triple of every edge.  In the homogeneous
-    case boundary entities are fixed to zero and carry no variable."""
+    ``per_edge`` functionals of every edge (the (mean, n-moment0,
+    n-moment1) triple for ``b3``, the mean normal derivative for Morley).
+    In the homogeneous case boundary entities are fixed to zero and carry
+    no variable."""
     vert_var = np.full(mesh.nv, -1, np.int64)
     edge_var = np.full(mesh.ne, -1, np.int64)
     if homogeneous:
@@ -286,22 +289,35 @@ def _entity_variables(mesh, homogeneous=True):
         keep_v = np.arange(mesh.nv)
         keep_e = np.arange(mesh.ne)
     vert_var[keep_v] = np.arange(len(keep_v))
-    edge_var[keep_e] = len(keep_v) + 3 * np.arange(len(keep_e))
-    nvars = len(keep_v) + 3 * len(keep_e)
+    edge_var[keep_e] = len(keep_v) + per_edge * np.arange(len(keep_e))
+    nvars = len(keep_v) + per_edge * len(keep_e)
     return vert_var, edge_var, nvars
 
 
-def _slot_vars(mesh, vert_var, edge_var):
-    """Entity variable id for every (triangle, slot); -1 on the boundary."""
-    sv = np.full((mesh.nt, 12), -1, np.int64)
+def _slot_vars(mesh, vert_var, edge_var, per_edge=3):
+    """Entity variable id for every (triangle, slot): the three vertices,
+    then ``per_edge`` slots per local edge; -1 on the boundary."""
+    sv = np.full((mesh.nt, 3 + 3 * per_edge), -1, np.int64)
     for i in range(3):
         sv[:, i] = vert_var[mesh.triangles[:, i]]
     for k in range(3):
         base = edge_var[mesh.tri_edges[:, k]]
         ok = base >= 0
-        for j in range(3):
-            sv[ok, 3 + 3 * k + j] = base[ok] + j
+        for j in range(per_edge):
+            sv[ok, 3 + per_edge * k + j] = base[ok] + j
     return sv
+
+
+def _local_map(blocks, slot_vars, nvars):
+    """Sparse map from entity variables to broken coefficients: row
+    ``t * nloc + i`` takes ``blocks[t, i, s]`` from variable
+    ``slot_vars[t, s]``, for every slot that carries a variable."""
+    nt, nloc = blocks.shape[:2]
+    t, i, s = np.nonzero((blocks != 0.0) & (slot_vars >= 0)[:, None, :])
+    return sparse.csr_matrix(
+        (blocks[t, i, s], (t * nloc + i, slot_vars[t, s])),
+        shape=(nt * nloc, nvars),
+    )
 
 
 class EntityReduction:
@@ -389,11 +405,7 @@ def reduce_entities(mesh, homogeneous=True):
         shape=(2 * order.size, nvars),
     )
 
-    t, i, s = np.nonzero((recon != 0.0) & (slot_vars >= 0)[:, None, :])
-    lift = sparse.csr_matrix(
-        (recon[t, i, s], (t * 10 + i, slot_vars[t, s])),
-        shape=(mesh.nt * 10, nvars),
-    )
+    lift = _local_map(recon, slot_vars, nvars)
     return EntityReduction(mesh, homogeneous, nvars, psi, lift)
 
 
@@ -431,31 +443,9 @@ def build_morley(mesh):
             gpx * normals[e, 0, None] + gpy * normals[e, 1, None]
         )
     blocks = np.linalg.inv(dual)  # coefficients from functional values
-
-    vert_dof = np.full(mesh.nv, -1, np.int64)
-    iv = np.flatnonzero(~mesh.boundary_vertex)
-    vert_dof[iv] = np.arange(iv.size)
-    edge_dof = np.full(mesh.ne, -1, np.int64)
-    ie = np.flatnonzero(~mesh.boundary_edge)
-    edge_dof[ie] = iv.size + np.arange(ie.size)
-    ndof = iv.size + ie.size
-
-    slot_dofs = np.empty((nt, 6), np.int64)
-    for i in range(3):
-        slot_dofs[:, i] = vert_dof[mesh.triangles[:, i]]
-    for k in range(3):
-        slot_dofs[:, 3 + k] = edge_dof[mesh.tri_edges[:, k]]
-
-    rows, cols, vals = [], [], []
-    for t in range(nt):
-        mask = slot_dofs[t] >= 0
-        block = blocks[t][:, mask]
-        rr, cc = np.nonzero(block)
-        rows.extend((t * 6 + rr).tolist())
-        cols.extend(slot_dofs[t][mask][cc].tolist())
-        vals.extend(block[rr, cc].tolist())
-    N = sparse.csr_matrix((vals, (rows, cols)), shape=(nt * 6, ndof))
-    return MorleySpace(mesh, N)
+    vert_var, edge_var, ndof = _entity_variables(mesh, per_edge=1)
+    slot_vars = _slot_vars(mesh, vert_var, edge_var, per_edge=1)
+    return MorleySpace(mesh, _local_map(blocks, slot_vars, ndof))
 
 
 def vector_transform(transform):

@@ -236,6 +236,36 @@ class TestSolveCommands:
         out = capsys.readouterr().out
         assert "quantity" in out and "l2" in out
 
+    @pytest.mark.parametrize("argv, run", [
+        (["solve-source", "--lam", "0.25", "--mu", "0.0625",
+          "--f1", "sin(pi*x1)", "--f2", "x1*x2"],
+         lambda: bielastic.run_source(
+             "unit-square", 1.0, 0.25, 0.0625,
+             bielastic.Coefficient.expression("sin(pi*x1)"),
+             bielastic.Coefficient.expression("x1*x2"), levels=(1,),
+             mesh_offset=0)),
+        (["solve-bielastic", "--lam", "0.25", "--mu", "0.0625",
+          "--beta", "2 + x1"],
+         lambda: bielastic.run_bielastic(
+             "unit-square", bielastic.Coefficient.expression("2 + x1"),
+             0.25, 0.0625, levels=(1,))),
+        (["solve-tep", "--lam", "0.25", "--mu", "0.25", "--rho0", "0.05",
+          "--rho1", "3", "--method", "quadratic"],
+         lambda: bielastic.run_tep("unit-square", 0.25, 0.25, 0.05, 3.0,
+                                   levels=(1,), method="quadratic")),
+    ], ids=["source", "bielastic", "tep"])
+    def test_json_matches_the_library_run(self, capsys, argv, run):
+        def drop_seconds(payload):
+            for row in payload["rows"]:
+                del row["seconds"]
+            return payload
+
+        assert main([*argv, "--domain", "unit-square", "--level", "1",
+                     "--format", "json"]) == 0
+        got = json.loads(capsys.readouterr().out)
+        want = json.loads(run().to_json())
+        assert drop_seconds(got) == drop_seconds(want)
+
     def test_solve_source_requires_loads(self, capsys):
         assert main([
             "solve-source", "--domain", "unit-square", "--level", "1",
@@ -339,6 +369,10 @@ class TestDumpMesh:
         assert main(["dump-mesh", "--domain", "unit-square",
                      "--level", "0"]) == 2
         assert "1-based" in capsys.readouterr().err
+        assert main(["dump-mesh", "--domain", "unit-square",
+                     "--level", "10"]) == 2
+        assert capsys.readouterr().err == (
+            "error: levels are 1-based, from 1 to 9\n")
 
 
 class TestSelfTestCommand:
@@ -363,7 +397,7 @@ class TestSolverFailures:
     def test_linalg_error_exits_3(self, capsys, monkeypatch):
         def boom(*args, **kwargs):
             raise np.linalg.LinAlgError("singular")
-        monkeypatch.setattr(cli, "run_tep", boom)
+        monkeypatch.setattr(bielastic.harness, "run_tep", boom)
         assert main([
             "solve-tep", "--domain", "unit-square", "--level", "1",
             "--lam", "0.25", "--mu", "0.25", "--rho0", "0.05",

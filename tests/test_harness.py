@@ -432,6 +432,26 @@ class TestRunExample:
         with pytest.raises(ValueError, match="morley"):
             run_example(3, levels=(1,), alpha=0.5)
 
+    @pytest.mark.parametrize("run", [
+        lambda: harness.run_source(
+            "unit-square", 1.0, 0.25, 0.0625, ex1_load_1, ex1_load_2,
+            levels=(1,), alpha=0.3),
+        lambda: harness.run_bielastic(
+            "unit-square", 1.0, 0.25, 0.0625, levels=(1,), alpha=0.3),
+        lambda: harness.run_tep(
+            "unit-square", 0.25, 0.25, 0.05, 3.0, levels=(1,), alpha=0.3),
+    ], ids=["source", "bielastic", "tep"])
+    def test_every_run_refuses_alpha_on_b3(self, run):
+        with pytest.raises(ValueError,
+                           match="alpha applies only to the morley element"):
+            run()
+
+    def test_run_tep_tau_range_only_for_secant(self):
+        with pytest.raises(ValueError, match="only to the secant method"):
+            harness.run_tep("unit-square", 0.25, 0.25, 0.05, 3.0,
+                            levels=(1,), method="quadratic",
+                            tau_range=(50.0, 60.0))
+
     def test_method_only_for_transmission(self):
         with pytest.raises(ValueError, match="transmission"):
             run_example(3, levels=(1,), method="secant")
