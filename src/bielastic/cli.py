@@ -175,6 +175,9 @@ def _require(ns, *keys):
 
 
 def _emit(report, ns):
+    for entry in report.meta["warnings"]:
+        print(f"warning: level {entry['level']}: {entry['message']}",
+              file=sys.stderr)
     out, fmt = ns.get("out"), ns.get("format")
     if out:
         path = Path(out)

@@ -22,7 +22,8 @@ When ARPACK's Lanczos basis would be at least as large as the kernel,
 it reduces the pencil densely onto a kernel basis instead, which is
 exact and cheaper there.
 
-The quadratic solver works on dense blocks.  For the few eigenvalues of
+The quadratic solver works on dense copies of its blocks, made only
+once the companion order has passed its cap.  For the few eigenvalues of
 smallest modulus it runs shift-invert Arnoldi at zero on the companion
 linearization, which needs one LU of K; this is valid for the
 transmission pencil, where K = D is positive definite on the kernel and
@@ -386,7 +387,9 @@ def eig_quadratic(K, C, M, k=None):
     of the pencil K + tau C + tau^2 M, by its companion linearization
     [[-C, -K], [I, 0]] z = tau [[M, 0], [0, I]] z.
 
-    With k given and small next to the companion order 2n, shift-invert
+    The blocks may be sparse; a pencil whose companion exceeds
+    ``COMPANION_CAP`` is refused before any block is made dense.  With k
+    given and small next to the companion order 2n, shift-invert
     Arnoldi at zero, with deflated reruns that recover every copy of a
     multiple eigenvalue, computes the k + 2 of smallest modulus from one
     dense LU of K (method ``companion-arnoldi``); the two extra values

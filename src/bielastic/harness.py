@@ -11,6 +11,7 @@ on the coarsest grid the reference values were produced on.
 
 import json
 import time
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -487,6 +488,7 @@ def _base_meta(kind, domain, element, levels, lam, mu, **extra):
         "mu": float(mu),
         "h": [],
         "dofs": [],
+        "warnings": [],
         "version": __version__,
         "tolerances": {
             "eig": EIG_TOL,
@@ -531,17 +533,23 @@ def _run_levels(domain, element, levels, mesh_offset, meta, solve):
     Each level builds its mesh and realization and calls ``solve(real)``,
     which returns the level's rows.  The loop times the whole level, space
     included, prefixes each row with level, h and dofs and ends it with
-    seconds, and appends h and dofs to ``meta``.
+    seconds, and appends h and dofs to ``meta``.  The warnings a level
+    raises are caught, and each distinct message goes into
+    ``meta["warnings"]`` with its level.
     """
     rows = []
     for lvl in levels:
         t0 = time.perf_counter()
-        mesh = generate_domain(domain, lvl - 1 + mesh_offset)
-        real = make_realization(mesh, element)
-        level_rows = solve(real)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            mesh = generate_domain(domain, lvl - 1 + mesh_offset)
+            real = make_realization(mesh, element)
+            level_rows = solve(real)
         seconds = time.perf_counter() - t0
         meta["h"].append(mesh.h)
         meta["dofs"].append(real.dofs)
+        for message in dict.fromkeys(str(w.message) for w in caught):
+            meta["warnings"].append({"level": lvl, "message": message})
         rows += [{"level": lvl, "h": mesh.h, "dofs": real.dofs, **row,
                   "seconds": seconds} for row in level_rows]
     return rows
@@ -606,8 +614,8 @@ def _canonical_complex(values, residuals):
 
 
 def run_tep(domain, lam, mu, rho0, rho1, levels=None, k=10, element="b3",
-            alpha=None, method="secant", tau_range=None, grid=60,
-            mesh_offset=0, big=False):
+            alpha=None, method="secant", tau_range=None, mesh_offset=0,
+            big=False):
     """Transmission-eigenvalue run via secant root tracking (real values)
     or companion linearization (complex values allowed).  ``tau_range``
     is the secant scan interval (lo, hi); it defaults to (0.25, None),
@@ -632,7 +640,7 @@ def run_tep(domain, lam, mu, rho0, rho1, levels=None, k=10, element="b3",
         if method == "secant":
             roots = find_teps_secant(
                 blocks, k=max(SCAN_BRANCHES, k + 2),
-                tau_lo=tau_lo, tau_hi=tau_hi, grid=grid,
+                tau_lo=tau_lo, tau_hi=tau_hi,
             )[:k]
             meta["eig_method"].append(dict(blocks.eig_methods))
             return [{"branch": j, "value_re": float(root.tau),

@@ -2,11 +2,14 @@
 tau-parameterized spectral function, and transmission-eigenvalue search
 by secant iteration or quadratic linearization.
 
-Two space realizations share one interface.  The cubic element works in
-entity variables with saddle-point (KKT) algebra; the dense quadratic path
-reduces its Galerkin blocks further onto a kernel basis of the
-compatibility rows.  The Morley element always carries its explicit
-(local, sparse) basis.
+Two space realizations share one interface.  ``reduced`` takes an
+assembled broken form to the realization's variables: entity variables
+for the cubic element, the explicit (local, sparse) basis for Morley.
+``solve(A, f)`` takes a broken form and load; every eigensolver, ``eig``
+and ``eig_quadratic``, takes reduced blocks, so a driver reduces each
+form once.  The cubic element enforces its compatibility rows with
+saddle-point (KKT) algebra, and its dense quadratic path reduces the
+blocks further onto a kernel basis of those rows.
 """
 
 import warnings
@@ -14,7 +17,6 @@ from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sparse
 
 from .assembly import (
     bielastic_matrix,
@@ -61,7 +63,8 @@ class B3Realization:
         self.mesh = mesh
         self.space = BrokenSpace(mesh, 3)
         self.reduction = reduce_entities(mesh)
-        self.lift, self.psi = self.reduction.vector()
+        self.lift = vector_transform(self.reduction.lift)
+        self.psi = vector_transform(self.reduction.psi)
         self._kernel = None
         self._projector = None
 
@@ -86,26 +89,28 @@ class B3Realization:
         )
         return self.lift @ g
 
-    def eig_reduced(self, KA, KB, k, v0=None):
+    def eig(self, KA, KB, k, v0=None):
         return eig_sym_constrained(
             KA, KB, self.psi, k, v0=v0, proj=self.projector
         )
-
-    def eig(self, A, B, k):
-        return self.eig_reduced(self.reduced(A), self.reduced(B), k)
 
     def explicit_basis(self):
         """Kernel basis of the compatibility rows in entity variables,
         block-diagonal over the two components."""
         if self._kernel is None:
-            Z = kernel_basis(self.reduction.psi)
-            self._kernel = sparse.block_diag((Z, Z), format="csr")
+            self._kernel = vector_transform(kernel_basis(self.reduction.psi))
         return self._kernel
 
     def eig_quadratic(self, K, C, M, k=None):
         check_companion_size(self.dofs)  # before the dense kernel basis
-        Z = self.explicit_basis()
-        dense = lambda A: Z.T @ (self.reduced(A) @ Z.toarray())
+        Z = self.explicit_basis().toarray()
+
+        def dense(A):
+            # exactly symmetric, as the form is: rounding in the products
+            # would split a multiple real eigenvalue off the real axis
+            P = Z.T @ (A @ Z)
+            return 0.5 * (P + P.T)
+
         return eig_quadratic(dense(K), dense(C), dense(M), k)
 
 
@@ -131,19 +136,11 @@ class MorleyRealization:
         x = solve_sym(self.reduced(A).tocsc(), self.N.T @ f)
         return self.N @ x
 
-    def eig_reduced(self, KA, KB, k, v0=None):
+    def eig(self, KA, KB, k, v0=None):
         return eig_sym_gen(KA, KB, k, v0=v0)
 
-    def eig(self, A, B, k):
-        return self.eig_reduced(self.reduced(A), self.reduced(B), k)
-
     def eig_quadratic(self, K, C, M, k=None):
-        return eig_quadratic(
-            self.reduced(K).toarray(),
-            self.reduced(C).toarray(),
-            self.reduced(M).toarray(),
-            k,
-        )
+        return eig_quadratic(K, C, M, k)
 
 
 def make_realization(mesh, element):
@@ -154,17 +151,18 @@ def make_realization(mesh, element):
     raise ValueError(f"unknown element {element!r}")
 
 
-def coefficient_min(space, coeff, degree=12):
-    """Minimum of a coefficient over the physical quadrature points."""
+def coefficient_min(space, coeff):
+    """Minimum of a coefficient over the physical points of the degree-12
+    quadrature rule."""
     coeff = as_coefficient(coeff)
-    rule = triangle_quadrature(degree)
+    rule = triangle_quadrature(12)
     xq = space.physical_points(rule.points)
     return float(np.min(require_finite(coeff(xq[..., 0], xq[..., 1]))))
 
 
-def coefficient_max(space, coeff, degree=12):
+def coefficient_max(space, coeff):
     coeff = as_coefficient(coeff)
-    rule = triangle_quadrature(degree)
+    rule = triangle_quadrature(12)
     xq = space.physical_points(rule.points)
     return float(np.max(require_finite(coeff(xq[..., 0], xq[..., 1]))))
 
@@ -233,7 +231,7 @@ def solve_bielastic_eigs(real, beta, lam, mu, k, alpha=None):
         alpha = default_alpha(real, beta)
     A = fourth_order_block(real, beta, lam, mu, alpha)
     M = mass_matrix(real.space)
-    return real.eig(A, M, k)
+    return real.eig(real.reduced(A), real.reduced(M), k)
 
 
 def detect_density_case(space, rho0, rho1):
@@ -266,7 +264,9 @@ class TepBlocks:
     Mass(r*lo^2) + Mass(lo) because r*lo^2 + lo = r*lo*hi.  The search
     pencil subtracts tau times the elastic-energy form B, and the
     quadratic path uses the same algebra arranged as K + tau C + tau^2 M
-    with K = D, C = F0 + F0' - B, M = Mq.
+    with K = D, C = F0 + F0' - B, M = Mq.  Each form is reduced to the
+    realization's variables as soon as it is assembled, and only the
+    reduced blocks KD, KF, KB and KM are kept.
     """
 
     def __init__(self, real, lam, mu, rho0, rho1, alpha=None):
@@ -281,22 +281,15 @@ class TepBlocks:
             alpha = 0.5 * self.rho_min
         self.alpha = alpha
         D = fourth_order_block(real, r, lam, mu, alpha, inclusive=True)
+        self.KD = real.reduced(D.tocsr())
         F0 = mixed_divsigma_matrix(
             sp, combine("mul", r, lo), lam, mu, positive=True
         )
-        B = elastic_matrix(sp, lam, mu)
+        self.KF = real.reduced((F0 + F0.T).tocsr())
+        self.KB = real.reduced(elastic_matrix(sp, lam, mu).tocsr())
         Mq = mass_matrix(sp, combine("mul", r, combine("mul", lo, hi)),
                          positive=True)
-        self.broken = {
-            "D": D.tocsr(),
-            "F": (F0 + F0.T).tocsr(),
-            "B": B.tocsr(),
-            "Mq": Mq.tocsr(),
-        }
-        self.KD = real.reduced(self.broken["D"])
-        self.KF = real.reduced(self.broken["F"])
-        self.KM = real.reduced(self.broken["Mq"])
-        self.KB = real.reduced(self.broken["B"])
+        self.KM = real.reduced(Mq.tocsr())
         self._lambda_cache = {}
         self._last_vectors = None
         self.eig_methods = Counter()
@@ -320,7 +313,7 @@ class TepBlocks:
             v0 = None
             if self._last_vectors is not None:
                 v0 = self._last_vectors.sum(axis=1)
-            res = self.real.eig_reduced(self.a_tau(tau), self.KB, k, v0=v0)
+            res = self.real.eig(self.a_tau(tau), self.KB, k, v0=v0)
             self._lambda_cache[key] = res.values
             self._last_vectors = res.vectors
             self.eig_methods[res.method] += 1
@@ -426,7 +419,6 @@ def find_teps_secant(blocks, k=12, tau_lo=0.25, tau_hi=None, grid=60):
 def find_teps_quadratic(blocks, k=10):
     """Transmission eigenvalues through the companion linearization of
     K + tau C + tau^2 M; complex values allowed."""
-    C = (blocks.broken["F"] - blocks.broken["B"]).tocsr()
     return blocks.real.eig_quadratic(
-        blocks.broken["D"], C, blocks.broken["Mq"], k
+        blocks.KD, blocks.KF - blocks.KB, blocks.KM, k
     )

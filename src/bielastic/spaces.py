@@ -344,17 +344,6 @@ class EntityReduction:
     def dim(self):
         return self.nvars - self.psi.shape[0]
 
-    _vec_cache = None
-
-    def vector(self):
-        """Two-component (lift, psi) pair, component-major layout."""
-        if self._vec_cache is None:
-            self._vec_cache = (
-                sparse.block_diag((self.lift, self.lift), format="csr"),
-                sparse.block_diag((self.psi, self.psi), format="csr"),
-            )
-        return self._vec_cache
-
 
 def reduce_entities(mesh, homogeneous=True):
     """Exact reduction of the broken constraints to entity variables.

@@ -112,6 +112,16 @@ class TestRunExampleCommand:
         assert "no transmission eigenvalue bracketed" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_each_level_reports_its_warnings(self):
+        proc = run_cli("run-example", "6", "--levels", "1-2",
+                       "--tau-range", "0.25:1", "--format", "json")
+        assert proc.returncode == 0
+        message = "no transmission eigenvalue bracketed in the scan range"
+        assert proc.stderr.splitlines() == [
+            f"warning: level {level}: {message}" for level in (1, 2)]
+        assert json.loads(proc.stdout)["meta"]["warnings"] == [
+            {"level": level, "message": message} for level in (1, 2)]
+
     @pytest.mark.parametrize("tau_range", ["-5:3", "-3:-5"])
     def test_negative_tau_range_reads_like_the_equals_form(self, tau_range):
         spaced = run_cli("run-example", "6", "--levels", "1",

@@ -102,7 +102,7 @@ def small_system(b3_oracle):
     A = bielastic_matrix(space, None, LAM, MU)
     M = mass_matrix(space)
     red = reduce_entities(mesh)
-    lift, psi = red.vector()
+    lift, psi = vector_transform(red.lift), vector_transform(red.psi)
     N = vector_transform(b3_oracle(mesh))
     f = load_vector(
         space,

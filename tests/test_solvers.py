@@ -4,8 +4,10 @@ spectral function, and both transmission-eigenvalue paths."""
 import numpy as np
 import pytest
 import scipy.linalg as dla
+import scipy.sparse as sparse
 
 import bielastic.eigen as eigen
+import bielastic.solvers as solvers
 from bielastic.assembly import mass_matrix
 from bielastic.coefficients import Coefficient, combine
 from bielastic.eigen import eig_quadratic, kernel_basis
@@ -255,11 +257,11 @@ class TestTepSecant:
         assert roots == []
 
 
-def _example_blocks(number, level):
+def _example_blocks(number, level, element="b3"):
     ex = EXAMPLES[number]
     mesh = generate_domain(ex.domain, level - 1 + ex.mesh_offset)
-    return TepBlocks(make_realization(mesh, "b3"), ex.lam, ex.mu, ex.rho0,
-                     ex.rho1)
+    return TepBlocks(make_realization(mesh, element), ex.lam, ex.mu,
+                     ex.rho0, ex.rho1)
 
 
 @pytest.mark.parametrize("number", [6, 7, 8, 9])
@@ -351,14 +353,59 @@ class TestTepQuadratic:
             assert np.min(np.abs(cvals - np.conj(v))) <= 1e-8 * (1 + abs(v))
 
 
+@pytest.mark.parametrize("element", ["b3", "morley"])
+def test_quadratic_path_reduces_each_form_once(monkeypatch, element):
+    """TepBlocks keeps only the reduced blocks, and the companion solve
+    works from them without reducing a form again."""
+    blocks = _example_blocks(9, 1, element)
+    assert not hasattr(blocks, "broken")
+    calls = []
+    monkeypatch.setattr(type(blocks.real), "reduced",
+                        lambda self, A: calls.append(A.shape))
+    res = find_teps_quadratic(blocks, 4)
+    assert calls == []
+    assert res.values.size == 4
+
+
+def test_b3_companion_blocks_are_exactly_symmetric(monkeypatch):
+    """Rounding in the dense kernel products would break the symmetry of
+    the forms and can move a multiple real eigenvalue off the real axis
+    (example 9, level 1)."""
+    handed = []
+    monkeypatch.setattr(solvers, "eig_quadratic",
+                        lambda *args: handed.append(args[:3]))
+    find_teps_quadratic(_example_blocks(9, 1), 10)
+    (blocks,) = handed
+    for A in blocks:
+        assert isinstance(A, np.ndarray)
+        assert np.array_equal(A, A.T)
+
+
+@pytest.mark.parametrize("element", ["b3", "morley"])
+def test_companion_cap_is_checked_before_any_dense_block(monkeypatch,
+                                                         element):
+    """A pencil over the companion cap is refused while its reduced
+    blocks are still sparse."""
+    blocks = _example_blocks(9, 2, element)
+    monkeypatch.setattr(eigen, "COMPANION_CAP", 2 * blocks.real.dofs - 2)
+    made_dense = []
+    for cls in (sparse.csr_matrix, sparse.csc_matrix):
+        def spy(self, *args, _orig=cls.toarray, **kwargs):
+            made_dense.append(self.shape)
+            return _orig(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "toarray", spy)
+    with pytest.raises(ValueError, match="companion dimension"):
+        find_teps_quadratic(blocks, 10)
+    assert made_dense == []
+
+
 def _dense_pencil(blocks):
     """The kernel-reduced dense K, C, M that ``find_teps_quadratic`` hands
     to ``eig_quadratic`` on the b3 element."""
-    real, broken = blocks.real, blocks.broken
-    Z = real.explicit_basis()
-    dense = lambda A: Z.T @ (real.reduced(A) @ Z.toarray())
-    return (dense(broken["D"]), dense(broken["F"] - broken["B"]),
-            dense(broken["Mq"]))
+    Z = blocks.real.explicit_basis().toarray()
+    dense = lambda A: Z.T @ (A @ Z)
+    return (dense(blocks.KD), dense(blocks.KF - blocks.KB),
+            dense(blocks.KM))
 
 
 def _qz_values(K, C, M):

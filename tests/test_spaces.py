@@ -213,7 +213,8 @@ class TestEntityReduction:
     def test_vector_blocks(self):
         mesh = generate_domain("unit-square", 0)
         red = reduce_entities(mesh)
-        lift_v, psi_v = red.vector()
+        lift_v = vector_transform(red.lift)
+        psi_v = vector_transform(red.psi)
         assert lift_v.shape == (2 * red.lift.shape[0], 2 * red.nvars)
         assert psi_v.shape == (2 * red.psi.shape[0], 2 * red.nvars)
 
