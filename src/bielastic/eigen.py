@@ -3,16 +3,17 @@ constrained (saddle-point) variants, and the quadratic-pencil companion
 solver.
 
 Constrained variants work in entity variables: a matrix K restricted to
-ker(Psi) is handled through the KKT system [[K, Psi^T], [Psi, 0]].  The
-KKT system is factored in reverse Cuthill-McKee order, because COLAMD and
-minimum degree pivot off its zero block and fill in far more.
+ker(Psi) is handled through the augmented KKT system
+[[K + gamma Psi^T Psi, Psi^T], [Psi, 0]], whose solution is that of the
+plain KKT system, since Psi x = 0.  The factored matrix also carries
+-delta I in its zero block, which makes it symmetric quasi-definite
+(Vanderbei 1995): it then factors stably with diagonal pivots in a
+minimum-degree order, which fills in far less than the pivoting an
+indefinite KKT matrix needs.  Iterative refinement against the
+unregularized system removes the regularization.
 
-A KKT solve takes one step of iterative refinement only when the first
-solve leaves a relative residual above ``REFINE_TOL``.  On the small
-KKT systems of the secant scan the first solve mostly meets that bound
-already, so refining every solve would double the triangular solves for
-little; on the h = 1/32 unit square it does not (relative residuals of
-3e-11 to 3e-10), and the step is still taken there.
+A KKT solve refines, up to a few steps, only while its relative residual
+stays above ``REFINE_TOL``.
 
 The constrained eigensolver accepts a start vector in ker(Psi), so a
 sweep over a parameter can start each Lanczos run from the eigenvectors
@@ -39,7 +40,6 @@ import numpy as np
 import scipy.linalg as dla
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
-from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 DENSE_SYM_CAP = 3000
 COMPANION_CAP = 6000
@@ -161,34 +161,47 @@ def _sym_result(A, B, vals, vecs, method, proj=None):
 
 
 class ConstrainedOperator:
-    """LU factorization of [[K, Psi^T], [Psi, 0]]; solves K-systems on
-    ker(Psi).
+    """Factorization of the regularized, augmented KKT matrix of K on
+    ker(Psi); solves K-systems on ker(Psi).
 
-    ``kkt`` holds the KKT matrix symmetrically permuted by ``perm`` (reverse
-    Cuthill-McKee), and ``lu`` factors it with no further column ordering.
+    With gamma = |K|_1 / |Psi^T Psi|_1 and Kg = K + gamma Psi^T Psi,
+    ``kkt`` is [[Kg, Psi^T], [Psi, 0]], which has the solution of the
+    plain KKT system, and ``lu`` factors [[Kg, Psi^T], [Psi, -delta I]]
+    with delta = 1e-8 |Psi|_1^2 / |K|_1.  Kg is positive definite on the
+    whole space, where K is so only on the kernel, and -delta I is
+    negative definite, so that matrix is symmetric quasi-definite: it
+    factors stably in a minimum-degree order on A + A^T with diagonal
+    pivots.  delta is small enough that refinement against ``kkt``
+    removes it in a few steps.
 
     ``solve`` takes up to ``refine`` steps of iterative refinement, each
     only while the KKT residual exceeds ``REFINE_TOL`` times the right-hand
-    side.  A first solve under that bound already has a backward error
-    below 1e-13, and a refinement step would only lower the backward error
-    further (Higham 1997), so it is skipped.  The bound sits three orders
-    below both users of the solve: ARPACK's relative tolerance ``EIG_TOL``
-    = 1e-10, which an operator applied to 1e-13 does not limit, and the
-    1e-10 residual check of ``solve_sym_constrained``.
+    side.  A solve under that bound already has a backward error below
+    1e-13, and a further step would only lower it (Higham 1997), so it is
+    skipped.  The bound sits three orders below both users of the solve:
+    ARPACK's relative tolerance ``EIG_TOL`` = 1e-10, which an operator
+    applied to 1e-13 does not limit, and the 1e-10 residual check of
+    ``solve_sym_constrained``.
     """
 
     def __init__(self, K, psi):
         self.n = K.shape[0]
         self.m = psi.shape[0]
-        kkt = sparse.bmat([[K, psi.T], [psi, None]], format="csr")
-        self.perm = reverse_cuthill_mckee(kkt, symmetric_mode=True)
-        self.kkt = kkt[self.perm][:, self.perm].tocsc()
-        self.lu = spla.splu(self.kkt, permc_spec="NATURAL")
+        nk, ptp = norm1(K), psi.T @ psi
+        Kg = K + nk / norm1(ptp) * ptp
+        delta = 1e-8 * norm1(psi) ** 2 / nk
+        self.kkt = sparse.bmat([[Kg, psi.T], [psi, None]], format="csr")
+        reg = sparse.bmat(
+            [[Kg, psi.T], [psi, -delta * sparse.eye(self.m)]], format="csc"
+        )
+        self.lu = spla.splu(
+            reg, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+            options=dict(SymmetricMode=True),
+        )
 
-    def solve(self, b, refine=1):
+    def solve(self, b, refine=3):
         rhs = np.zeros(self.n + self.m)
         rhs[: self.n] = b
-        rhs = rhs[self.perm]
         z = self.lu.solve(rhs)
         bound = REFINE_TOL * np.linalg.norm(rhs)
         for _ in range(refine):
@@ -196,9 +209,7 @@ class ConstrainedOperator:
             if np.linalg.norm(r) <= bound:
                 break
             z = z + self.lu.solve(r)
-        x = np.empty_like(z)
-        x[self.perm] = z
-        return x[: self.n]
+        return z[: self.n]
 
 
 class KernelProjector:

@@ -103,12 +103,16 @@ class B3Realization:
 
     def eig_quadratic(self, K, C, M, k=None):
         check_companion_size(self.dofs)  # before the dense kernel basis
-        Z = self.explicit_basis().toarray()
+        Z = self.explicit_basis()
+        n, m = Z.shape[0] // 2, Z.shape[1] // 2
+        Zs = Z[:n, :m].toarray()  # Z = diag(Zs, Zs)
 
         def dense(A):
+            AZ0, AZ1 = A[:, :n] @ Zs, A[:, n:] @ Zs
+            P = np.block([[Zs.T @ AZ0[:n], Zs.T @ AZ1[:n]],
+                          [Zs.T @ AZ0[n:], Zs.T @ AZ1[n:]]])
             # exactly symmetric, as the form is: rounding in the products
             # would split a multiple real eigenvalue off the real axis
-            P = Z.T @ (A @ Z)
             return 0.5 * (P + P.T)
 
         return eig_quadratic(dense(K), dense(C), dense(M), k)

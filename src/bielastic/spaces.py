@@ -83,8 +83,9 @@ class BrokenSpace:
     def tabulate(self, ref_points, sel=slice(None)):
         """Physical values/derivatives on a triangle range.
 
-        Returns dict with keys v, gx, gy, hxx, hxy, hyy of shape
-        (ntriangles, npoints, nloc).
+        Returns a mapping with keys v, gx, gy, hxx, hxy, hyy of shape
+        (ntriangles, npoints, nloc); each table is built when it is
+        first read.
         """
         ref = self._ref_tables(ref_points)
         J = self.Binv[sel]
@@ -95,16 +96,27 @@ class BrokenSpace:
         gx, gy = ref["gx"], ref["gy"]
         hxx, hxy, hyy = ref["hxx"], ref["hxy"], ref["hyy"]
         nt = J.shape[0]
-        out = {
-            "v": np.broadcast_to(ref["v"], (nt,) + ref["v"].shape),
-            "gx": j00 * gx + j10 * gy,
-            "gy": j01 * gx + j11 * gy,
-            "hxx": j00**2 * hxx + 2 * j00 * j10 * hxy + j10**2 * hyy,
-            "hxy": j00 * j01 * hxx + (j00 * j11 + j10 * j01) * hxy
+        return _Tables({
+            "v": lambda: np.broadcast_to(ref["v"], (nt,) + ref["v"].shape),
+            "gx": lambda: j00 * gx + j10 * gy,
+            "gy": lambda: j01 * gx + j11 * gy,
+            "hxx": lambda: j00**2 * hxx + 2 * j00 * j10 * hxy + j10**2 * hyy,
+            "hxy": lambda: j00 * j01 * hxx + (j00 * j11 + j10 * j01) * hxy
             + j10 * j11 * hyy,
-            "hyy": j01**2 * hxx + 2 * j01 * j11 * hxy + j11**2 * hyy,
-        }
-        return out
+            "hyy": lambda: j01**2 * hxx + 2 * j01 * j11 * hxy + j11**2 * hyy,
+        })
+
+
+class _Tables(dict):
+    """Tables computed on first read, each by its builder."""
+
+    def __init__(self, builders):
+        super().__init__()
+        self._builders = builders
+
+    def __missing__(self, key):
+        value = self[key] = self._builders[key]()
+        return value
 
 
 class ConstraintSystem:

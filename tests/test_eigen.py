@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg as dla
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 import bielastic.eigen as eigen
 from bielastic.assembly import bielastic_matrix, load_vector, mass_matrix
@@ -18,9 +19,14 @@ from bielastic.eigen import (
     solve_sym,
     solve_sym_constrained,
 )
-from bielastic.harness import _canonical_complex
+from bielastic.harness import EXAMPLES, _canonical_complex
 from bielastic.mesh import generate_domain
-from bielastic.solvers import B3Realization, fourth_order_block
+from bielastic.solvers import (
+    B3Realization,
+    TepBlocks,
+    fourth_order_block,
+    make_realization,
+)
 from bielastic.spaces import BrokenSpace, reduce_entities, vector_transform
 
 LAM, MU = 0.25, 0.0625
@@ -139,13 +145,25 @@ class TestConstrained:
         op = ConstrainedOperator(K, psi)
         op.lu = factor = CountingFactor(op.lu)
         kkt = sparse.bmat([[K, psi.T], [psi, None]]).toarray()
+        refine = 3
         for _ in range(3):
             b = rng.standard_normal(K.shape[0])
             ref = np.linalg.solve(kkt, np.concatenate(
                 [b, np.zeros(psi.shape[0])]))[: K.shape[0]]
-            x = op.solve(b)
+            start = len(factor.inputs)
+            x = op.solve(b, refine)
             assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
-        assert len(factor.inputs) == 3
+            steps = factor.outputs[start:]
+            assert 1 <= len(steps) <= refine + 1
+            rhs = factor.inputs[start]
+            bound = eigen.REFINE_TOL * np.linalg.norm(rhs)
+            z = steps[0]
+            for step in steps[1:]:
+                assert np.linalg.norm(rhs - op.kkt @ z) > bound
+                z = z + step
+            if len(steps) <= refine:
+                assert np.linalg.norm(rhs - op.kkt @ z) <= bound
+            assert np.array_equal(x, z[: K.shape[0]])
 
     def test_solve_refines_an_inaccurate_first_solve(self):
         # the factor of a perturbed KKT matrix stands in for a first solve
@@ -164,9 +182,7 @@ class TestConstrained:
         assert np.linalg.norm(rhs - op.kkt @ first) > 100 * bound
         z = first + factor.outputs[1]
         assert np.linalg.norm(rhs - op.kkt @ z) <= bound
-        full = np.empty_like(z)
-        full[op.perm] = z
-        assert np.array_equal(x, full[: K.shape[0]])
+        assert np.array_equal(x, z[: K.shape[0]])
 
     def test_projector_annihilates_constraints(self, small_system):
         _, _, _, _, psi, _, _ = small_system
@@ -204,6 +220,19 @@ class TestConstrained:
         kkt = sparse.bmat([[K, real.psi.T], [real.psi, None]], format="csc")
         assert op.kkt.shape == (6910, 6910)
         assert op.lu.nnz < spla.splu(kkt).nnz
+
+    def test_quasi_definite_factor_fills_less_than_half_the_rcm_lu(self):
+        ex = EXAMPLES[6]
+        mesh = generate_domain(ex.domain, 2 + ex.mesh_offset)
+        blocks = TepBlocks(make_realization(mesh, "b3"), ex.lam, ex.mu,
+                           ex.rho0, ex.rho1)
+        K, psi = blocks.a_tau(2.0), blocks.real.psi
+        op = ConstrainedOperator(K, psi)
+        kkt = sparse.bmat([[K, psi.T], [psi, None]], format="csr")
+        perm = reverse_cuthill_mckee(kkt, symmetric_mode=True)
+        rcm = spla.splu(kkt[perm][:, perm].tocsc(), permc_spec="NATURAL")
+        assert op.kkt.shape == (1662, 1662)
+        assert op.lu.nnz < 0.5 * rcm.nnz
 
     def test_constrained_solve_matches_explicit_basis(self, small_system):
         _, A, _, lift, psi, N, f = small_system
