@@ -17,7 +17,7 @@ from .spaces import (
     reduce_entities,
 )
 from .coefficients import Coefficient, as_coefficient, combine
-from .eigen import EigResult, eig_quadratic, eig_sym_constrained, eig_sym_gen
+from .eigen import EigResult, eig_quadratic, eig_sym_constrained
 from .solvers import (
     B3Realization,
     MorleyRealization,
@@ -26,7 +26,6 @@ from .solvers import (
     TepRoot,
     coefficient_max,
     coefficient_min,
-    default_alpha,
     detect_density_case,
     find_teps_quadratic,
     find_teps_secant,
@@ -66,7 +65,6 @@ __all__ = [
     "EigResult",
     "eig_quadratic",
     "eig_sym_constrained",
-    "eig_sym_gen",
     "B3Realization",
     "MorleyRealization",
     "SourceResult",
@@ -74,7 +72,6 @@ __all__ = [
     "TepRoot",
     "coefficient_max",
     "coefficient_min",
-    "default_alpha",
     "detect_density_case",
     "find_teps_quadratic",
     "find_teps_secant",

@@ -1,27 +1,28 @@
-"""Linear algebra layer: direct solves, symmetric generalized eigenpairs,
-constrained (saddle-point) variants, and the quadratic-pencil companion
-solver.
+"""Linear algebra layer: one direct solve and one symmetric generalized
+eigensolver, both on the kernel of a constraint matrix Psi, and the
+quadratic-pencil companion solver.
 
-Constrained variants work in entity variables: a matrix K restricted to
-ker(Psi) is handled through the augmented KKT system
-[[K + gamma Psi^T Psi, Psi^T], [Psi, 0]], whose solution is that of the
-plain KKT system, since Psi x = 0.  The factored matrix also carries
--delta I in its zero block, which makes it symmetric quasi-definite
-(Vanderbei 1995): it then factors stably with diagonal pivots in a
-minimum-degree order, which fills in far less than the pivoting an
-indefinite KKT matrix needs.  Iterative refinement against the
-unregularized system removes the regularization.
+A matrix K restricted to ker(Psi) is handled through the augmented KKT
+system [[K + gamma Psi^T Psi, Psi^T], [Psi, 0]], whose solution is that
+of the plain KKT system, since Psi x = 0.  The factored matrix also
+carries -delta I in its zero block, which makes it symmetric
+quasi-definite (Vanderbei 1995): it then factors stably with diagonal
+pivots in a minimum-degree order, which fills in far less than the
+pivoting an indefinite KKT matrix needs.  Iterative refinement against
+the unregularized system removes the regularization.  A Psi with no
+rows is the unconstrained case: the kernel is the whole space, the
+projector onto it is the identity, and the factor is that of K alone.
 
 A KKT solve refines, up to a few steps, only while its relative residual
 stays above ``REFINE_TOL``.
 
-The constrained eigensolver accepts a start vector in ker(Psi), so a
-sweep over a parameter can start each Lanczos run from the eigenvectors
-of the previous one, and a prebuilt ``KernelProjector``, so a caller
-whose Psi is fixed factors Psi Psi^T once for all its residual checks.
-When ARPACK's Lanczos basis would be at least as large as the kernel,
-it reduces the pencil densely onto a kernel basis instead, which is
-exact and cheaper there.
+The eigensolver accepts a start vector in ker(Psi), so a sweep over a
+parameter can start each Lanczos run from the eigenvectors of the
+previous one, and a prebuilt ``KernelProjector``, so a caller whose Psi
+is fixed factors Psi Psi^T once for all its residual checks.  When
+ARPACK's Lanczos basis would be at least as large as the kernel, it
+reduces the pencil densely onto a kernel basis instead, which is exact
+and cheaper there; ``DENSE_SYM_CAP`` bounds that basis.
 
 The quadratic solver works on dense copies of its blocks, made only
 once the companion order has passed its cap.  For the few eigenvalues of
@@ -81,27 +82,6 @@ def _sign_fix(vectors):
     return out
 
 
-def solve_sym(A, b):
-    """Direct solve with one step of iterative refinement.
-
-    A must be symmetric positive definite on the solution space; the
-    relative residual is verified to 1e-12.
-    """
-    A = sparse.csc_matrix(A)
-    lu = spla.splu(A)
-    x = lu.solve(b)
-    r = b - A @ x
-    x = x + lu.solve(r)
-    r = b - A @ x
-    bnorm = np.linalg.norm(b)
-    if bnorm > 0 and np.linalg.norm(r) > 1e-12 * bnorm:
-        raise RuntimeError(
-            f"direct solve residual {np.linalg.norm(r) / bnorm:.3e} "
-            "exceeds 1e-12; matrix may be ill-conditioned or not SPD"
-        )
-    return x
-
-
 def _check_residuals(result, scale_of):
     bounds = np.array([scale_of(v) for v in result.values])
     bad = result.residuals > RESIDUAL_FACTOR * bounds
@@ -115,45 +95,16 @@ def _check_residuals(result, scale_of):
     return result
 
 
-def eig_sym_gen(A, B, k, dense_cutoff=DENSE_SYM_CAP, v0=None):
-    """k algebraically smallest eigenpairs of A x = lambda B x.
-
-    A symmetric, B symmetric positive definite.  Dense reduction below the
-    cutoff, otherwise shift-invert Lanczos about zero (A must then be
-    definite so the shift misses the spectrum), started from ``v0`` when
-    it is given and nonzero and from the ones vector otherwise.
-    """
-    n = A.shape[0]
-    k = min(k, n)
-    if n <= dense_cutoff or k >= n - 1:
-        Ad = A.toarray() if sparse.issparse(A) else np.asarray(A)
-        Bd = B.toarray() if sparse.issparse(B) else np.asarray(B)
-        vals, vecs = dla.eigh(Ad, Bd, subset_by_index=[0, k - 1])
-        method = "dense"
-    else:
-        nv0 = 0.0 if v0 is None else np.linalg.norm(v0)
-        if nv0 == 0:
-            v0, nv0 = np.ones(n), np.sqrt(n)
-        vals, vecs = spla.eigsh(
-            A, k=k, M=B, sigma=0.0, v0=v0 / nv0, tol=EIG_TOL,
-            maxiter=EIG_MAXITER,
-        )
-        method = "arpack"
-    return _sym_result(A, B, vals, vecs, method)
-
-
-def _sym_result(A, B, vals, vecs, method, proj=None):
+def _sym_result(A, B, vals, vecs, method, proj):
     """Sort the eigenpairs ascending, B-normalize (a dense solve already
     is, up to roundoff) and orient them, and check their residuals,
-    projected by ``proj`` when given."""
+    projected by ``proj``."""
     order = np.argsort(vals)
     vals, vecs = vals[order], vecs[:, order]
     bx = B @ vecs
     scale = np.sqrt(np.einsum("ij,ij->j", vecs, bx))
     vecs = _sign_fix(vecs / scale)
-    r = A @ vecs - (B @ vecs) * vals
-    if proj is not None:
-        r = proj(r)
+    r = proj(A @ vecs - (B @ vecs) * vals)
     residuals = np.linalg.norm(r, axis=0) / np.linalg.norm(vecs, axis=0)
     result = EigResult(vals, vecs, residuals, method)
     na, nb = norm1(A), norm1(B)
@@ -174,21 +125,25 @@ class ConstrainedOperator:
     pivots.  delta is small enough that refinement against ``kkt``
     removes it in a few steps.
 
+    With no rows (m = 0) gamma is 0, ``kkt`` is K and ``lu`` factors K
+    itself, which must then be positive definite.
+
     ``solve`` takes up to ``refine`` steps of iterative refinement, each
     only while the KKT residual exceeds ``REFINE_TOL`` times the right-hand
     side.  A solve under that bound already has a backward error below
     1e-13, and a further step would only lower it (Higham 1997), so it is
     skipped.  The bound sits three orders below both users of the solve:
     ARPACK's relative tolerance ``EIG_TOL`` = 1e-10, which an operator
-    applied to 1e-13 does not limit, and the 1e-10 residual check of
-    ``solve_sym_constrained``.
+    applied to 1e-13 does not limit, and the residual check of
+    ``solve_sym_constrained``, at most 1e-10.
     """
 
     def __init__(self, K, psi):
         self.n = K.shape[0]
         self.m = psi.shape[0]
         nk, ptp = norm1(K), psi.T @ psi
-        Kg = K + nk / norm1(ptp) * ptp
+        gamma = nk / norm1(ptp) if self.m else 0.0
+        Kg = K + gamma * ptp
         delta = 1e-8 * norm1(psi) ** 2 / nk
         self.kkt = sparse.bmat([[Kg, psi.T], [psi, None]], format="csr")
         reg = sparse.bmat(
@@ -224,17 +179,21 @@ class KernelProjector:
         return x - self.psi.T @ self.lu.solve(self.psi @ x)
 
 
-def solve_sym_constrained(K, psi, b):
-    """Minimize 1/2 x'Kx - b'x over ker(Psi); returns the primal part."""
+def solve_sym_constrained(K, psi, b, tol=1e-10):
+    """Minimize 1/2 x'Kx - b'x over ker(Psi); returns the primal part.
+
+    Raises when the projected residual P (b - K x) exceeds ``tol`` times
+    P b, with P the projector onto ker(Psi).
+    """
     op = ConstrainedOperator(K, psi)
     x = op.solve(b)
     proj = KernelProjector(psi)
     r = proj(b - K @ x)
     bnorm = np.linalg.norm(proj(b))
-    if bnorm > 0 and np.linalg.norm(r) > 1e-10 * bnorm:
+    if bnorm > 0 and np.linalg.norm(r) > tol * bnorm:
         raise RuntimeError(
             "constrained solve residual "
-            f"{np.linalg.norm(r) / bnorm:.3e} exceeds 1e-10"
+            f"{np.linalg.norm(r) / bnorm:.3e} exceeds {tol:g}"
         )
     return x
 
@@ -275,10 +234,12 @@ def eig_sym_constrained(KA, KB, psi, k, v0=None, proj=None):
     20)) Lanczos vectors (scipy's default, passed explicitly).  When ncv
     reaches the kernel dimension, the Lanczos basis would span the whole
     kernel, so the problem is reduced densely onto an explicit null-space
-    basis instead (method ``kkt-dense``), and k is clamped to the kernel
-    dimension.  That reduction is exact, needs no KKT factorization, and
-    works on at most ncv kernel columns, so it is also cheaper than the
-    Lanczos run it replaces.
+    basis instead, and k is clamped to the kernel dimension.  That
+    reduction is exact, needs no KKT factorization, and works on at most
+    ncv kernel columns, so it is also cheaper than the Lanczos run it
+    replaces.  The method is ``kkt-arpack`` or ``kkt-dense``, and
+    ``arpack`` or ``dense`` when Psi has no rows and the kernel is the
+    whole space.
 
     ``v0`` starts the Lanczos run; it must lie in ker(Psi), for example
     the sum of the eigenvectors of a nearby pencil, so a sweep converges
@@ -292,10 +253,11 @@ def eig_sym_constrained(KA, KB, psi, k, v0=None, proj=None):
     if proj is None:
         proj = KernelProjector(psi)
     kernel_dim = n - psi.shape[0]
+    prefix = "kkt-" if psi.shape[0] else ""
     ncv = min(n, max(2 * k + 1, 20))
     if ncv >= kernel_dim:
         vals, vecs = _eig_constrained_dense(KA, KB, psi, k)
-        method = "kkt-dense"
+        method = prefix + "dense"
     else:
         op = ConstrainedOperator(KA, psi)
         opinv = spla.LinearOperator((n, n), matvec=op.solve, dtype=float)
@@ -310,10 +272,10 @@ def eig_sym_constrained(KA, KB, psi, k, v0=None, proj=None):
                 KA, k=k, M=KB, sigma=0.0, OPinv=opinv, v0=v0 / nv0,
                 ncv=ncv, tol=EIG_TOL, maxiter=EIG_MAXITER,
             )
-            method = "kkt-arpack"
+            method = prefix + "arpack"
         except spla.ArpackError:
             vals, vecs = _eig_constrained_dense(KA, KB, psi, k)
-            method = "kkt-dense"
+            method = prefix + "dense"
     return _sym_result(KA, KB, vals, vecs, method, proj)
 
 

@@ -2,14 +2,16 @@
 tau-parameterized spectral function, and transmission-eigenvalue search
 by secant iteration or quadratic linearization.
 
-Two space realizations share one interface.  ``reduced`` takes an
-assembled broken form to the realization's variables: entity variables
-for the cubic element, the explicit (local, sparse) basis for Morley.
-``solve(A, f)`` takes a broken form and load; every eigensolver, ``eig``
-and ``eig_quadratic``, takes reduced blocks, so a driver reduces each
-form once.  The cubic element enforces its compatibility rows with
-saddle-point (KKT) algebra, and its dense quadratic path reduces the
-blocks further onto a kernel basis of those rows.
+Both space realizations are one ``Realization``: a map ``lift`` from its
+variables to the broken space and compatibility rows ``psi`` on those
+variables.  The cubic element works in entity variables with its rows;
+Morley works in its explicit (local, sparse) basis with no rows, so its
+kernel is the whole space.  ``reduced`` takes an assembled broken form to
+the variables.  ``solve(A, f)`` takes a broken form and load; every
+eigensolver, ``eig`` and ``eig_quadratic``, takes reduced blocks, so a
+driver reduces each form once.  Both elements share one direct solve and
+one eigensolver on ker(psi); the cubic element's dense quadratic path
+reduces the blocks further onto a kernel basis of its rows.
 """
 
 import warnings
@@ -17,6 +19,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sparse
 
 from .assembly import (
     bielastic_matrix,
@@ -34,9 +37,7 @@ from .eigen import (
     check_companion_size,
     eig_quadratic,
     eig_sym_constrained,
-    eig_sym_gen,
     kernel_basis,
-    solve_sym,
     solve_sym_constrained,
 )
 from .polybasis import triangle_quadrature
@@ -54,23 +55,23 @@ DEDUPE_TOL = 1e-8
 CROSSING_TOL = 1e-8
 
 
-class B3Realization:
-    """Nonconforming cubic space driven through entity variables."""
+class Realization:
+    """A space reached from its variables through ``lift``, constrained
+    by the compatibility rows ``psi``; every solve and eigensolve runs on
+    ker(psi).  ``solve_tol`` bounds the relative projected residual of a
+    source solve."""
 
-    element = "b3"
-
-    def __init__(self, mesh):
+    def __init__(self, mesh, space, lift, psi, solve_tol):
         self.mesh = mesh
-        self.space = BrokenSpace(mesh, 3)
-        self.reduction = reduce_entities(mesh)
-        self.lift = vector_transform(self.reduction.lift)
-        self.psi = vector_transform(self.reduction.psi)
-        self._kernel = None
+        self.space = space
+        self.lift = lift
+        self.psi = psi
+        self.solve_tol = solve_tol
         self._projector = None
 
     @property
     def dofs(self):
-        return 2 * self.reduction.dim
+        return self.psi.shape[1] - self.psi.shape[0]
 
     def reduced(self, A):
         return (self.lift.T @ A @ self.lift).tocsr()
@@ -85,7 +86,7 @@ class B3Realization:
 
     def solve(self, A, f):
         g = solve_sym_constrained(
-            self.reduced(A), self.psi, self.lift.T @ f
+            self.reduced(A), self.psi, self.lift.T @ f, self.solve_tol
         )
         return self.lift @ g
 
@@ -93,6 +94,23 @@ class B3Realization:
         return eig_sym_constrained(
             KA, KB, self.psi, k, v0=v0, proj=self.projector
         )
+
+    def eig_quadratic(self, K, C, M, k=None):
+        return eig_quadratic(K, C, M, k)
+
+
+class B3Realization(Realization):
+    """Nonconforming cubic space in entity variables, with its
+    compatibility rows."""
+
+    element = "b3"
+
+    def __init__(self, mesh):
+        space = BrokenSpace(mesh, 3)
+        self.reduction = reduce_entities(mesh)
+        super().__init__(mesh, space, vector_transform(self.reduction.lift),
+                         vector_transform(self.reduction.psi), 1e-10)
+        self._kernel = None
 
     def explicit_basis(self):
         """Kernel basis of the compatibility rows in entity variables,
@@ -118,33 +136,16 @@ class B3Realization:
         return eig_quadratic(dense(K), dense(C), dense(M), k)
 
 
-class MorleyRealization:
-    """Stabilized Morley space with its explicit local basis."""
+class MorleyRealization(Realization):
+    """Stabilized Morley space with its explicit local basis and no
+    compatibility rows."""
 
     element = "morley"
 
     def __init__(self, mesh):
-        self.mesh = mesh
-        self.morley = build_morley(mesh)
-        self.space = BrokenSpace(mesh, 2)
-        self.N = vector_transform(self.morley.transform)
-
-    @property
-    def dofs(self):
-        return 2 * self.morley.ndof
-
-    def reduced(self, A):
-        return (self.N.T @ A @ self.N).tocsr()
-
-    def solve(self, A, f):
-        x = solve_sym(self.reduced(A).tocsc(), self.N.T @ f)
-        return self.N @ x
-
-    def eig(self, KA, KB, k, v0=None):
-        return eig_sym_gen(KA, KB, k, v0=v0)
-
-    def eig_quadratic(self, K, C, M, k=None):
-        return eig_quadratic(K, C, M, k)
+        lift = vector_transform(build_morley(mesh).transform)
+        super().__init__(mesh, BrokenSpace(mesh, 2), lift,
+                         sparse.csr_matrix((0, lift.shape[1])), 1e-12)
 
 
 def make_realization(mesh, element):
@@ -180,7 +181,8 @@ def fourth_order_block(real, coeff, lam, mu, alpha=None, inclusive=False):
     fourth-order form plus alpha mu^2 times the full-Hessian form plus
     alpha (lambda^2 + 2 lambda mu) times the grad-div form.  The admissible
     range is 0 < alpha < min(coeff), with equality allowed for the
-    transmission weight (inclusive=True).
+    transmission weight (inclusive=True); without an alpha, the midpoint
+    min(coeff) / 2 is taken.
     """
     sp = real.space
     coeff = as_coefficient(coeff)
@@ -188,9 +190,9 @@ def fourth_order_block(real, coeff, lam, mu, alpha=None, inclusive=False):
         if alpha is not None:
             raise ValueError("alpha applies only to the morley element")
         return bielastic_matrix(sp, coeff, lam, mu, positive=True)
-    if alpha is None:
-        raise ValueError("the Morley element requires a stabilization alpha")
     cmin = coefficient_min(sp, coeff)
+    if alpha is None:
+        alpha = 0.5 * cmin
     ok = (0.0 < alpha <= cmin) if inclusive else (0.0 < alpha < cmin)
     if not ok:
         bracket = "]" if inclusive else ")"
@@ -203,11 +205,6 @@ def fourth_order_block(real, coeff, lam, mu, alpha=None, inclusive=False):
     K = K + alpha * mu**2 * hessian_matrix(sp)
     K = K + alpha * (lam**2 + 2 * lam * mu) * graddiv_matrix(sp)
     return K.tocsr()
-
-
-def default_alpha(real, coeff):
-    """Midpoint of the admissible stabilization interval."""
-    return 0.5 * coefficient_min(real.space, coeff)
 
 
 @dataclass
@@ -231,8 +228,6 @@ def solve_source(real, beta, lam, mu, f1, f2, exact=None, alpha=None):
 def solve_bielastic_eigs(real, beta, lam, mu, k, alpha=None):
     """k smallest eigenvalues of the weighted fourth-order pencil against
     the plain mass form."""
-    if real.element == "morley" and alpha is None:
-        alpha = default_alpha(real, beta)
     A = fourth_order_block(real, beta, lam, mu, alpha)
     M = mass_matrix(real.space)
     return real.eig(real.reduced(A), real.reduced(M), k)

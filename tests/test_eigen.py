@@ -14,9 +14,7 @@ from bielastic.eigen import (
     KernelProjector,
     eig_quadratic,
     eig_sym_constrained,
-    eig_sym_gen,
     norm1,
-    solve_sym,
     solve_sym_constrained,
 )
 from bielastic.harness import EXAMPLES, _canonical_complex
@@ -38,14 +36,21 @@ def random_spd(rng, n, density=0.4):
     return sparse.csr_matrix(A)
 
 
+def no_rows(n):
+    return sparse.csr_matrix((0, n))
+
+
 class TestSolveSym:
+    """The constrained solve with an empty constraint block."""
+
     def test_identity(self):
         b = np.array([3.0, -1.0, 2.0])
-        assert np.allclose(solve_sym(sparse.eye(3, format="csr"), b), b)
+        x = solve_sym_constrained(sparse.eye(3, format="csr"), no_rows(3), b)
+        assert np.allclose(x, b)
 
     def test_diagonal(self):
         A = sparse.diags([2.0, 4.0]).tocsr()
-        x = solve_sym(A, np.array([2.0, 4.0]))
+        x = solve_sym_constrained(A, no_rows(2), np.array([2.0, 4.0]))
         assert np.allclose(x, [1.0, 1.0])
 
     def test_random_spd_residuals(self):
@@ -53,26 +58,29 @@ class TestSolveSym:
         for n in (5, 12, 30, 60):
             A = random_spd(rng, n)
             b = rng.standard_normal(n)
-            x = solve_sym(A, b)
+            x = solve_sym_constrained(A, no_rows(n), b, 1e-12)
             assert np.linalg.norm(b - A @ x) <= 1e-12 * np.linalg.norm(b)
 
     def test_singular_matrix_raises(self):
         A = sparse.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
         with pytest.raises(RuntimeError):
-            solve_sym(A, np.array([1.0, 0.0]))
+            solve_sym_constrained(A, no_rows(2), np.array([1.0, 0.0]))
 
 
 class TestEigSymGen:
+    """The constrained eigensolver with an empty constraint block."""
+
     def test_diagonal_pencil(self):
         A = sparse.diags([2.0, 3.0]).tocsr()
         B = sparse.eye(2, format="csr")
-        res = eig_sym_gen(A, B, 2)
+        res = eig_sym_constrained(A, B, no_rows(2), 2)
+        assert res.method == "dense"
         assert np.allclose(res.values, [2.0, 3.0])
 
     def test_a_equals_b_gives_ones(self):
         rng = np.random.default_rng(3)
         A = random_spd(rng, 25)
-        res = eig_sym_gen(A, A.copy(), 5)
+        res = eig_sym_constrained(A, A.copy(), no_rows(25), 5)
         assert np.allclose(res.values, 1.0, atol=1e-10)
 
     def test_sparse_path_matches_dense(self):
@@ -80,15 +88,19 @@ class TestEigSymGen:
         n, k = 120, 6
         A = random_spd(rng, n, density=0.05)
         B = random_spd(rng, n, density=0.05)
-        dense = eig_sym_gen(A, B, k, dense_cutoff=10**6)
-        arpack = eig_sym_gen(A, B, k, dense_cutoff=0)
-        assert dense.method == "dense" and arpack.method == "arpack"
-        assert np.allclose(arpack.values, dense.values, rtol=1e-9)
-        assert np.all(np.diff(dense.values) >= -1e-12)
-        for v0 in (np.zeros(n), dense.vectors.sum(axis=1)):
-            warm = eig_sym_gen(A, B, k, dense_cutoff=0, v0=v0)
-            assert np.allclose(warm.values, dense.values, rtol=1e-9)
-        for res in (dense, arpack):
+        dense = dla.eigh(A.toarray(), B.toarray(), subset_by_index=[0, k - 1],
+                         eigvals_only=True)
+        arpack = eig_sym_constrained(A, B, no_rows(n), k)
+        # 2 * 60 + 1 Lanczos vectors would span the space: dense reduction
+        full = eig_sym_constrained(A, B, no_rows(n), n // 2)
+        assert arpack.method == "arpack" and full.method == "dense"
+        assert np.allclose(arpack.values, dense, rtol=1e-9)
+        assert np.allclose(full.values[:k], dense, rtol=1e-9)
+        assert np.all(np.diff(full.values) >= -1e-12)
+        for v0 in (np.zeros(n), arpack.vectors.sum(axis=1)):
+            warm = eig_sym_constrained(A, B, no_rows(n), k, v0=v0)
+            assert np.allclose(warm.values, dense, rtol=1e-9)
+        for res in (full, arpack):
             bn = np.einsum("ij,ij->j", res.vectors, (B @ res.vectors))
             assert np.allclose(bn, 1.0, atol=1e-8)
 
@@ -96,7 +108,7 @@ class TestEigSymGen:
         rng = np.random.default_rng(19)
         A = random_spd(rng, 40)
         B = random_spd(rng, 40)
-        res = eig_sym_gen(A, B, 4)
+        res = eig_sym_constrained(A, B, no_rows(40), 4)
         bound = 1e-8 * (norm1(A) + np.abs(res.values) * norm1(B))
         assert np.all(res.residuals <= bound)
 
@@ -238,7 +250,7 @@ class TestConstrained:
         _, A, _, lift, psi, N, f = small_system
         K = (lift.T @ A @ lift).tocsr()
         g = solve_sym_constrained(K, psi, lift.T @ f)
-        y = solve_sym((N.T @ A @ N).tocsc(), N.T @ f)
+        y = np.linalg.solve((N.T @ A @ N).toarray(), N.T @ f)
         broken_kkt = lift @ g
         broken_dense = N @ y
         scale = np.linalg.norm(broken_dense)

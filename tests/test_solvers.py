@@ -8,7 +8,7 @@ import scipy.sparse as sparse
 
 import bielastic.eigen as eigen
 import bielastic.solvers as solvers
-from bielastic.assembly import mass_matrix
+from bielastic.assembly import load_vector, mass_matrix
 from bielastic.coefficients import Coefficient, combine
 from bielastic.eigen import eig_quadratic, kernel_basis
 from bielastic.harness import EXAMPLES, SCAN_BRANCHES, _canonical_complex
@@ -18,7 +18,6 @@ from bielastic.solvers import (
     MorleyRealization,
     TepBlocks,
     coefficient_min,
-    default_alpha,
     detect_density_case,
     find_teps_quadratic,
     find_teps_secant,
@@ -61,6 +60,23 @@ class TestRealizations:
         assert b3_sq1.dofs == 2 * (4 * nvi + mesh.nt - 1)
         assert morley_sq1.dofs == 2 * (nvi + nei)
 
+    def test_morley_solve_and_eig_match_dense_oracles(self):
+        ex = EXAMPLES[3]
+        mesh = generate_domain(ex.domain, 1 + ex.mesh_offset)
+        real = MorleyRealization(mesh)
+        A = fourth_order_block(real, ex.beta, ex.lam, ex.mu)
+        f = load_vector(real.space, lambda x, y: np.sin(np.pi * x) * y,
+                        lambda x, y: x * (1 - y))
+        KA, KM = real.reduced(A), real.reduced(mass_matrix(real.space))
+        want = real.lift @ np.linalg.solve(KA.toarray(), real.lift.T @ f)
+        got = real.solve(A, f)
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+        res = real.eig(KA, KM, 6)
+        ref = dla.eigh(KA.toarray(), KM.toarray(), subset_by_index=[0, 5],
+                       eigvals_only=True)
+        assert res.method == "arpack"
+        assert res.values == pytest.approx(ref, rel=1e-10, abs=0)
+
 
 class TestSourceProblem:
     def test_zero_load_gives_zero(self, b3_sq1):
@@ -85,9 +101,14 @@ class TestSourceProblem:
 
 
 class TestFourthOrderBlock:
-    def test_morley_requires_alpha(self, morley_sq1):
-        with pytest.raises(ValueError, match="alpha"):
-            fourth_order_block(morley_sq1, 1.0, LAM, MU)
+    def test_morley_source_defaults_alpha(self):
+        ex = EXAMPLES[1]
+        real = MorleyRealization(generate_domain(ex.domain, ex.mesh_offset))
+        half = 0.5 * coefficient_min(real.space, ex.beta)
+        got = solve_source(real, ex.beta, ex.lam, ex.mu, *ex.loads)
+        want = solve_source(real, ex.beta, ex.lam, ex.mu, *ex.loads,
+                            alpha=half)
+        assert np.array_equal(got.broken, want.broken)
 
     def test_alpha_range_enforced(self, morley_sq1):
         with pytest.raises(ValueError, match="range"):
@@ -105,10 +126,10 @@ class TestFourthOrderBlock:
 
     def test_default_alpha_is_half_min(self, morley_sq1):
         beta = Coefficient.affine(8.0, 1.0, -1.0)
-        alpha = default_alpha(morley_sq1, beta)
-        assert alpha == pytest.approx(
-            0.5 * coefficient_min(morley_sq1.space, beta)
-        )
+        half = 0.5 * coefficient_min(morley_sq1.space, beta)
+        got = fourth_order_block(morley_sq1, beta, LAM, MU)
+        want = fourth_order_block(morley_sq1, beta, LAM, MU, alpha=half)
+        assert (got != want).nnz == 0
 
 
 class TestBielasticEigs:
