@@ -24,8 +24,7 @@ from .solvers import (
     SourceResult,
     TepBlocks,
     TepRoot,
-    coefficient_max,
-    coefficient_min,
+    coefficient_range,
     detect_density_case,
     find_teps_quadratic,
     find_teps_secant,
@@ -40,10 +39,7 @@ from .harness import (
     ExampleDef,
     ExperimentReport,
     eig_order,
-    run_bielastic,
     run_example,
-    run_source,
-    run_tep,
     self_test,
     source_order,
 )
@@ -70,8 +66,7 @@ __all__ = [
     "SourceResult",
     "TepBlocks",
     "TepRoot",
-    "coefficient_max",
-    "coefficient_min",
+    "coefficient_range",
     "detect_density_case",
     "find_teps_quadratic",
     "find_teps_secant",
@@ -84,10 +79,7 @@ __all__ = [
     "ExampleDef",
     "ExperimentReport",
     "eig_order",
-    "run_bielastic",
     "run_example",
-    "run_source",
-    "run_tep",
     "self_test",
     "source_order",
     "__version__",

@@ -4,9 +4,12 @@ The module bundles nine built-in experiment definitions (two source
 problems, three weighted eigenvalue problems, four transmission runs),
 drives the solvers level by level, attaches empirical convergence
 orders, and serializes the outcome as a text table, CSV, JSON, or plot
-data files. User-facing refinement levels are 1-based; each example
-carries its own offset into the mesh hierarchy so that level 1 starts
-on the coarsest grid the reference values were produced on.
+data files. ``run_example``, given an example number or an
+``ExampleDef``, is the one way to run a study: it validates every option
+once, and one builder per kind supplies the per-level solve that the
+shared level loop calls. User-facing refinement levels are 1-based; each
+example carries its own offset into the mesh hierarchy so that level 1
+starts on the coarsest grid the reference values were produced on.
 """
 
 import json
@@ -18,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .assembly import error_norms
-from .coefficients import Coefficient, as_coefficient
+from .coefficients import Coefficient
 from .eigen import EIG_TOL, eig_sym_constrained
 from .mesh import DOMAIN_AREAS, generate_domain
 from .solvers import (
@@ -257,6 +260,17 @@ def check_k(k):
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
     return k
+
+
+def check_lame(lam, mu):
+    """Lame parameters for which div sigma is strongly elliptic: finite,
+    with mu > 0 and lam + 2 mu > 0."""
+    if not (np.isfinite(lam) and np.isfinite(mu) and mu > 0
+            and lam + 2 * mu > 0):
+        raise ValueError(
+            "Lame parameters need finite lam and mu with mu > 0 and "
+            f"lam + 2 mu > 0, got lam={lam}, mu={mu}"
+        )
 
 
 def check_tau_range(tau_lo, tau_hi):
@@ -555,51 +569,34 @@ def _run_levels(domain, element, levels, mesh_offset, meta, solve):
     return rows
 
 
-def run_source(domain, beta, lam, mu, f1, f2, exact=None, levels=None,
-               element="b3", alpha=None, mesh_offset=1, big=False):
-    """Source-problem convergence run over the requested levels."""
-    levels = check_levels(DEFAULT_LEVELS["source"] if levels is None
-                          else levels, big)
-    beta = as_coefficient(beta)
-    meta = _base_meta("source", domain, element, levels, lam, mu,
-                      alpha=alpha, mesh_offset=mesh_offset,
-                      norm_kind="error" if exact is not None else "solution")
+def _source_solver(ex, meta, alpha, k, method, tau_range):
+    meta.update(mesh_offset=ex.mesh_offset,
+                norm_kind="solution" if ex.exact is None else "error")
 
     def solve(real):
-        res = solve_source(real, beta, lam, mu, f1, f2, exact=exact,
-                           alpha=alpha)
-        norms = res.norms if exact is not None else error_norms(
+        res = solve_source(real, ex.beta, ex.lam, ex.mu, *ex.loads,
+                           exact=ex.exact, alpha=alpha)
+        norms = res.norms if ex.exact is not None else error_norms(
             real.space, res.broken, _zero_exact()
         )
         return [{"norm": norm, "error": float(norms[norm]), "order": None}
                 for norm in SOURCE_NORMS]
 
-    rows = _run_levels(domain, element, levels, mesh_offset, meta, solve)
-    orders = _attach_orders(rows, "norm", levels)
-    return ExperimentReport("source", rows, meta, orders)
+    return solve
 
 
-def run_bielastic(domain, beta, lam, mu, levels=None, k=6, element="b3",
-                  alpha=None, mesh_offset=0, big=False):
-    """Weighted fourth-order eigenvalue run over the requested levels."""
-    levels = check_levels(DEFAULT_LEVELS["bielastic"] if levels is None
-                          else levels, big)
-    k = check_k(k)
-    beta = as_coefficient(beta)
-    meta = _base_meta("bielastic", domain, element, levels, lam, mu,
-                      alpha=alpha, k=k, mesh_offset=mesh_offset,
-                      eig_method=[])
+def _bielastic_solver(ex, meta, alpha, k, method, tau_range):
+    meta.update(k=k, mesh_offset=ex.mesh_offset, eig_method=[])
 
     def solve(real):
-        res = solve_bielastic_eigs(real, beta, lam, mu, k, alpha=alpha)
+        res = solve_bielastic_eigs(real, ex.beta, ex.lam, ex.mu, k,
+                                   alpha=alpha)
         meta["eig_method"].append(res.method)
         return [{"branch": j, "value_re": float(value), "value_im": 0.0,
                  "order": None, "residual": float(res.residuals[j - 1])}
                 for j, value in enumerate(res.values, start=1)]
 
-    rows = _run_levels(domain, element, levels, mesh_offset, meta, solve)
-    orders = _attach_orders(rows, "branch", levels)
-    return ExperimentReport("bielastic", rows, meta, orders)
+    return solve
 
 
 def _canonical_complex(values, residuals):
@@ -613,29 +610,15 @@ def _canonical_complex(values, residuals):
     return values[key], residuals[key]
 
 
-def run_tep(domain, lam, mu, rho0, rho1, levels=None, k=10, element="b3",
-            alpha=None, method="secant", tau_range=None, mesh_offset=0,
-            big=False):
-    """Transmission-eigenvalue run via secant root tracking (real values)
-    or companion linearization (complex values allowed).  ``tau_range``
-    is the secant scan interval (lo, hi); it defaults to (0.25, None),
-    an upper end chosen from the spectrum."""
-    if method not in ("secant", "quadratic"):
-        raise ValueError(f"unknown method {method!r}")
-    if tau_range is not None and method != "secant":
-        raise ValueError("tau_range applies only to the secant method")
-    levels = check_levels(DEFAULT_LEVELS["tep"] if levels is None else levels,
-                          big)
-    k = check_k(k)
-    tau_lo, tau_hi = (0.25, None) if tau_range is None else tau_range
-    check_tau_range(tau_lo, tau_hi)
-    rho0, rho1 = as_coefficient(rho0), as_coefficient(rho1)
-    meta = _base_meta("tep", domain, element, levels, lam, mu, alpha=alpha,
-                      k=k, method=method, mesh_offset=mesh_offset,
-                      eig_method=[])
+def _tep_solver(ex, meta, alpha, k, method, tau_range):
+    """Secant root tracking (real values) or companion linearization
+    (complex values allowed)."""
+    tau_lo, tau_hi = tau_range
+    meta.update(k=k, method=method, mesh_offset=ex.mesh_offset,
+                eig_method=[])
 
     def solve(real):
-        blocks = TepBlocks(real, lam, mu, rho0, rho1, alpha=alpha)
+        blocks = TepBlocks(real, ex.lam, ex.mu, ex.rho0, ex.rho1, alpha=alpha)
         meta["case"] = blocks.case
         if method == "secant":
             roots = find_teps_secant(
@@ -658,9 +641,11 @@ def run_tep(domain, lam, mu, rho0, rho1, levels=None, k=10, element="b3",
                  "residual": float(residuals[j - 1])}
                 for j, value in enumerate(map(complex, values), start=1)]
 
-    rows = _run_levels(domain, element, levels, mesh_offset, meta, solve)
-    orders = _attach_orders(rows, "branch", levels)
-    return ExperimentReport("tep", rows, meta, orders)
+    return solve
+
+
+_SOLVERS = {"source": _source_solver, "bielastic": _bielastic_solver,
+           "tep": _tep_solver}
 
 
 def run_example(example, levels=None, element="b3", alpha=None, method=None,
@@ -670,7 +655,9 @@ def run_example(example, levels=None, element="b3", alpha=None, method=None,
     ``example`` is a built-in example number or an ``ExampleDef``; the
     command line's solve commands pass an unnumbered one.  Overrides are
     validated against the example kind: method and tau_range apply only
-    to transmission runs, and k only to eigenvalue runs.
+    to transmission runs, and k only to eigenvalue runs.  ``tau_range``
+    is the secant scan interval (lo, hi); it defaults to (0.25, None), an
+    upper end chosen from the spectrum.
     """
     if isinstance(example, ExampleDef):
         ex = example
@@ -686,30 +673,27 @@ def run_example(example, levels=None, element="b3", alpha=None, method=None,
         raise ValueError("tau_range applies only to transmission runs")
     if k is not None and ex.kind == "source":
         raise ValueError("k applies only to eigenvalue runs")
-    k = ex.branches if k is None else int(k)
-    if ex.kind == "source":
-        report = run_source(
-            ex.domain, ex.beta, ex.lam, ex.mu, ex.loads[0], ex.loads[1],
-            exact=ex.exact, levels=levels, element=element, alpha=alpha,
-            mesh_offset=ex.mesh_offset, big=big,
-        )
-    elif ex.kind == "bielastic":
-        report = run_bielastic(
-            ex.domain, ex.beta, ex.lam, ex.mu, levels=levels, k=k,
-            element=element, alpha=alpha, mesh_offset=ex.mesh_offset,
-            big=big,
-        )
-    else:
-        report = run_tep(
-            ex.domain, ex.lam, ex.mu, ex.rho0, ex.rho1, levels=levels, k=k,
-            element=element, alpha=alpha,
-            method=ex.method if method is None else method,
-            tau_range=tau_range, mesh_offset=ex.mesh_offset, big=big,
-        )
+    method = ex.method if method is None else method
+    if method not in ("secant", "quadratic"):
+        raise ValueError(f"unknown method {method!r}")
+    if tau_range is not None and method != "secant":
+        raise ValueError("tau_range applies only to the secant method")
+    levels = check_levels(DEFAULT_LEVELS[ex.kind] if levels is None
+                          else levels, big)
+    k = check_k(ex.branches if k is None else k)
+    tau_range = (0.25, None) if tau_range is None else tau_range
+    check_tau_range(*tau_range)
+    check_lame(ex.lam, ex.mu)
+    meta = _base_meta(ex.kind, ex.domain, element, levels, ex.lam, ex.mu,
+                      alpha=alpha)
+    solve = _SOLVERS[ex.kind](ex, meta, alpha, k, method, tau_range)
+    rows = _run_levels(ex.domain, element, levels, ex.mesh_offset, meta, solve)
     if ex.number is not None:
-        report.meta["example"] = ex.number
-        report.meta["note"] = ex.note
-    return report
+        meta["example"] = ex.number
+        meta["note"] = ex.note
+    key = "norm" if ex.kind == "source" else "branch"
+    return ExperimentReport(ex.kind, rows, meta,
+                            _attach_orders(rows, key, levels))
 
 
 def _spot_points():

@@ -143,7 +143,7 @@ class MorleyRealization(Realization):
     element = "morley"
 
     def __init__(self, mesh):
-        lift = vector_transform(build_morley(mesh).transform)
+        lift = vector_transform(build_morley(mesh))
         super().__init__(mesh, BrokenSpace(mesh, 2), lift,
                          sparse.csr_matrix((0, lift.shape[1])), 1e-12)
 
@@ -156,20 +156,13 @@ def make_realization(mesh, element):
     raise ValueError(f"unknown element {element!r}")
 
 
-def coefficient_min(space, coeff):
-    """Minimum of a coefficient over the physical points of the degree-12
-    quadrature rule."""
+def coefficient_range(space, coeff):
+    """(min, max) of a coefficient over the physical points of the
+    degree-12 quadrature rule."""
     coeff = as_coefficient(coeff)
-    rule = triangle_quadrature(12)
-    xq = space.physical_points(rule.points)
-    return float(np.min(require_finite(coeff(xq[..., 0], xq[..., 1]))))
-
-
-def coefficient_max(space, coeff):
-    coeff = as_coefficient(coeff)
-    rule = triangle_quadrature(12)
-    xq = space.physical_points(rule.points)
-    return float(np.max(require_finite(coeff(xq[..., 0], xq[..., 1]))))
+    xq = space.physical_points(triangle_quadrature(12).points)
+    values = require_finite(coeff(xq[..., 0], xq[..., 1]))
+    return float(np.min(values)), float(np.max(values))
 
 
 def fourth_order_block(real, coeff, lam, mu, alpha=None, inclusive=False):
@@ -190,7 +183,7 @@ def fourth_order_block(real, coeff, lam, mu, alpha=None, inclusive=False):
         if alpha is not None:
             raise ValueError("alpha applies only to the morley element")
         return bielastic_matrix(sp, coeff, lam, mu, positive=True)
-    cmin = coefficient_min(sp, coeff)
+    cmin = coefficient_range(sp, coeff)[0]
     if alpha is None:
         alpha = 0.5 * cmin
     ok = (0.0 < alpha <= cmin) if inclusive else (0.0 < alpha < cmin)
@@ -240,8 +233,8 @@ def detect_density_case(space, rho0, rho1):
     and "swapped" when rho1 <= 1 <= rho0 (roles exchanged).
     """
     rho0, rho1 = as_coefficient(rho0), as_coefficient(rho1)
-    max0, min0 = coefficient_max(space, rho0), coefficient_min(space, rho0)
-    max1, min1 = coefficient_max(space, rho1), coefficient_min(space, rho1)
+    min0, max0 = coefficient_range(space, rho0)
+    min1, max1 = coefficient_range(space, rho1)
     if max0 <= 1.0 <= min1 and min1 - max0 > 0.0:
         return "standard"
     if max1 <= 1.0 <= min0 and min0 - max1 > 0.0:
@@ -275,10 +268,6 @@ class TepBlocks:
         self.case = detect_density_case(sp, rho0, rho1)
         lo, hi = (rho0, rho1) if self.case == "standard" else (rho1, rho0)
         r = combine("div", 1.0, combine("sub", hi, lo))
-        self.rho_min = 1.0 / coefficient_max(sp, combine("sub", hi, lo))
-        if real.element == "morley" and alpha is None:
-            alpha = 0.5 * self.rho_min
-        self.alpha = alpha
         D = fourth_order_block(real, r, lam, mu, alpha, inclusive=True)
         self.KD = real.reduced(D.tocsr())
         F0 = mixed_divsigma_matrix(

@@ -14,13 +14,14 @@ Three layers live here:
   ``build_b3_constraints`` writes the same conditions as explicit rows over
   broken-P3 coefficients; it is the independent check of the reduction.
 
-* ``MorleySpace``: the quadratic element with vertex values and edge mean
-  normal derivatives, built from per-triangle dual-basis inversion and
-  numbered like the ``b3`` entity variables with one variable per edge.
+* The Morley element (``build_morley``): the quadratic element with vertex
+  values and edge mean normal derivatives, built from per-triangle
+  dual-basis inversion and numbered like the ``b3`` entity variables with
+  one variable per edge.
 
-Both conforming spaces carry a sparse map to broken coefficients (one
-scalar component): ``lift`` from entity variables for ``b3`` and
-``transform`` from the degrees of freedom for Morley.
+Both conforming spaces come as a sparse map to broken coefficients (one
+scalar component): ``lift`` from entity variables for ``b3`` and the map
+``build_morley`` returns from the degrees of freedom for Morley.
 """
 
 import numpy as np
@@ -410,21 +411,10 @@ def reduce_entities(mesh, homogeneous=True):
     return EntityReduction(mesh, homogeneous, nvars, psi, lift)
 
 
-class MorleySpace:
-    """Quadratic element: vertex values and edge mean normal derivatives
-    (global edge orientation); boundary degrees of freedom removed."""
-
-    def __init__(self, mesh, transform):
-        self.mesh = mesh
-        self.degree = 2
-        self.transform = transform
-
-    @property
-    def ndof(self):
-        return self.transform.shape[1]
-
-
 def build_morley(mesh):
+    """Map from the Morley degrees of freedom (vertex values and edge mean
+    normal derivatives in the global edge orientation, boundary ones
+    removed) to broken P2 coefficients of one scalar component."""
     shapes = p2_shapes()
     space = BrokenSpace(mesh, 2)
     # mean normal derivative of a quadratic equals its midpoint value
@@ -446,7 +436,7 @@ def build_morley(mesh):
     blocks = np.linalg.inv(dual)  # coefficients from functional values
     vert_var, edge_var, ndof = _entity_variables(mesh, per_edge=1)
     slot_vars = _slot_vars(mesh, vert_var, edge_var, per_edge=1)
-    return MorleySpace(mesh, _local_map(blocks, slot_vars, ndof))
+    return _local_map(blocks, slot_vars, ndof)
 
 
 def vector_transform(transform):

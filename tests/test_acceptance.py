@@ -25,7 +25,7 @@ from bielastic.harness import check_levels, eig_order, run_example
 from bielastic.mesh import generate_domain
 from bielastic.solvers import (
     TepBlocks,
-    coefficient_min,
+    coefficient_range,
     find_teps_quadratic,
     find_teps_secant,
     fourth_order_block,
@@ -299,7 +299,7 @@ def morley_setup():
     beta = Coefficient.affine(8.0, 1.0, -1.0)
     coarse = make_realization(generate_domain("unit-square", 1), "morley")
     fine = make_realization(generate_domain("unit-square", 2), "morley")
-    bmin = coefficient_min(coarse.space, beta)
+    bmin = coefficient_range(coarse.space, beta)[0]
     return beta, coarse, fine, bmin
 
 

@@ -492,7 +492,7 @@ class TestConformingIdentities:
     def test_morley_elastic_energy_positive_definite(self, sq1):
         morley = build_morley(sq1)
         space = BrokenSpace(sq1, 2)
-        N = vector_transform(morley.transform)
+        N = vector_transform(morley)
         B = (N.T @ elastic_matrix(space, LAM, MU) @ N).toarray()
         ev = np.linalg.eigvalsh(B)
         assert ev.min() > 0

@@ -246,25 +246,25 @@ class TestSolveCommands:
         out = capsys.readouterr().out
         assert "quantity" in out and "l2" in out
 
-    @pytest.mark.parametrize("argv, run", [
+    @pytest.mark.parametrize("argv, example", [
         (["solve-source", "--lam", "0.25", "--mu", "0.0625",
           "--f1", "sin(pi*x1)", "--f2", "x1*x2"],
-         lambda: bielastic.run_source(
-             "unit-square", 1.0, 0.25, 0.0625,
-             bielastic.Coefficient.expression("sin(pi*x1)"),
-             bielastic.Coefficient.expression("x1*x2"), levels=(1,),
-             mesh_offset=0)),
+         bielastic.ExampleDef(
+             None, "source", "unit-square", 0.25, 0.0625, 0, beta=1.0,
+             loads=(bielastic.Coefficient.expression("sin(pi*x1)"),
+                    bielastic.Coefficient.expression("x1*x2")))),
         (["solve-bielastic", "--lam", "0.25", "--mu", "0.0625",
           "--beta", "2 + x1"],
-         lambda: bielastic.run_bielastic(
-             "unit-square", bielastic.Coefficient.expression("2 + x1"),
-             0.25, 0.0625, levels=(1,))),
+         bielastic.ExampleDef(
+             None, "bielastic", "unit-square", 0.25, 0.0625, 0,
+             beta=bielastic.Coefficient.expression("2 + x1"))),
         (["solve-tep", "--lam", "0.25", "--mu", "0.25", "--rho0", "0.05",
           "--rho1", "3", "--method", "quadratic"],
-         lambda: bielastic.run_tep("unit-square", 0.25, 0.25, 0.05, 3.0,
-                                   levels=(1,), method="quadratic")),
+         bielastic.ExampleDef(
+             None, "tep", "unit-square", 0.25, 0.25, 0, rho0=0.05,
+             rho1=3.0, method="quadratic", branches=10)),
     ], ids=["source", "bielastic", "tep"])
-    def test_json_matches_the_library_run(self, capsys, argv, run):
+    def test_json_matches_the_library_run(self, capsys, argv, example):
         def drop_seconds(payload):
             for row in payload["rows"]:
                 del row["seconds"]
@@ -273,7 +273,8 @@ class TestSolveCommands:
         assert main([*argv, "--domain", "unit-square", "--level", "1",
                      "--format", "json"]) == 0
         got = json.loads(capsys.readouterr().out)
-        want = json.loads(run().to_json())
+        want = json.loads(
+            bielastic.run_example(example, levels=(1,)).to_json())
         assert drop_seconds(got) == drop_seconds(want)
 
     def test_solve_source_requires_loads(self, capsys):
@@ -354,6 +355,29 @@ class TestSolveCommands:
         ]) == 2
         assert "ordering" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, lam, mu", [
+        ("solve-bielastic", "-0.5", "0.25"),
+        ("solve-bielastic", "-1", "0"),
+        ("solve-source", "-0.5", "0.25"),
+        ("solve-bielastic", "nan", "0.25"),
+        ("solve-bielastic", "0.25", "inf"),
+        ("solve-tep", "0.25", "0"),
+    ])
+    def test_degenerate_lame_parameters_exit_2(self, capsys, command, lam,
+                                               mu):
+        extra = {
+            "solve-source": ["--f1", "1", "--f2", "0"],
+            "solve-bielastic": [],
+            "solve-tep": ["--rho0", "0.05", "--rho1", "3"],
+        }[command]
+        assert main([
+            command, "--domain", "unit-square", "--level", "2",
+            "--lam", lam, "--mu", mu, *extra,
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: Lame parameters need")
+        assert err.count("\n") == 1
+
 
 class TestDumpMesh:
     def test_stdout(self, capsys):
@@ -407,7 +431,7 @@ class TestSolverFailures:
     def test_linalg_error_exits_3(self, capsys, monkeypatch):
         def boom(*args, **kwargs):
             raise np.linalg.LinAlgError("singular")
-        monkeypatch.setattr(bielastic.harness, "run_tep", boom)
+        monkeypatch.setattr(bielastic.harness, "TepBlocks", boom)
         assert main([
             "solve-tep", "--domain", "unit-square", "--level", "1",
             "--lam", "0.25", "--mu", "0.25", "--rho0", "0.05",

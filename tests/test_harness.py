@@ -2,6 +2,7 @@
 order formulas, the example registry, report serialization, determinism,
 and the self test."""
 
+import dataclasses
 import io
 import json
 import time
@@ -432,25 +433,17 @@ class TestRunExample:
         with pytest.raises(ValueError, match="morley"):
             run_example(3, levels=(1,), alpha=0.5)
 
-    @pytest.mark.parametrize("run", [
-        lambda: harness.run_source(
-            "unit-square", 1.0, 0.25, 0.0625, ex1_load_1, ex1_load_2,
-            levels=(1,), alpha=0.3),
-        lambda: harness.run_bielastic(
-            "unit-square", 1.0, 0.25, 0.0625, levels=(1,), alpha=0.3),
-        lambda: harness.run_tep(
-            "unit-square", 0.25, 0.25, 0.05, 3.0, levels=(1,), alpha=0.3),
-    ], ids=["source", "bielastic", "tep"])
-    def test_every_run_refuses_alpha_on_b3(self, run):
+    @pytest.mark.parametrize("number", [1, 3, 6],
+                             ids=["source", "bielastic", "tep"])
+    def test_every_run_refuses_alpha_on_b3(self, number):
         with pytest.raises(ValueError,
                            match="alpha applies only to the morley element"):
-            run()
+            run_example(number, levels=(1,), alpha=0.3)
 
     def test_run_tep_tau_range_only_for_secant(self):
         with pytest.raises(ValueError, match="only to the secant method"):
-            harness.run_tep("unit-square", 0.25, 0.25, 0.05, 3.0,
-                            levels=(1,), method="quadratic",
-                            tau_range=(50.0, 60.0))
+            run_example(6, levels=(1,), method="quadratic",
+                        tau_range=(50.0, 60.0))
 
     def test_method_only_for_transmission(self):
         with pytest.raises(ValueError, match="transmission"):
@@ -474,6 +467,16 @@ class TestRunExample:
                           (1.0, float("inf"))):
             with pytest.raises(ValueError, match="lo < hi"):
                 run_example(6, levels=(1,), tau_range=tau_range)
+
+    @pytest.mark.parametrize("lam, mu", [
+        (-0.5, 0.25), (-1.0, 0.0), (0.25, 0.0), (float("nan"), 0.25),
+        (0.25, float("inf")),
+    ])
+    def test_degenerate_lame_parameters(self, lam, mu):
+        for number in (1, 3, 6):
+            ex = dataclasses.replace(EXAMPLES[number], lam=lam, mu=mu)
+            with pytest.raises(ValueError, match="Lame parameters"):
+                run_example(ex, levels=(1,))
 
     def test_k_not_for_source(self):
         with pytest.raises(ValueError, match="eigenvalue"):

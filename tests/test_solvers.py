@@ -17,7 +17,7 @@ from bielastic.solvers import (
     B3Realization,
     MorleyRealization,
     TepBlocks,
-    coefficient_min,
+    coefficient_range,
     detect_density_case,
     find_teps_quadratic,
     find_teps_secant,
@@ -104,7 +104,7 @@ class TestFourthOrderBlock:
     def test_morley_source_defaults_alpha(self):
         ex = EXAMPLES[1]
         real = MorleyRealization(generate_domain(ex.domain, ex.mesh_offset))
-        half = 0.5 * coefficient_min(real.space, ex.beta)
+        half = 0.5 * coefficient_range(real.space, ex.beta)[0]
         got = solve_source(real, ex.beta, ex.lam, ex.mu, *ex.loads)
         want = solve_source(real, ex.beta, ex.lam, ex.mu, *ex.loads,
                             alpha=half)
@@ -126,7 +126,7 @@ class TestFourthOrderBlock:
 
     def test_default_alpha_is_half_min(self, morley_sq1):
         beta = Coefficient.affine(8.0, 1.0, -1.0)
-        half = 0.5 * coefficient_min(morley_sq1.space, beta)
+        half = 0.5 * coefficient_range(morley_sq1.space, beta)[0]
         got = fourth_order_block(morley_sq1, beta, LAM, MU)
         want = fourth_order_block(morley_sq1, beta, LAM, MU, alpha=half)
         assert (got != want).nnz == 0
@@ -489,7 +489,9 @@ class TestTepArnoldi:
 class TestTepMorley:
     def test_pipeline_runs_with_default_alpha(self, morley_sq1):
         blocks = TepBlocks(morley_sq1, 0.25, 0.25, 1.0 / 20.0, 3.0)
-        assert blocks.alpha == pytest.approx(0.5 * blocks.rho_min)
+        explicit = TepBlocks(morley_sq1, 0.25, 0.25, 1.0 / 20.0, 3.0,
+                             alpha=0.5 / (3.0 - 1.0 / 20.0))
+        assert (blocks.KD != explicit.KD).nnz == 0
         vals = blocks.lambda_of_tau(0.0, 4)
         assert vals[0] > 0
 

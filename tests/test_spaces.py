@@ -386,7 +386,7 @@ class TestMorley:
     def test_dimension_square_level0(self):
         mesh = generate_domain("unit-square", 0)
         morley = build_morley(mesh)
-        assert morley.ndof == 9  # one interior vertex, eight interior edges
+        assert morley.shape[1] == 9  # one interior vertex, eight interior edges
 
     def test_dimension_formula(self):
         for domain, level in [("unit-square", 2), ("l-shape", 1),
@@ -395,14 +395,14 @@ class TestMorley:
             morley = build_morley(mesh)
             vi = int(np.sum(~mesh.boundary_vertex))
             ei = int(np.sum(~mesh.boundary_edge))
-            assert morley.ndof == vi + ei
+            assert morley.shape[1] == vi + ei
 
     def test_shared_functionals_agree(self):
         mesh = generate_domain("unit-square", 1)
         morley = build_morley(mesh)
         rng = np.random.default_rng(2)
-        u = rng.standard_normal(morley.ndof)
-        coeffs = (morley.transform @ u).reshape(mesh.nt, 6)
+        u = rng.standard_normal(morley.shape[1])
+        coeffs = (morley @ u).reshape(mesh.nt, 6)
         space = BrokenSpace(mesh, 2)
         mids = np.array([[0.5, 0.5], [0.0, 0.5], [0.5, 0.0]])
         tab = space.tabulate(mids)
