@@ -18,8 +18,12 @@ stays above ``REFINE_TOL``.
 
 The eigensolver accepts a start vector in ker(Psi), so a sweep over a
 parameter can start each Lanczos run from the eigenvectors of the
-previous one, and a prebuilt ``KernelProjector``, so a caller whose Psi
-is fixed factors Psi Psi^T once for all its residual checks.  When
+previous one, and a prebuilt ``KernelProjector``, which holds everything
+that depends on Psi alone: a caller whose Psi is fixed factors Psi Psi^T
+once for all its residual checks, builds Psi^T Psi and the KKT border
+once, computes one dense kernel basis, and keeps the minimum-degree
+order of the last KKT pattern factored, which the KKT matrices of a
+sweep share.  When
 ARPACK's Lanczos basis would be at least as large as the kernel, it
 reduces the pencil densely onto a kernel basis instead, which is exact
 and cheaper there; ``DENSE_SYM_CAP`` bounds that basis.
@@ -61,25 +65,33 @@ class EigResult:
 
 
 def norm1(A):
+    """The 1-norm of A, its largest absolute column sum; 0 when A is empty.
+
+    A sparse A is summed column by column from its canonical entries, so
+    duplicate entries count once, as their sum.
+    """
+    if not sparse.issparse(A):
+        return float(np.abs(A).sum(axis=0).max(initial=0.0))
     A = sparse.csr_matrix(A)
-    if A.nnz == 0:
-        return 0.0
-    return float(np.max(np.abs(A).sum(axis=0)))
+    if not A.has_canonical_format:
+        A = A.copy()
+        A.sum_duplicates()
+    sums = np.bincount(A.indices, np.abs(A.data), minlength=A.shape[1])
+    return float(sums.max(initial=0.0))
 
 
-def _sign_fix(vectors):
-    """Deterministic orientation: largest-magnitude entry positive real."""
-    out = vectors.copy()
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        idx = int(np.argmax(np.abs(col)))
-        pivot = col[idx]
-        if np.iscomplexobj(col):
+def _orientation(vectors):
+    """Unit factor per column that makes its largest-magnitude entry
+    positive real: a deterministic orientation."""
+    turn = np.ones(vectors.shape[1], dtype=vectors.dtype)
+    for j in range(vectors.shape[1]):
+        pivot = vectors[np.argmax(np.abs(vectors[:, j])), j]
+        if np.iscomplexobj(vectors):
             if abs(pivot) > 0:
-                out[:, j] = col * (abs(pivot) / pivot)
+                turn[j] = abs(pivot) / pivot
         elif pivot < 0:
-            out[:, j] = -col
-    return out
+            turn[j] = -1.0
+    return turn
 
 
 def _check_residuals(result, scale_of):
@@ -103,27 +115,158 @@ def _sym_result(A, B, vals, vecs, method, proj):
     vals, vecs = vals[order], vecs[:, order]
     bx = B @ vecs
     scale = np.sqrt(np.einsum("ij,ij->j", vecs, bx))
-    vecs = _sign_fix(vecs / scale)
-    r = proj(A @ vecs - (B @ vecs) * vals)
+    vecs = vecs / scale
+    turn = _orientation(vecs)
+    vecs, bx = vecs * turn, bx * (turn / scale)
+    r = proj(A @ vecs - bx * vals)
     residuals = np.linalg.norm(r, axis=0) / np.linalg.norm(vecs, axis=0)
     result = EigResult(vals, vecs, residuals, method)
     na, nb = norm1(A), norm1(B)
     return _check_residuals(result, lambda v: na + abs(v) * nb)
 
 
+class KernelProjector:
+    """Everything that depends on Psi alone, built once and shared by every
+    solve and eigensolve on ker(Psi).
+
+    Called on x, it applies the orthogonal projector onto ker(Psi) through
+    the normal equations, with a factor of Psi Psi^T.  For the KKT
+    matrices of ``ConstrainedOperator`` it holds ``ptp`` = Psi^T Psi and
+    its 1-norm, |Psi|_1 and the constraint ``border`` [[0, Psi^T],
+    [Psi, 0]], and ``factor`` keeps the minimum-degree order of the last
+    KKT pattern it factored.  ``basis``, a dense orthonormal basis of
+    ker(Psi), is computed on first use.
+    """
+
+    def __init__(self, psi):
+        self.psi = sparse.csr_matrix(psi)
+        self.lu = spla.splu((self.psi @ self.psi.T).tocsc())
+        self.ptp = (self.psi.T @ self.psi).tocsr()
+        self.ptp_norm = norm1(self.ptp)
+        self.psi_norm = norm1(self.psi)
+        self.border = sparse.bmat(
+            [[None, self.psi.T], [self.psi, None]], format="csr"
+        )
+        self._basis = None
+        self._order = self._permuted = None
+
+    def __call__(self, x):
+        return x - self.psi.T @ self.lu.solve(self.psi @ x)
+
+    @property
+    def basis(self):
+        if self._basis is None:
+            self._basis = kernel_basis(self.psi)
+        return self._basis
+
+    def factor(self, reg):
+        """LU of the quasi-definite CSR matrix ``reg`` with diagonal
+        pivots in a minimum-degree order on A + A^T.
+
+        SuperLU computes that order inside the factorization, and it
+        depends on the pattern alone.  So the pattern last factored and
+        its order are kept, and a matrix of the same pattern, which the
+        secant scan makes at every tau != 0 of a level, is factored as
+        P reg P^T in its natural order: the same fill, without the
+        ordering.  The first such matrix also fixes where each entry of
+        reg goes in P reg P^T, so later ones are permuted by one gather.
+        """
+        kept = self._order
+        if (kept is not None and np.array_equal(kept[0], reg.indptr)
+                and np.array_equal(kept[1], reg.indices)):
+            q = kept[2]
+            if self._permuted is None:
+                self._permuted = _permuted_pattern(reg.indptr, reg.indices, q)
+            gather, indptr, indices = self._permuted
+            PA = sparse.csc_matrix((reg.data[gather], indices, indptr),
+                                   shape=reg.shape)
+            return _OrderedFactor(_splu_diagonal(PA, "NATURAL"), q)
+        indptr, indices = reg.indptr, reg.indices
+        reg = reg.tocsc()
+        lu = _splu_diagonal(reg, "MMD_AT_PLUS_A")
+        # perm_c is a view that would keep the whole factor alive
+        self._order = (indptr, indices, lu.perm_c.copy())
+        self._permuted = None
+        return lu
+
+
+def _splu_diagonal(A, permc_spec):
+    return spla.splu(A, permc_spec=permc_spec, diag_pivot_thresh=0.0,
+                     options=dict(SymmetricMode=True))
+
+
+def _permuted_pattern(indptr, indices, q):
+    """Where the entries of a CSR matrix A with this pattern go in the CSC
+    matrix P A P^T, with (P x)[q] = x: returns ``gather``, with
+    (P A P^T).data = A.data[gather], and that matrix's indptr and
+    indices."""
+    n = indptr.size - 1
+    rows = q[np.repeat(np.arange(n), np.diff(indptr))]
+    cols = q[indices]
+    gather = np.lexsort((rows, cols))
+    ptr = np.zeros_like(indptr)
+    np.cumsum(np.bincount(cols, minlength=n), out=ptr[1:])
+    return gather, ptr, rows[gather]
+
+
+class _OrderedFactor:
+    """A factor ``lu`` of P A P^T, with (P x)[q] = x, that serves as a
+    factor of A: ``solve`` and ``nnz`` are A's."""
+
+    def __init__(self, lu, q):
+        self.lu, self.nnz = lu, lu.nnz
+        self.q, self.p = q, np.argsort(q)
+
+    def solve(self, b):
+        return self.lu.solve(b[self.p])[self.q]
+
+
+def _bordered(A, border):
+    """A padded with zero rows and columns to the order of ``border``,
+    plus ``border``."""
+    A = sparse.csr_matrix(A)
+    pad = np.full(border.shape[0] - A.shape[0], A.indptr[-1])
+    A = sparse.csr_matrix(
+        (A.data, A.indices, np.concatenate([A.indptr, pad])),
+        shape=border.shape,
+    )
+    return A + border
+
+
 class ConstrainedOperator:
     """Factorization of the regularized, augmented KKT matrix of K on
-    ker(Psi); solves K-systems on ker(Psi).
+    ker(Psi); solves K-systems on ker(Psi).  ``kernel`` is the
+    ``KernelProjector`` of Psi, which supplies every part of the matrix
+    that depends on Psi alone.
 
     With gamma = |K|_1 / |Psi^T Psi|_1 and Kg = K + gamma Psi^T Psi,
     ``kkt`` is [[Kg, Psi^T], [Psi, 0]], which has the solution of the
     plain KKT system, and ``lu`` factors [[Kg, Psi^T], [Psi, -delta I]]
-    with delta = 1e-8 |Psi|_1^2 / |K|_1.  Kg is positive definite on the
+    with delta = 3e-8 |Psi|_1^2 / |K|_1.  Kg is positive definite on the
     whole space, where K is so only on the kernel, and -delta I is
     negative definite, so that matrix is symmetric quasi-definite: it
     factors stably in a minimum-degree order on A + A^T with diagonal
     pivots.  delta is small enough that refinement against ``kkt``
-    removes it in a few steps.
+    removes it in a few steps.  The order is computed once per KKT
+    pattern (``KernelProjector.factor``).
+
+    The constant 3e-8 was measured.  Below it, the rounding that a
+    smaller delta lets grow in the factor dominates the first solve's
+    error; above it, the regularization itself does, and 1e-5 helps the
+    source solve but costs the secant scan.  Triangular solves of one
+    ``tep-secant`` study (example 6, levels 1-3), and the relative KKT
+    residuals of the source solve at example 1 level 4, after the first
+    solve and after each refinement step:
+
+    ========  ============  ===================================
+    constant  tri. solves   example 1 level 4 residuals
+    ========  ============  ===================================
+    1e-9      25,647        fails the 1e-10 check of the solve
+    1e-8      21,905        8.5e-4, 8.7e-7, 1.1e-9, 3.0e-11
+    3e-8      18,555        3.3e-4, 4.2e-7, 7.1e-10, 3.0e-11
+    1e-7      19,172        9.2e-5, 8.1e-9, 3.1e-11, 3.1e-11
+    1e-5      33,710        8.1e-7, 1.6e-10, 5.7e-11, 3.5e-11
+    ========  ============  ===================================
 
     With no rows (m = 0) gamma is 0, ``kkt`` is K and ``lu`` factors K
     itself, which must then be positive definite.
@@ -138,21 +281,15 @@ class ConstrainedOperator:
     ``solve_sym_constrained``, at most 1e-10.
     """
 
-    def __init__(self, K, psi):
+    def __init__(self, K, kernel):
         self.n = K.shape[0]
-        self.m = psi.shape[0]
-        nk, ptp = norm1(K), psi.T @ psi
-        gamma = nk / norm1(ptp) if self.m else 0.0
-        Kg = K + gamma * ptp
-        delta = 1e-8 * norm1(psi) ** 2 / nk
-        self.kkt = sparse.bmat([[Kg, psi.T], [psi, None]], format="csr")
-        reg = sparse.bmat(
-            [[Kg, psi.T], [psi, -delta * sparse.eye(self.m)]], format="csc"
-        )
-        self.lu = spla.splu(
-            reg, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-            options=dict(SymmetricMode=True),
-        )
+        self.m = kernel.psi.shape[0]
+        nk = norm1(K)
+        gamma = nk / kernel.ptp_norm if self.m else 0.0
+        delta = 3e-8 * kernel.psi_norm ** 2 / nk
+        self.kkt = _bordered(K + gamma * kernel.ptp, kernel.border)
+        shift = sparse.diags(np.repeat([0.0, -delta], [self.n, self.m]))
+        self.lu = kernel.factor(self.kkt + shift)
 
     def solve(self, b, refine=3):
         rhs = np.zeros(self.n + self.m)
@@ -167,27 +304,14 @@ class ConstrainedOperator:
         return z[: self.n]
 
 
-class KernelProjector:
-    """Orthogonal projector onto ker(Psi) via the normal equations."""
-
-    def __init__(self, psi):
-        self.psi = sparse.csr_matrix(psi)
-        gram = (self.psi @ self.psi.T).tocsc()
-        self.lu = spla.splu(gram)
-
-    def __call__(self, x):
-        return x - self.psi.T @ self.lu.solve(self.psi @ x)
-
-
 def solve_sym_constrained(K, psi, b, tol=1e-10):
     """Minimize 1/2 x'Kx - b'x over ker(Psi); returns the primal part.
 
     Raises when the projected residual P (b - K x) exceeds ``tol`` times
     P b, with P the projector onto ker(Psi).
     """
-    op = ConstrainedOperator(K, psi)
-    x = op.solve(b)
     proj = KernelProjector(psi)
+    x = ConstrainedOperator(K, proj).solve(b)
     r = proj(b - K @ x)
     bnorm = np.linalg.norm(proj(b))
     if bnorm > 0 and np.linalg.norm(r) > tol * bnorm:
@@ -213,10 +337,11 @@ def kernel_basis(psi):
     return dla.null_space(psi.toarray() if sparse.issparse(psi) else psi)
 
 
-def _eig_constrained_dense(KA, KB, psi, k):
-    """Dense null-space reduction of the constrained pencil; k is clamped
-    to the kernel dimension."""
-    Z = kernel_basis(psi)
+def _eig_constrained_dense(KA, KB, kernel, k):
+    """Dense reduction of the constrained pencil onto the kernel basis of
+    ``kernel``, a ``KernelProjector``; k is clamped to the kernel
+    dimension."""
+    Z = kernel.basis
     if Z.shape[1] == 0:
         raise RuntimeError("constraint matrix has a trivial kernel")
     k = min(k, Z.shape[1])
@@ -256,10 +381,10 @@ def eig_sym_constrained(KA, KB, psi, k, v0=None, proj=None):
     prefix = "kkt-" if psi.shape[0] else ""
     ncv = min(n, max(2 * k + 1, 20))
     if ncv >= kernel_dim:
-        vals, vecs = _eig_constrained_dense(KA, KB, psi, k)
+        vals, vecs = _eig_constrained_dense(KA, KB, proj, k)
         method = prefix + "dense"
     else:
-        op = ConstrainedOperator(KA, psi)
+        op = ConstrainedOperator(KA, proj)
         opinv = spla.LinearOperator((n, n), matvec=op.solve, dtype=float)
         nv0 = 0.0 if v0 is None else np.linalg.norm(v0)
         if nv0 == 0:
@@ -274,7 +399,7 @@ def eig_sym_constrained(KA, KB, psi, k, v0=None, proj=None):
             )
             method = prefix + "arpack"
         except spla.ArpackError:
-            vals, vecs = _eig_constrained_dense(KA, KB, psi, k)
+            vals, vecs = _eig_constrained_dense(KA, KB, proj, k)
             method = prefix + "dense"
     return _sym_result(KA, KB, vals, vecs, method, proj)
 
@@ -397,7 +522,8 @@ def eig_quadratic(K, C, M, k=None):
         vals, x = vals[:k], x[:, :k]
     norms = np.linalg.norm(x, axis=0)
     norms[norms == 0] = 1.0
-    x = _sign_fix(x / norms)
+    x = x / norms
+    x = x * _orientation(x)
     residuals = np.empty(vals.size)
     for j, tau in enumerate(vals):
         r = Kd @ x[:, j] + tau * (Cd @ x[:, j]) + tau**2 * (Md @ x[:, j])

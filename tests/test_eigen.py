@@ -154,7 +154,7 @@ class TestConstrained:
     def test_solve_skips_refinement_when_backward_stable(self):
         rng = np.random.default_rng(3)
         K, psi = random_kkt_parts(rng)
-        op = ConstrainedOperator(K, psi)
+        op = ConstrainedOperator(K, KernelProjector(psi))
         op.lu = factor = CountingFactor(op.lu)
         kkt = sparse.bmat([[K, psi.T], [psi, None]]).toarray()
         refine = 3
@@ -182,7 +182,7 @@ class TestConstrained:
         # that is not backward stable
         rng = np.random.default_rng(5)
         K, psi = random_kkt_parts(rng)
-        op = ConstrainedOperator(K, psi)
+        op = ConstrainedOperator(K, KernelProjector(psi))
         shift = 1e-10 * norm1(op.kkt) * sparse.eye(op.kkt.shape[0])
         op.lu = factor = CountingFactor(
             spla.splu((op.kkt + shift).tocsc(), permc_spec="NATURAL"))
@@ -211,7 +211,7 @@ class TestConstrained:
     def test_kkt_solve_stays_in_kernel(self, small_system):
         _, A, _, lift, psi, _, f = small_system
         K = (lift.T @ A @ lift).tocsr()
-        op = ConstrainedOperator(K, psi)
+        op = ConstrainedOperator(K, KernelProjector(psi))
         x = op.solve(lift.T @ f)
         assert np.linalg.norm(psi @ x) <= 1e-10 * np.linalg.norm(x)
 
@@ -222,13 +222,13 @@ class TestConstrained:
         kkt = sparse.bmat([[K, psi.T], [psi, None]]).toarray()
         rhs = np.concatenate([b, np.zeros(psi.shape[0])])
         ref = np.linalg.solve(kkt, rhs)[: K.shape[0]]
-        x = ConstrainedOperator(K, psi).solve(b)
+        x = ConstrainedOperator(K, KernelProjector(psi)).solve(b)
         assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
 
     def test_kkt_ordering_fills_less_than_colamd(self):
         real = B3Realization(generate_domain("unit-square", 3))
         K = real.reduced(fourth_order_block(real, 1.0, LAM, MU))
-        op = ConstrainedOperator(K, real.psi)
+        op = ConstrainedOperator(K, KernelProjector(real.psi))
         kkt = sparse.bmat([[K, real.psi.T], [real.psi, None]], format="csc")
         assert op.kkt.shape == (6910, 6910)
         assert op.lu.nnz < spla.splu(kkt).nnz
@@ -239,7 +239,7 @@ class TestConstrained:
         blocks = TepBlocks(make_realization(mesh, "b3"), ex.lam, ex.mu,
                            ex.rho0, ex.rho1)
         K, psi = blocks.a_tau(2.0), blocks.real.psi
-        op = ConstrainedOperator(K, psi)
+        op = ConstrainedOperator(K, KernelProjector(psi))
         kkt = sparse.bmat([[K, psi.T], [psi, None]], format="csr")
         perm = reverse_cuthill_mckee(kkt, symmetric_mode=True)
         rcm = spla.splu(kkt[perm][:, perm].tocsc(), permc_spec="NATURAL")
@@ -295,6 +295,114 @@ class TestConstrained:
         monkeypatch.setattr(eigen, "DENSE_SYM_CAP", 10)
         with pytest.raises(RuntimeError, match="dense cap"):
             eig_sym_constrained(KA, KB, psi, 6)
+
+
+class TestNorm1:
+    def test_matches_dense_oracle_with_duplicates(self):
+        rng = np.random.default_rng(7)
+        rows = np.sort(rng.integers(0, 6, 40))
+        cols = rng.integers(0, 5, 40)
+        vals = rng.standard_normal(40)
+        coo = sparse.coo_matrix((vals, (rows, cols)), shape=(6, 5))
+        dense = coo.toarray()  # duplicates summed
+        oracle = np.abs(dense).sum(axis=0).max()
+        indptr = np.searchsorted(rows, np.arange(7))
+        dup = sparse.csr_matrix((vals, cols, indptr), shape=(6, 5))
+        assert not dup.has_canonical_format
+        for A in (coo, dup, coo.tocsc(), dense):
+            assert norm1(A) == pytest.approx(oracle, rel=1e-14)
+        assert dup.nnz == 40  # the argument is not canonicalized
+
+    def test_empty_matrices_and_no_rows(self):
+        for shape in ((0, 0), (3, 4), (0, 5), (5, 0)):
+            assert norm1(sparse.csr_matrix(shape)) == 0.0
+            assert norm1(np.zeros(shape)) == 0.0
+        kernel = KernelProjector(no_rows(5))
+        assert kernel.psi_norm == 0.0 and kernel.ptp_norm == 0.0
+
+
+def ex6_level(level):
+    """The transmission blocks of example 6 at this benchmark level."""
+    ex = EXAMPLES[6]
+    mesh = generate_domain(ex.domain, level - 1 + ex.mesh_offset)
+    return TepBlocks(make_realization(mesh, "b3"), ex.lam, ex.mu, ex.rho0,
+                     ex.rho1)
+
+
+def record_orderings(monkeypatch):
+    """Record the ordering of every KKT factorization: MMD_AT_PLUS_A for
+    a pattern ordered afresh, NATURAL for one factored in a kept order."""
+    specs = []
+    splu = eigen._splu_diagonal
+
+    def recording(A, permc_spec):
+        specs.append(permc_spec)
+        return splu(A, permc_spec)
+
+    monkeypatch.setattr(eigen, "_splu_diagonal", recording)
+    return specs
+
+
+class TestKktOrder:
+    def test_scan_orders_each_pattern_once(self, monkeypatch):
+        blocks = ex6_level(2)
+        specs = record_orderings(monkeypatch)
+        for tau in (0.5, 1.0, 1.5, 2.0, 2.5):
+            blocks.lambda_of_tau(tau, 6)
+        assert blocks.eig_methods == {"kkt-arpack": 5}
+        assert specs == ["MMD_AT_PLUS_A"] + 4 * ["NATURAL"]
+        blocks.lambda_of_tau(0.0, 6)  # a_tau(0) = KD has its own pattern
+        blocks.lambda_of_tau(3.0, 6)  # only the last pattern is kept
+        assert specs[5:] == 2 * ["MMD_AT_PLUS_A"]
+
+    @pytest.mark.parametrize("level", [2, 3])
+    def test_kept_order_gives_the_fresh_fill_and_solves(self, level):
+        blocks = ex6_level(level)
+        kernel = KernelProjector(blocks.real.psi)
+        ConstrainedOperator(blocks.a_tau(2.0), kernel)
+        op = ConstrainedOperator(blocks.a_tau(3.0), kernel)
+        fresh = ConstrainedOperator(blocks.a_tau(3.0),
+                                    KernelProjector(blocks.real.psi))
+        assert isinstance(op.lu, eigen._OrderedFactor)
+        assert isinstance(fresh.lu, spla.SuperLU)
+        assert op.lu.nnz == fresh.lu.nnz == {2: 16506, 3: 123586}[level]
+        rng = np.random.default_rng(level)
+        for _ in range(3):
+            b = rng.standard_normal(op.n)
+            x, ref = op.solve(b), fresh.solve(b)
+            assert np.linalg.norm(x - ref) <= 1e-13 * np.linalg.norm(ref)
+
+    def test_zero_tau_after_nonzero_is_ordered_afresh(self, monkeypatch):
+        blocks = ex6_level(2)
+        kernel = KernelProjector(blocks.real.psi)
+        ConstrainedOperator(blocks.a_tau(2.0), kernel)
+        specs = record_orderings(monkeypatch)
+        op = ConstrainedOperator(blocks.a_tau(0.0), kernel)
+        assert specs == ["MMD_AT_PLUS_A"]
+        op.lu = factor = CountingFactor(op.lu)
+        b = np.random.default_rng(4).standard_normal(op.n)
+        x = op.solve(b)
+        rhs, z = factor.inputs[0], factor.outputs[0]
+        for step in factor.outputs[1:]:
+            z = z + step
+        r = rhs - op.kkt @ z
+        assert np.linalg.norm(r) <= eigen.REFINE_TOL * np.linalg.norm(rhs)
+        assert np.array_equal(x, z[: op.n])
+
+    def test_dense_path_reduces_on_one_kernel_basis(self, monkeypatch):
+        blocks = ex6_level(1)
+        bases = []
+        basis = eigen.kernel_basis
+
+        def counting(psi):
+            bases.append(psi.shape)
+            return basis(psi)
+
+        monkeypatch.setattr(eigen, "kernel_basis", counting)
+        for tau in (0.0, 1.0, 2.0):
+            blocks.lambda_of_tau(tau, 12)
+        assert blocks.eig_methods == {"kkt-dense": 3}
+        assert len(bases) == 1
 
 
 class TestEigQuadratic:

@@ -184,9 +184,9 @@ class TestSpectralFunction:
         factors = []
         init = eigen.ConstrainedOperator.__init__
 
-        def counting_init(self, K, psi):
+        def counting_init(self, K, kernel):
             factors.append(K.shape)
-            init(self, K, psi)
+            init(self, K, kernel)
 
         monkeypatch.setattr(eigen.ConstrainedOperator, "__init__",
                             counting_init)
