@@ -12,7 +12,6 @@ from .mesh import DOMAINS, TriMesh, dump_mesh, generate_domain, refine_uniform
 from .spaces import (
     BrokenSpace,
     EntityReduction,
-    build_b3_constraints,
     build_morley,
     reduce_entities,
 )
@@ -52,7 +51,6 @@ __all__ = [
     "refine_uniform",
     "BrokenSpace",
     "EntityReduction",
-    "build_b3_constraints",
     "build_morley",
     "reduce_entities",
     "Coefficient",

@@ -96,11 +96,6 @@ def _graddiv_fields(tab):
     return (hxx, hxy), (hxy, hyy)
 
 
-def _curlrot_fields(tab):
-    hxx, hxy, hyy = tab["hxx"], tab["hxy"], tab["hyy"]
-    return (-hyy, hxy), (hxy, -hxx)
-
-
 _UPPER = ((0, 0), (0, 1), (1, 1))
 _ALL = ((0, 0), (0, 1), (1, 0), (1, 1))
 
@@ -147,14 +142,6 @@ def mass_matrix(space, coeff=None, degree=None, positive=False):
                  degree, positive)
 
 
-def laplace_matrix(space, coeff=None, degree=None):
-    """(c Lap u, Lap v) componentwise."""
-    def terms(tab):
-        lap = tab["hxx"] + tab["hyy"]
-        return {(0, 0): [(1, lap, lap)]}
-    return _form(space, coeff, 2 * (space.degree - 2), terms, degree)
-
-
 def hessian_matrix(space, coeff=None, degree=None):
     """(c D2 u, D2 v) with the mixed derivative counted twice."""
     def terms(tab):
@@ -180,14 +167,6 @@ def graddiv_matrix(space, coeff=None, degree=None):
     return _form(space, coeff, 2 * (space.degree - 2), terms, degree)
 
 
-def curlrot_matrix(space, coeff=None, degree=None):
-    """(c curl rot u, curl rot v)."""
-    def terms(tab):
-        cr = _curlrot_fields(tab)
-        return _dot_terms(cr, cr, _UPPER)
-    return _form(space, coeff, 2 * (space.degree - 2), terms, degree)
-
-
 def elastic_matrix(space, lam, mu, coeff=None, degree=None):
     """(c sigma(u), grad v) = int c [2 mu eps(u):eps(v) + lam div u div v]."""
     def terms(tab):
@@ -207,13 +186,6 @@ def mixed_divsigma_matrix(space, coeff, lam, mu, degree=None,
         d = _divsigma_fields(tab, lam, mu)
         return {(a, b): [(1, d[a][b], tab["v"])] for a, b in _ALL}
     return _form(space, coeff, 2 * space.degree - 2, terms, degree, positive)
-
-
-def mixed_graddiv_curlrot_matrix(space, coeff=None, degree=None):
-    """M[i, j] = (c grad div phi_j, curl rot phi_i)."""
-    def terms(tab):
-        return _dot_terms(_curlrot_fields(tab), _graddiv_fields(tab), _ALL)
-    return _form(space, coeff, 2 * (space.degree - 2), terms, degree)
 
 
 def load_vector(space, f1, f2, degree=10):

@@ -15,16 +15,18 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from .coefficients import Coefficient
-from .harness import ExampleDef, run_example, self_test
+from .harness import ExampleDef, check_levels, run_example, self_test
 from .mesh import DOMAINS, LEVEL_CAP, dump_mesh, generate_domain
 
 
-def parse_levels(text):
-    """Levels given as a range "1-3" or a comma list "1,2,4"."""
+def parse_levels(text, big=False):
+    """Levels given as a range "1-3" or a comma list "1,2,4".  A range's
+    ends are checked against the level cap before it is expanded."""
     text = str(text).strip()
     if "-" in text:
-        lo, hi = text.split("-", 1)
-        return tuple(range(int(lo), int(hi) + 1))
+        lo, hi = (int(end) for end in text.split("-", 1))
+        check_levels((lo, hi), big)
+        return tuple(range(lo, hi + 1))
     return tuple(int(part) for part in text.split(","))
 
 
@@ -164,7 +166,7 @@ def _levels(ns):
     if ns.get("level") is not None:
         return (int(ns["level"]),)
     if ns.get("levels") is not None:
-        return parse_levels(ns["levels"])
+        return parse_levels(ns["levels"], bool(ns.get("big")))
     return None
 
 

@@ -13,20 +13,17 @@ the unregularized system removes the regularization.  A Psi with no
 rows is the unconstrained case: the kernel is the whole space, the
 projector onto it is the identity, and the factor is that of K alone.
 
-A KKT solve refines, up to a few steps, only while its relative residual
-stays above ``REFINE_TOL``.
+A KKT solve refines, up to ``REFINE_STEPS`` steps, only while its
+relative residual stays above ``REFINE_TOL``.
 
-The eigensolver accepts a start vector in ker(Psi), so a sweep over a
+The solve and the eigensolver take Psi as a ``KernelProjector``, which
+holds everything that depends on Psi alone; their callers build it, so
+one whose Psi is fixed builds it once for all its solves.  The
+eigensolver accepts a start vector in ker(Psi), so a sweep over a
 parameter can start each Lanczos run from the eigenvectors of the
-previous one, and a prebuilt ``KernelProjector``, which holds everything
-that depends on Psi alone: a caller whose Psi is fixed factors Psi Psi^T
-once for all its residual checks, builds Psi^T Psi and the KKT border
-once, computes one dense kernel basis, and keeps the minimum-degree
-order of the last KKT pattern factored, which the KKT matrices of a
-sweep share.  When
-ARPACK's Lanczos basis would be at least as large as the kernel, it
-reduces the pencil densely onto a kernel basis instead, which is exact
-and cheaper there; ``DENSE_SYM_CAP`` bounds that basis.
+previous one.  When ARPACK's Lanczos basis would be at least as large as
+the kernel, it reduces the pencil densely onto a kernel basis instead,
+which is exact and cheaper there; ``DENSE_SYM_CAP`` bounds that basis.
 
 The quadratic solver works on dense copies of its blocks, made only
 once the companion order has passed its cap.  For the few eigenvalues of
@@ -52,6 +49,7 @@ EIG_TOL = 1e-10
 EIG_MAXITER = 500
 RESIDUAL_FACTOR = 1e-8
 REFINE_TOL = 1e-13
+REFINE_STEPS = 3
 
 
 @dataclass
@@ -107,10 +105,10 @@ def _check_residuals(result, scale_of):
     return result
 
 
-def _sym_result(A, B, vals, vecs, method, proj):
+def _sym_result(A, B, vals, vecs, method, kernel):
     """Sort the eigenpairs ascending, B-normalize (a dense solve already
     is, up to roundoff) and orient them, and check their residuals,
-    projected by ``proj``."""
+    projected by ``kernel``."""
     order = np.argsort(vals)
     vals, vecs = vals[order], vecs[:, order]
     bx = B @ vecs
@@ -118,7 +116,7 @@ def _sym_result(A, B, vals, vecs, method, proj):
     vecs = vecs / scale
     turn = _orientation(vecs)
     vecs, bx = vecs * turn, bx * (turn / scale)
-    r = proj(A @ vecs - bx * vals)
+    r = kernel(A @ vecs - bx * vals)
     residuals = np.linalg.norm(r, axis=0) / np.linalg.norm(vecs, axis=0)
     result = EigResult(vals, vecs, residuals, method)
     na, nb = norm1(A), norm1(B)
@@ -271,11 +269,11 @@ class ConstrainedOperator:
     With no rows (m = 0) gamma is 0, ``kkt`` is K and ``lu`` factors K
     itself, which must then be positive definite.
 
-    ``solve`` takes up to ``refine`` steps of iterative refinement, each
-    only while the KKT residual exceeds ``REFINE_TOL`` times the right-hand
-    side.  A solve under that bound already has a backward error below
-    1e-13, and a further step would only lower it (Higham 1997), so it is
-    skipped.  The bound sits three orders below both users of the solve:
+    ``solve`` takes up to ``REFINE_STEPS`` steps of iterative refinement,
+    each only while the KKT residual exceeds ``REFINE_TOL`` times the
+    right-hand side.  A solve under that bound already has a backward error
+    below 1e-13, and a further step would only lower it (Higham 1997), so
+    it is skipped.  The bound sits three orders below both users of the solve:
     ARPACK's relative tolerance ``EIG_TOL`` = 1e-10, which an operator
     applied to 1e-13 does not limit, and the residual check of
     ``solve_sym_constrained``, at most 1e-10.
@@ -291,12 +289,12 @@ class ConstrainedOperator:
         shift = sparse.diags(np.repeat([0.0, -delta], [self.n, self.m]))
         self.lu = kernel.factor(self.kkt + shift)
 
-    def solve(self, b, refine=3):
+    def solve(self, b):
         rhs = np.zeros(self.n + self.m)
         rhs[: self.n] = b
         z = self.lu.solve(rhs)
         bound = REFINE_TOL * np.linalg.norm(rhs)
-        for _ in range(refine):
+        for _ in range(REFINE_STEPS):
             r = rhs - self.kkt @ z
             if np.linalg.norm(r) <= bound:
                 break
@@ -304,16 +302,13 @@ class ConstrainedOperator:
         return z[: self.n]
 
 
-def solve_sym_constrained(K, psi, b, tol=1e-10):
-    """Minimize 1/2 x'Kx - b'x over ker(Psi); returns the primal part.
-
-    Raises when the projected residual P (b - K x) exceeds ``tol`` times
-    P b, with P the projector onto ker(Psi).
-    """
-    proj = KernelProjector(psi)
-    x = ConstrainedOperator(K, proj).solve(b)
-    r = proj(b - K @ x)
-    bnorm = np.linalg.norm(proj(b))
+def solve_sym_constrained(K, kernel, b, tol=1e-10):
+    """Minimize 1/2 x'Kx - b'x over ker(Psi), with ``kernel`` the
+    ``KernelProjector`` P of Psi; returns the primal part.  Raises when
+    the projected residual P (b - K x) exceeds ``tol`` times P b."""
+    x = ConstrainedOperator(K, kernel).solve(b)
+    r = kernel(b - K @ x)
+    bnorm = np.linalg.norm(kernel(b))
     if bnorm > 0 and np.linalg.norm(r) > tol * bnorm:
         raise RuntimeError(
             "constrained solve residual "
@@ -351,8 +346,9 @@ def _eig_constrained_dense(KA, KB, kernel, k):
     return vals, Z @ y
 
 
-def eig_sym_constrained(KA, KB, psi, k, v0=None, proj=None):
-    """k smallest eigenpairs of KA x = lambda KB x restricted to ker(Psi).
+def eig_sym_constrained(KA, KB, kernel, k, v0=None):
+    """k smallest eigenpairs of KA x = lambda KB x restricted to ker(Psi),
+    with ``kernel`` the ``KernelProjector`` of Psi.
 
     Shift-invert about zero through the KKT factorization; KA must be
     positive definite on the kernel.  ARPACK keeps ncv = min(n, max(2k + 1,
@@ -370,21 +366,17 @@ def eig_sym_constrained(KA, KB, psi, k, v0=None, proj=None):
     the sum of the eigenvectors of a nearby pencil, so a sweep converges
     in fewer KKT solves.  Without it, or when it is zero, the run starts
     from the KKT solve of KB times the ones vector.  Residuals are
-    measured after projecting out the constraint range with ``proj``, a
-    prebuilt ``KernelProjector`` of psi that a caller with a fixed psi
-    shares across calls; one is built when it is not given.
+    measured after projecting out the constraint range with ``kernel``.
     """
     n = KA.shape[0]
-    if proj is None:
-        proj = KernelProjector(psi)
-    kernel_dim = n - psi.shape[0]
-    prefix = "kkt-" if psi.shape[0] else ""
+    m = kernel.psi.shape[0]
+    prefix = "kkt-" if m else ""
     ncv = min(n, max(2 * k + 1, 20))
-    if ncv >= kernel_dim:
-        vals, vecs = _eig_constrained_dense(KA, KB, proj, k)
+    if ncv >= n - m:
+        vals, vecs = _eig_constrained_dense(KA, KB, kernel, k)
         method = prefix + "dense"
     else:
-        op = ConstrainedOperator(KA, proj)
+        op = ConstrainedOperator(KA, kernel)
         opinv = spla.LinearOperator((n, n), matvec=op.solve, dtype=float)
         nv0 = 0.0 if v0 is None else np.linalg.norm(v0)
         if nv0 == 0:
@@ -399,9 +391,9 @@ def eig_sym_constrained(KA, KB, psi, k, v0=None, proj=None):
             )
             method = prefix + "arpack"
         except spla.ArpackError:
-            vals, vecs = _eig_constrained_dense(KA, KB, proj, k)
+            vals, vecs = _eig_constrained_dense(KA, KB, kernel, k)
             method = prefix + "dense"
-    return _sym_result(KA, KB, vals, vecs, method, proj)
+    return _sym_result(KA, KB, vals, vecs, method, kernel)
 
 
 def check_companion_size(n):
@@ -499,8 +491,9 @@ def eig_quadratic(K, C, M, k=None):
     to 2n for ARPACK, and as the fallback when K is singular or ARPACK
     fails.
 
-    Returns eigenvalues sorted by modulus, the positive-imaginary member
-    of each conjugate pair first; infinite eigenvalues are dropped.
+    Returns eigenvalues sorted by modulus, the negative-imaginary member
+    of each conjugate pair first, the order reports print; infinite
+    eigenvalues are dropped.
     """
     n = K.shape[0]
     check_companion_size(n)
@@ -516,7 +509,7 @@ def eig_quadratic(K, C, M, k=None):
             pass
     if method == "companion":
         vals, x = _companion_qz(Kd, Cd, Md)
-    order = np.lexsort((-vals.imag, np.abs(vals)))
+    order = np.lexsort((vals.imag, np.abs(vals)))
     vals, x = vals[order], x[:, order]
     if k is not None:
         vals, x = vals[:k], x[:, :k]

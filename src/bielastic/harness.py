@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .assembly import error_norms
 from .coefficients import Coefficient
-from .eigen import EIG_TOL, eig_sym_constrained
+from .eigen import EIG_TOL, KernelProjector, eig_sym_constrained
 from .mesh import DOMAIN_AREAS, generate_domain
 from .solvers import (
     CERT_TOL,
@@ -599,17 +599,6 @@ def _bielastic_solver(ex, meta, alpha, k, method, tau_range):
     return solve
 
 
-def _canonical_complex(values, residuals):
-    """Deterministic ordering: ascending modulus (rounded), then ascending
-    imaginary part, so each conjugate pair lists its negative member
-    first."""
-    values = np.asarray(values)
-    residuals = np.asarray(residuals)
-    key = np.lexsort((values.imag, np.round(values.real, 9),
-                      np.round(np.abs(values), 9)))
-    return values[key], residuals[key]
-
-
 def _tep_solver(ex, meta, alpha, k, method, tau_range):
     """Secant root tracking (real values) or companion linearization
     (complex values allowed)."""
@@ -635,11 +624,10 @@ def _tep_solver(ex, meta, alpha, k, method, tau_range):
                     for j, root in enumerate(roots, start=1)]
         res = find_teps_quadratic(blocks, k)
         meta["eig_method"].append(res.method)
-        values, residuals = _canonical_complex(res.values, res.residuals)
         return [{"branch": j, "value_re": value.real,
                  "value_im": value.imag, "order": None,
-                 "residual": float(residuals[j - 1])}
-                for j, value in enumerate(map(complex, values), start=1)]
+                 "residual": float(res.residuals[j - 1])}
+                for j, value in enumerate(map(complex, res.values), start=1)]
 
     return solve
 
@@ -798,7 +786,7 @@ def self_test(stream=None):
     from scipy.sparse import csr_matrix
     want = dense_eigh(a, b, subset_by_index=[0, 4])[0]
     got = eig_sym_constrained(csr_matrix(a), csr_matrix(b),
-                              csr_matrix((0, n)), 5)
+                              KernelProjector(csr_matrix((0, n))), 5)
     err = float(np.max(np.abs(got.values - want) / np.abs(want)))
     _check(checks, "sparse eigensolver vs dense oracle",
            got.method == "arpack" and err <= 1e-9,

@@ -12,7 +12,6 @@ checkable against the closed-form barycentric moment
     integral over T of l1^a l2^b l3^c dx = 2|T| a! b! c! / (a+b+c+2)!
 """
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -142,32 +141,3 @@ def edge_gauss(npoints):
     """Gauss rule on [0, 1]; exact for degree 2*npoints - 1."""
     t, w = leggauss(npoints)
     return 0.5 * (t + 1.0), 0.5 * w
-
-
-def barycentric_moment(a, b, c):
-    """Integral of l1^a l2^b l3^c over the reference triangle (area 1/2)."""
-    return (
-        math.factorial(a) * math.factorial(b) * math.factorial(c)
-        / math.factorial(a + b + c + 2)
-    )
-
-
-def divsigma_eval(hess1, hess2, lam, mu):
-    """Divergence of the stress tensor from component Hessians.
-
-    For u = (u1, u2) with Hessian triplets ``hess{1,2} = (hxx, hxy, hyy)``:
-
-        div sigma(u) = mu * lap(u) + (lam + mu) * grad(div u)
-
-    which componentwise is
-
-        (1): (lam + 2 mu) u1_xx + mu u1_yy + (lam + mu) u2_xy
-        (2): (lam + mu) u1_xy + mu u2_xx + (lam + 2 mu) u2_yy
-
-    Arguments broadcast; returns a pair of arrays.
-    """
-    h1xx, h1xy, h1yy = hess1
-    h2xx, h2xy, h2yy = hess2
-    d1 = (lam + 2 * mu) * h1xx + mu * h1yy + (lam + mu) * h2xy
-    d2 = (lam + mu) * h1xy + mu * h2xx + (lam + 2 * mu) * h2yy
-    return d1, d2

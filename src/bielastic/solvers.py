@@ -58,16 +58,15 @@ CROSSING_TOL = 1e-8
 class Realization:
     """A space reached from its variables through ``lift``, constrained
     by the compatibility rows ``psi``; every solve and eigensolve runs on
-    ker(psi).  ``solve_tol`` bounds the relative projected residual of a
-    source solve."""
+    ker(psi).  A subclass names its ``element`` and ``solve_tol``, the
+    bound on the relative projected residual of a source solve."""
 
-    def __init__(self, mesh, space, lift, psi, solve_tol):
+    def __init__(self, mesh, space, lift, psi):
         self.mesh = mesh
         self.space = space
         self.lift = lift
         self.psi = psi
-        self.solve_tol = solve_tol
-        self._projector = None
+        self._kernel = None
 
     @property
     def dofs(self):
@@ -77,23 +76,23 @@ class Realization:
         return (self.lift.T @ A @ self.lift).tocsr()
 
     @property
-    def projector(self):
-        """Orthogonal projector onto ker(psi), factored on first use and
-        shared by every eigensolve of this realization."""
-        if self._projector is None:
-            self._projector = KernelProjector(self.psi)
-        return self._projector
+    def kernel(self):
+        """The ``KernelProjector`` of psi, built on first use and shared
+        by every eigensolve of this realization."""
+        if self._kernel is None:
+            self._kernel = KernelProjector(self.psi)
+        return self._kernel
 
     def solve(self, A, f):
-        g = solve_sym_constrained(
-            self.reduced(A), self.psi, self.lift.T @ f, self.solve_tol
-        )
+        # a projector of its own, dropped after the solve: the shared one
+        # would hold its parts for the rest of the level, and its kept KKT
+        # order would make a second solve differ in the last bits
+        g = solve_sym_constrained(self.reduced(A), KernelProjector(self.psi),
+                                  self.lift.T @ f, self.solve_tol)
         return self.lift @ g
 
     def eig(self, KA, KB, k, v0=None):
-        return eig_sym_constrained(
-            KA, KB, self.psi, k, v0=v0, proj=self.projector
-        )
+        return eig_sym_constrained(KA, KB, self.kernel, k, v0=v0)
 
     def eig_quadratic(self, K, C, M, k=None):
         return eig_quadratic(K, C, M, k)
@@ -104,20 +103,21 @@ class B3Realization(Realization):
     compatibility rows."""
 
     element = "b3"
+    solve_tol = 1e-10
 
     def __init__(self, mesh):
         space = BrokenSpace(mesh, 3)
         self.reduction = reduce_entities(mesh)
         super().__init__(mesh, space, vector_transform(self.reduction.lift),
-                         vector_transform(self.reduction.psi), 1e-10)
-        self._kernel = None
+                         vector_transform(self.reduction.psi))
+        self._basis = None
 
     def explicit_basis(self):
         """Kernel basis of the compatibility rows in entity variables,
         block-diagonal over the two components."""
-        if self._kernel is None:
-            self._kernel = vector_transform(kernel_basis(self.reduction.psi))
-        return self._kernel
+        if self._basis is None:
+            self._basis = vector_transform(kernel_basis(self.reduction.psi))
+        return self._basis
 
     def eig_quadratic(self, K, C, M, k=None):
         check_companion_size(self.dofs)  # before the dense kernel basis
@@ -141,11 +141,12 @@ class MorleyRealization(Realization):
     compatibility rows."""
 
     element = "morley"
+    solve_tol = 1e-12
 
     def __init__(self, mesh):
         lift = vector_transform(build_morley(mesh))
         super().__init__(mesh, BrokenSpace(mesh, 2), lift,
-                         sparse.csr_matrix((0, lift.shape[1])), 1e-12)
+                         sparse.csr_matrix((0, lift.shape[1])))
 
 
 def make_realization(mesh, element):

@@ -11,8 +11,6 @@ Three layers live here:
   analogues vanish.  The broken constraints are reduced exactly to shared
   entity variables (vertex values plus three per-edge trace functionals)
   subject to two compatibility rows per triangle (``reduce_entities``).
-  ``build_b3_constraints`` writes the same conditions as explicit rows over
-  broken-P3 coefficients; it is the independent check of the reduction.
 
 * The Morley element (``build_morley``): the quadratic element with vertex
   values and edge mean normal derivatives, built from per-triangle
@@ -120,28 +118,6 @@ class _Tables(dict):
         return value
 
 
-class ConstraintSystem:
-    """Sparse linear constraints whose null space is the conforming space.
-
-    With ``homogeneous=True`` the boundary rows (vertex values, edge value
-    means, edge normal moments) are included, so the null space carries the
-    zero boundary conditions.  With ``homogeneous=False`` only the interior
-    continuity rows are kept; the null space is then the full nonconforming
-    space without boundary conditions, whose dimension is the quantity
-    reported as the degree-of-freedom count of the method.
-    """
-
-    def __init__(self, mesh, matrix, kinds, homogeneous=True):
-        self.mesh = mesh
-        self.matrix = matrix
-        self.kinds = kinds
-        self.homogeneous = homogeneous
-
-    @property
-    def nrows(self):
-        return self.matrix.shape[0]
-
-
 def _edge_functional_tables(mesh, ngauss=3):
     """Per-triangle edge-functional rows of the local P3 basis.
 
@@ -155,7 +131,6 @@ def _edge_functional_tables(mesh, ngauss=3):
 
     Shapes: (nt, 3, 10) each.
     """
-    shapes = p3_shapes()
     s, w = edge_gauss(ngauss)
     refv = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     # reference Gauss points for each (local edge, direction) pair
@@ -164,31 +139,25 @@ def _edge_functional_tables(mesh, ngauss=3):
         a, b = refv[(k + 1) % 3], refv[(k + 2) % 3]
         ref_pts[k, 0] = a[None, :] + s[:, None] * (b - a)[None, :]
         ref_pts[k, 1] = b[None, :] + s[:, None] * (a - b)[None, :]
-    flat = ref_pts.reshape(-1, 2)
-    tab = shapes.tabulate(flat)
-    val = tab["v"].reshape(3, 2, ngauss, 10)
-    gx = tab["gx"].reshape(3, 2, ngauss, 10)
-    gy = tab["gy"].reshape(3, 2, ngauss, 10)
-
     nt = mesh.nt
+    tab = BrokenSpace(mesh, 3).tabulate(ref_pts.reshape(-1, 2))
+    val, gx, gy = (tab[key].reshape(nt, 3, 2, ngauss, 10)
+                   for key in ("v", "gx", "gy"))
     tri = mesh.triangles
     lengths = mesh.edge_lengths()
     normals = mesh.edge_normals()
     mean = np.empty((nt, 3, 10))
     mom0 = np.empty((nt, 3, 10))
     mom1 = np.empty((nt, 3, 10))
-    Binv = BrokenSpace(mesh, 3).Binv  # light: geometry only
     shat = s - 0.5
     for k in range(3):
         e = mesh.tri_edges[:, k]
         # direction 0 if the global edge start is local vertex k+1
         fwd = (mesh.edges[e, 0] == tri[:, (k + 1) % 3]).astype(int)
-        v = val[k, :, :, :][1 - fwd]           # (nt, ngauss, 10)
-        gxk = gx[k, :, :, :][1 - fwd]
-        gyk = gy[k, :, :, :][1 - fwd]
-        gpx = Binv[:, 0, 0, None, None] * gxk + Binv[:, 1, 0, None, None] * gyk
-        gpy = Binv[:, 0, 1, None, None] * gxk + Binv[:, 1, 1, None, None] * gyk
-        dn = gpx * normals[e, 0, None, None] + gpy * normals[e, 1, None, None]
+        at = np.arange(nt), k, 1 - fwd
+        v = val[at]                            # (nt, ngauss, 10)
+        dn = (gx[at] * normals[e, 0, None, None]
+              + gy[at] * normals[e, 1, None, None])
         le = lengths[e][:, None]
         mean[:, k, :] = np.einsum("q,tql->tl", w, v)
         mom0[:, k, :] = np.sqrt(le) * np.einsum("q,tql->tl", w, dn)
@@ -211,80 +180,6 @@ def _phi_matrices(mesh):
         phi[:, 3 + 3 * k + 1, :] = mom0[:, k, :]
         phi[:, 3 + 3 * k + 2, :] = mom1[:, k, :]
     return phi
-
-
-def build_b3_constraints(mesh, homogeneous=True):
-    """Explicit constraint rows over broken-P3 coefficients."""
-    mean, mom0, mom1 = _edge_functional_tables(mesh)
-    tri = mesh.triangles
-    nloc = 10
-    rows = []
-    cols = []
-    vals = []
-    kinds = []
-
-    def add_row(kind, entries):
-        r = len(kinds)
-        kinds.append(kind)
-        for c, v in entries:
-            rows.append(r)
-            cols.append(c)
-            vals.append(v)
-
-    # vertex rows
-    vert_tris = [[] for _ in range(mesh.nv)]
-    for t in range(mesh.nt):
-        for i in range(3):
-            vert_tris[tri[t, i]].append((t, i))
-    for v in range(mesh.nv):
-        inc = vert_tris[v]
-        if homogeneous and mesh.boundary_vertex[v]:
-            for t, i in inc:
-                add_row("vertex-bdry", [(t * nloc + i, 1.0)])
-        else:
-            t0, i0 = inc[0]
-            for t, i in inc[1:]:
-                add_row(
-                    "vertex-int",
-                    [(t * nloc + i, 1.0), (t0 * nloc + i0, -1.0)],
-                )
-
-    # edge rows
-    def local_edge(t, e):
-        return int(np.where(mesh.tri_edges[t] == e)[0][0])
-
-    tables = {"mean": mean, "n0": mom0, "n1": mom1}
-    for e in range(mesh.ne):
-        tplus, tminus = mesh.edge_tris[e]
-        kplus = local_edge(tplus, e)
-        if tminus < 0:
-            if not homogeneous:
-                continue
-            for name, kind in (
-                ("mean", "bdry-mean"), ("n0", "bdry-n0"), ("n1", "bdry-n1")
-            ):
-                row = tables[name][tplus, kplus]
-                add_row(
-                    kind,
-                    [(tplus * nloc + j, row[j]) for j in range(nloc)],
-                )
-        else:
-            kminus = local_edge(tminus, e)
-            for name, kind in (
-                ("mean", "jump-mean"), ("n0", "jump-n0"), ("n1", "jump-n1")
-            ):
-                rp = tables[name][tplus, kplus]
-                rm = tables[name][tminus, kminus]
-                add_row(
-                    kind,
-                    [(tplus * nloc + j, rp[j]) for j in range(nloc)]
-                    + [(tminus * nloc + j, -rm[j]) for j in range(nloc)],
-                )
-
-    matrix = sparse.csr_matrix(
-        (vals, (rows, cols)), shape=(len(kinds), mesh.nt * nloc)
-    )
-    return ConstraintSystem(mesh, matrix, np.array(kinds), homogeneous)
 
 
 def _entity_variables(mesh, homogeneous=True, per_edge=3):
@@ -415,23 +310,18 @@ def build_morley(mesh):
     """Map from the Morley degrees of freedom (vertex values and edge mean
     normal derivatives in the global edge orientation, boundary ones
     removed) to broken P2 coefficients of one scalar component."""
-    shapes = p2_shapes()
-    space = BrokenSpace(mesh, 2)
     # mean normal derivative of a quadratic equals its midpoint value
     mids = np.array([[0.5, 0.5], [0.0, 0.5], [0.5, 0.0]])
-    tab = shapes.tabulate(mids)
+    tab = BrokenSpace(mesh, 2).tabulate(mids)
     normals = mesh.edge_normals()
     nt = mesh.nt
     dual = np.zeros((nt, 6, 6))
     dual[:, 0, 0] = dual[:, 1, 1] = dual[:, 2, 2] = 1.0
-    Binv = space.Binv
     for k in range(3):
         e = mesh.tri_edges[:, k]
-        gx, gy = tab["gx"][k], tab["gy"][k]
-        gpx = Binv[:, 0, 0, None] * gx + Binv[:, 1, 0, None] * gy
-        gpy = Binv[:, 0, 1, None] * gx + Binv[:, 1, 1, None] * gy
         dual[:, 3 + k, :] = (
-            gpx * normals[e, 0, None] + gpy * normals[e, 1, None]
+            tab["gx"][:, k] * normals[e, 0, None]
+            + tab["gy"][:, k] * normals[e, 1, None]
         )
     blocks = np.linalg.inv(dual)  # coefficients from functional values
     vert_var, edge_var, ndof = _entity_variables(mesh, per_edge=1)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sparse
 
-from bielastic.spaces import build_b3_constraints
+from oracles import build_b3_constraints
 
 
 def dense_nullspace(matrix, tol=1e-9):

@@ -1,0 +1,191 @@
+"""Independent oracles that only the test suite uses.
+
+* ``build_b3_constraints`` writes the conditions of the constrained cubic
+  space as explicit rows over broken-P3 coefficients; its null space is
+  the independent check of the entity reduction.
+* ``laplace_matrix``, ``curlrot_matrix`` and
+  ``mixed_graddiv_curlrot_matrix`` assemble the forms of the identity
+  div sigma(u) = mu Lap(u) + (lam + mu) grad(div u)
+               = (lam + 2 mu) grad(div u) - mu curl(rot u)
+  through the library's one form kernel.
+* ``barycentric_moment`` and ``divsigma_eval`` are closed forms for the
+  quadrature and the stress divergence.
+* ``sorted_complex`` lists complex eigenvalues in a rounded order, for
+  comparing two eigensolvers whose copies of one value differ in the last
+  bits.
+"""
+
+import math
+
+import numpy as np
+import scipy.sparse as sparse
+
+from bielastic.assembly import (
+    _ALL,
+    _UPPER,
+    _dot_terms,
+    _form,
+    _graddiv_fields,
+)
+from bielastic.spaces import _edge_functional_tables
+
+
+class ConstraintSystem:
+    """Sparse linear constraints whose null space is the conforming space.
+
+    With ``homogeneous=True`` the boundary rows (vertex values, edge value
+    means, edge normal moments) are included, so the null space carries the
+    zero boundary conditions.  With ``homogeneous=False`` only the interior
+    continuity rows are kept; the null space is then the full nonconforming
+    space without boundary conditions, whose dimension is the quantity
+    reported as the degree-of-freedom count of the method.
+    """
+
+    def __init__(self, mesh, matrix, kinds, homogeneous=True):
+        self.mesh = mesh
+        self.matrix = matrix
+        self.kinds = kinds
+        self.homogeneous = homogeneous
+
+    @property
+    def nrows(self):
+        return self.matrix.shape[0]
+
+
+def build_b3_constraints(mesh, homogeneous=True):
+    """Explicit constraint rows over broken-P3 coefficients."""
+    mean, mom0, mom1 = _edge_functional_tables(mesh)
+    tri = mesh.triangles
+    nloc = 10
+    rows = []
+    cols = []
+    vals = []
+    kinds = []
+
+    def add_row(kind, entries):
+        r = len(kinds)
+        kinds.append(kind)
+        for c, v in entries:
+            rows.append(r)
+            cols.append(c)
+            vals.append(v)
+
+    # vertex rows
+    vert_tris = [[] for _ in range(mesh.nv)]
+    for t in range(mesh.nt):
+        for i in range(3):
+            vert_tris[tri[t, i]].append((t, i))
+    for v in range(mesh.nv):
+        inc = vert_tris[v]
+        if homogeneous and mesh.boundary_vertex[v]:
+            for t, i in inc:
+                add_row("vertex-bdry", [(t * nloc + i, 1.0)])
+        else:
+            t0, i0 = inc[0]
+            for t, i in inc[1:]:
+                add_row(
+                    "vertex-int",
+                    [(t * nloc + i, 1.0), (t0 * nloc + i0, -1.0)],
+                )
+
+    # edge rows
+    def local_edge(t, e):
+        return int(np.where(mesh.tri_edges[t] == e)[0][0])
+
+    tables = {"mean": mean, "n0": mom0, "n1": mom1}
+    for e in range(mesh.ne):
+        tplus, tminus = mesh.edge_tris[e]
+        kplus = local_edge(tplus, e)
+        if tminus < 0:
+            if not homogeneous:
+                continue
+            for name, kind in (
+                ("mean", "bdry-mean"), ("n0", "bdry-n0"), ("n1", "bdry-n1")
+            ):
+                row = tables[name][tplus, kplus]
+                add_row(
+                    kind,
+                    [(tplus * nloc + j, row[j]) for j in range(nloc)],
+                )
+        else:
+            kminus = local_edge(tminus, e)
+            for name, kind in (
+                ("mean", "jump-mean"), ("n0", "jump-n0"), ("n1", "jump-n1")
+            ):
+                rp = tables[name][tplus, kplus]
+                rm = tables[name][tminus, kminus]
+                add_row(
+                    kind,
+                    [(tplus * nloc + j, rp[j]) for j in range(nloc)]
+                    + [(tminus * nloc + j, -rm[j]) for j in range(nloc)],
+                )
+
+    matrix = sparse.csr_matrix(
+        (vals, (rows, cols)), shape=(len(kinds), mesh.nt * nloc)
+    )
+    return ConstraintSystem(mesh, matrix, np.array(kinds), homogeneous)
+
+
+def _curlrot_fields(tab):
+    hxx, hxy, hyy = tab["hxx"], tab["hxy"], tab["hyy"]
+    return (-hyy, hxy), (hxy, -hxx)
+
+
+def laplace_matrix(space, coeff=None, degree=None):
+    """(c Lap u, Lap v) componentwise."""
+    def terms(tab):
+        lap = tab["hxx"] + tab["hyy"]
+        return {(0, 0): [(1, lap, lap)]}
+    return _form(space, coeff, 2 * (space.degree - 2), terms, degree)
+
+
+def curlrot_matrix(space, coeff=None, degree=None):
+    """(c curl rot u, curl rot v)."""
+    def terms(tab):
+        cr = _curlrot_fields(tab)
+        return _dot_terms(cr, cr, _UPPER)
+    return _form(space, coeff, 2 * (space.degree - 2), terms, degree)
+
+
+def mixed_graddiv_curlrot_matrix(space, coeff=None, degree=None):
+    """M[i, j] = (c grad div phi_j, curl rot phi_i)."""
+    def terms(tab):
+        return _dot_terms(_curlrot_fields(tab), _graddiv_fields(tab), _ALL)
+    return _form(space, coeff, 2 * (space.degree - 2), terms, degree)
+
+
+def barycentric_moment(a, b, c):
+    """Integral of l1^a l2^b l3^c over the reference triangle (area 1/2)."""
+    return (
+        math.factorial(a) * math.factorial(b) * math.factorial(c)
+        / math.factorial(a + b + c + 2)
+    )
+
+
+def divsigma_eval(hess1, hess2, lam, mu):
+    """Divergence of the stress tensor from component Hessians.
+
+    For u = (u1, u2) with Hessian triplets ``hess{1,2} = (hxx, hxy, hyy)``:
+
+        div sigma(u) = mu * lap(u) + (lam + mu) * grad(div u)
+
+    which componentwise is
+
+        (1): (lam + 2 mu) u1_xx + mu u1_yy + (lam + mu) u2_xy
+        (2): (lam + mu) u1_xy + mu u2_xx + (lam + 2 mu) u2_yy
+
+    Arguments broadcast; returns a pair of arrays.
+    """
+    h1xx, h1xy, h1yy = hess1
+    h2xx, h2xy, h2yy = hess2
+    d1 = (lam + 2 * mu) * h1xx + mu * h1yy + (lam + mu) * h2xy
+    d2 = (lam + mu) * h1xy + mu * h2xx + (lam + 2 * mu) * h2yy
+    return d1, d2
+
+
+def sorted_complex(values):
+    """Ascending modulus rounded to 9 digits, then real part rounded, then
+    imaginary part: the negative member of each conjugate pair first."""
+    values = np.asarray(values)
+    return values[np.lexsort((values.imag, np.round(values.real, 9),
+                              np.round(np.abs(values), 9)))]

@@ -13,11 +13,8 @@ import scipy.linalg
 
 from bielastic.assembly import (
     bielastic_matrix,
-    curlrot_matrix,
     graddiv_matrix,
     hessian_matrix,
-    laplace_matrix,
-    mixed_graddiv_curlrot_matrix,
 )
 from bielastic.coefficients import Coefficient
 from bielastic.eigen import kernel_basis
@@ -33,6 +30,12 @@ from bielastic.solvers import (
     solve_bielastic_eigs,
 )
 from bielastic.spaces import BrokenSpace, vector_transform
+
+from oracles import (
+    curlrot_matrix,
+    laplace_matrix,
+    mixed_graddiv_curlrot_matrix,
+)
 
 LAM, MU = 0.25, 0.0625
 

@@ -10,20 +10,23 @@ import sympy as sp
 
 from bielastic.assembly import (
     bielastic_matrix,
-    curlrot_matrix,
     elastic_matrix,
     error_norms,
     graddiv_matrix,
     hessian_matrix,
-    laplace_matrix,
     load_vector,
     mass_matrix,
     mixed_divsigma_matrix,
-    mixed_graddiv_curlrot_matrix,
 )
 from bielastic.coefficients import Coefficient
 from bielastic.mesh import TriMesh, generate_domain, refine_uniform
 from bielastic.spaces import BrokenSpace, build_morley, vector_transform
+
+from oracles import (
+    curlrot_matrix,
+    laplace_matrix,
+    mixed_graddiv_curlrot_matrix,
+)
 
 LAM, MU = 0.25, 0.0625
 

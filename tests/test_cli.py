@@ -5,6 +5,7 @@ import contextlib
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -83,6 +84,24 @@ class TestRunExampleCommand:
     def test_bad_levels_text_exits_2(self, capsys):
         assert main(["run-example", "3", "--levels", "abc"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("levels", ["1-1000000000000", "1-30000000"])
+    def test_huge_level_range_exits_2(self, tmp_path, source, levels):
+        # the 2 GB address-space limit bounds the memory that a range
+        # expanded before the cap check would take
+        args = ["run-example", "3", "--format", "csv"]
+        if source == "flag":
+            args += ["--levels", levels]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"levels": levels}))
+            args += ["--config", str(cfg)]
+        proc = run_cli(*args, address_space=2 * 1024**3)
+        assert proc.returncode == 2
+        assert proc.stderr == (
+            f"error: level {levels.split('-')[1]} exceeds the cap 4; "
+            "pass big=True (--big) to allow level 5\n")
 
     def test_companion_over_cap_exits_2(self, capsys):
         assert main(["run-example", "9", "--levels", "5", "--big"]) == 2
@@ -440,16 +459,23 @@ class TestSolverFailures:
         assert "solver failure" in capsys.readouterr().err
 
 
-def run_cli(*args):
+def run_cli(*args, address_space=None):
     """The CLI in a fresh interpreter, so stderr holds everything a user
-    would see, warnings and tracebacks included."""
+    would see, warnings and tracebacks included; ``address_space`` caps
+    its virtual memory in bytes."""
     src = str(Path(bielastic.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ,
                PYTHONPATH=src if not path else src + os.pathsep + path)
+    limit = None
+    if address_space is not None:
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS,
+                               (address_space, address_space))
     return subprocess.run(
         [sys.executable, "-m", "bielastic.cli", *args],
         capture_output=True, text=True, env=env, timeout=300,
+        preexec_fn=limit,
     )
 
 

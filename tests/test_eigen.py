@@ -17,7 +17,7 @@ from bielastic.eigen import (
     norm1,
     solve_sym_constrained,
 )
-from bielastic.harness import EXAMPLES, _canonical_complex
+from bielastic.harness import EXAMPLES
 from bielastic.mesh import generate_domain
 from bielastic.solvers import (
     B3Realization,
@@ -26,6 +26,8 @@ from bielastic.solvers import (
     make_realization,
 )
 from bielastic.spaces import BrokenSpace, reduce_entities, vector_transform
+
+from oracles import sorted_complex
 
 LAM, MU = 0.25, 0.0625
 
@@ -37,7 +39,8 @@ def random_spd(rng, n, density=0.4):
 
 
 def no_rows(n):
-    return sparse.csr_matrix((0, n))
+    """The kernel of a constraint block with no rows: the whole space."""
+    return KernelProjector(sparse.csr_matrix((0, n)))
 
 
 class TestSolveSym:
@@ -157,13 +160,13 @@ class TestConstrained:
         op = ConstrainedOperator(K, KernelProjector(psi))
         op.lu = factor = CountingFactor(op.lu)
         kkt = sparse.bmat([[K, psi.T], [psi, None]]).toarray()
-        refine = 3
+        refine = eigen.REFINE_STEPS
         for _ in range(3):
             b = rng.standard_normal(K.shape[0])
             ref = np.linalg.solve(kkt, np.concatenate(
                 [b, np.zeros(psi.shape[0])]))[: K.shape[0]]
             start = len(factor.inputs)
-            x = op.solve(b, refine)
+            x = op.solve(b)
             assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
             steps = factor.outputs[start:]
             assert 1 <= len(steps) <= refine + 1
@@ -249,7 +252,7 @@ class TestConstrained:
     def test_constrained_solve_matches_explicit_basis(self, small_system):
         _, A, _, lift, psi, N, f = small_system
         K = (lift.T @ A @ lift).tocsr()
-        g = solve_sym_constrained(K, psi, lift.T @ f)
+        g = solve_sym_constrained(K, KernelProjector(psi), lift.T @ f)
         y = np.linalg.solve((N.T @ A @ N).toarray(), N.T @ f)
         broken_kkt = lift @ g
         broken_dense = N @ y
@@ -260,7 +263,7 @@ class TestConstrained:
         _, A, M, lift, psi, N, _ = small_system
         KA = (lift.T @ A @ lift).tocsr()
         KB = (lift.T @ M @ lift).tocsr()
-        res = eig_sym_constrained(KA, KB, psi, 6)
+        res = eig_sym_constrained(KA, KB, KernelProjector(psi), 6)
         Ad = (N.T @ A @ N).toarray()
         Bd = (N.T @ M @ N).toarray()
         ref = dla.eigh(Ad, Bd, subset_by_index=[0, 5], eigvals_only=True)
@@ -273,10 +276,10 @@ class TestConstrained:
         _, A, M, lift, psi, _, _ = small_system
         KA = (lift.T @ A @ lift).tocsr()
         KB = (lift.T @ M @ lift).tocsr()
-        cold = eig_sym_constrained(KA, KB, psi, 6)
-        proj = KernelProjector(psi)
+        kernel = KernelProjector(psi)
+        cold = eig_sym_constrained(KA, KB, kernel, 6)
         for v0 in (np.zeros(KA.shape[0]), cold.vectors.sum(axis=1)):
-            res = eig_sym_constrained(KA, KB, psi, 6, v0=v0, proj=proj)
+            res = eig_sym_constrained(KA, KB, kernel, 6, v0=v0)
             assert res.method == "kkt-arpack"
             assert np.allclose(res.values, cold.values, rtol=1e-10, atol=0)
             assert np.all(res.residuals <= 1e-8 * (
@@ -294,7 +297,7 @@ class TestConstrained:
         monkeypatch.setattr(eigen.spla, "eigsh", arpack_fails)
         monkeypatch.setattr(eigen, "DENSE_SYM_CAP", 10)
         with pytest.raises(RuntimeError, match="dense cap"):
-            eig_sym_constrained(KA, KB, psi, 6)
+            eig_sym_constrained(KA, KB, KernelProjector(psi), 6)
 
 
 class TestNorm1:
@@ -317,7 +320,7 @@ class TestNorm1:
         for shape in ((0, 0), (3, 4), (0, 5), (5, 0)):
             assert norm1(sparse.csr_matrix(shape)) == 0.0
             assert norm1(np.zeros(shape)) == 0.0
-        kernel = KernelProjector(no_rows(5))
+        kernel = no_rows(5)
         assert kernel.psi_norm == 0.0 and kernel.ptp_norm == 0.0
 
 
@@ -408,7 +411,7 @@ class TestKktOrder:
 class TestEigQuadratic:
     def test_scalar_pure_imaginary(self):
         res = eig_quadratic(np.eye(1), np.zeros((1, 1)), np.eye(1))
-        assert np.allclose(res.values, [1j, -1j])
+        assert np.allclose(res.values, [-1j, 1j])
 
     def test_scalar_real_roots(self):
         res = eig_quadratic(
@@ -453,9 +456,9 @@ class TestEigQuadratic:
             dist = np.min(np.abs(complex_vals - np.conj(v)))
             assert dist <= 1e-8 * (1 + abs(v))
 
-    def test_positive_imag_listed_first(self):
+    def test_negative_imag_listed_first(self):
         res = eig_quadratic(np.eye(1), np.zeros((1, 1)), np.eye(1))
-        assert res.values[0].imag > 0
+        assert res.values[0].imag < 0
 
     def test_dimension_cap(self):
         n = 3001
@@ -475,11 +478,10 @@ def random_pencil(rng, n):
 
 
 def same_values(a, b):
-    """Equal complex eigenvalue lists up to 1e-9 relative, compared in the
-    report's canonical order."""
-    a, _ = _canonical_complex(a, np.zeros(a.size))
-    b, _ = _canonical_complex(b, np.zeros(b.size))
-    return np.allclose(a, b, rtol=1e-9, atol=0)
+    """Equal complex eigenvalue lists up to 1e-9 relative, compared in a
+    rounded order."""
+    return np.allclose(sorted_complex(a), sorted_complex(b), rtol=1e-9,
+                       atol=0)
 
 
 class TestEigQuadraticPath:
@@ -494,13 +496,13 @@ class TestEigQuadraticPath:
         assert same_values(res.values, full.values[:6])
 
     @pytest.mark.parametrize("k", [None, 20])
-    def test_each_conjugate_pair_lists_its_positive_member_first(self, k):
+    def test_each_conjugate_pair_lists_its_negative_member_first(self, k):
         K, C, M = random_pencil(np.random.default_rng(29), 30)
         vals = eig_quadratic(K, C, M, k).values
         j = 0
         while j < vals.size:
             if vals[j].imag != 0:
-                assert vals[j].imag > 0
+                assert vals[j].imag < 0
                 assert vals[j + 1] == np.conj(vals[j])
                 j += 1
             j += 1

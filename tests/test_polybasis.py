@@ -6,13 +6,13 @@ import sympy as sp
 
 from bielastic.polybasis import (
     QUAD_DEGREES,
-    barycentric_moment,
-    divsigma_eval,
     edge_gauss,
     p2_shapes,
     p3_shapes,
     triangle_quadrature,
 )
+
+from oracles import barycentric_moment, divsigma_eval
 
 rng = np.random.default_rng(20260816)
 

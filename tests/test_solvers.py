@@ -11,7 +11,7 @@ import bielastic.solvers as solvers
 from bielastic.assembly import load_vector, mass_matrix
 from bielastic.coefficients import Coefficient, combine
 from bielastic.eigen import eig_quadratic, kernel_basis
-from bielastic.harness import EXAMPLES, SCAN_BRANCHES, _canonical_complex
+from bielastic.harness import EXAMPLES, SCAN_BRANCHES
 from bielastic.mesh import generate_domain
 from bielastic.solvers import (
     B3Realization,
@@ -26,6 +26,8 @@ from bielastic.solvers import (
     solve_bielastic_eigs,
     solve_source,
 )
+
+from oracles import sorted_complex
 
 LAM, MU = 0.25, 0.0625
 
@@ -199,9 +201,9 @@ class TestSpectralFunction:
         solves = []
         solve = eigen.ConstrainedOperator.solve
 
-        def counting_solve(self, b, refine=1):
+        def counting_solve(self, b):
             solves.append(b.size)
-            return solve(self, b, refine)
+            return solve(self, b)
 
         monkeypatch.setattr(eigen.ConstrainedOperator, "solve",
                             counting_solve)
@@ -344,7 +346,7 @@ class TestConstrainedPath:
     def test_path_and_values(self, level, method):
         blocks = _example_blocks(6, level)
         A = blocks.a_tau(12.0)
-        res = eigen.eig_sym_constrained(A, blocks.KB, blocks.real.psi,
+        res = eigen.eig_sym_constrained(A, blocks.KB, blocks.real.kernel,
                                         SCAN_BRANCHES)
         assert res.method == method
         Z = kernel_basis(blocks.real.psi)
@@ -437,7 +439,7 @@ def _qz_values(K, C, M):
     vals = dla.eigvals(np.block([[-C, -K], [eye, zero]]),
                        np.block([[M, zero], [zero, eye]]))
     vals = vals[np.isfinite(vals)]
-    return vals[np.lexsort((-vals.imag, np.abs(vals)))]
+    return vals[np.lexsort((vals.imag, np.abs(vals)))]
 
 
 @pytest.fixture(scope="module")
@@ -467,8 +469,8 @@ class TestTepArnoldi:
         (K, C, M), ref = tep_pencils(number, level)
         res = eig_quadratic(K, C, M, k)
         assert res.method == "companion-arnoldi"
-        got, _ = _canonical_complex(res.values, res.residuals)
-        want, _ = _canonical_complex(ref[:k], np.zeros(k))
+        got = sorted_complex(res.values)
+        want = sorted_complex(ref[:k])
         assert np.all(np.abs(got - want) <= 1e-9 * np.abs(want))
         # the last value may be a pair member whose partner is cut off
         head = res.values[:-1]
@@ -481,8 +483,8 @@ class TestTepArnoldi:
         twice = [dla.block_diag(A, A) for A in (K, C, M)]
         res = eig_quadratic(*twice, k)
         assert res.method == "companion-arnoldi"
-        got, _ = _canonical_complex(res.values, res.residuals)
-        want, _ = _canonical_complex(np.repeat(ref, 2)[:k], np.zeros(k))
+        got = sorted_complex(res.values)
+        want = sorted_complex(np.repeat(ref, 2)[:k])
         assert np.all(np.abs(got - want) <= 1e-9 * np.abs(want))
 
 

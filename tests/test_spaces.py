@@ -19,11 +19,12 @@ from bielastic.spaces import (
     _entity_variables,
     _phi_matrices,
     _slot_vars,
-    build_b3_constraints,
     build_morley,
     reduce_entities,
     vector_transform,
 )
+
+from oracles import build_b3_constraints
 
 
 def single_triangle():
