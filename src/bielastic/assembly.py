@@ -10,6 +10,12 @@ capped at the finest available rule otherwise (rational or trigonometric
 coefficients are integrated at degree 12; the consistency error this leaves
 is far below the discretization error at the mesh sizes involved).
 
+Loads and error norms need no per-basis physical tables.  The load
+contracts its weighted values with the reference value table; the error
+norms contract each component's coefficients with the reference tables
+first and push the resulting fields forward (``BrokenSpace.field``), so
+their work per quadrature point does not grow with the local dimension.
+
 The stress operators use the Lame parameters lam and mu with
 sigma(u) = 2 mu eps(u) + lam tr(eps(u)) I, and the divergence identity
 div sigma(u) = mu Lap(u) + (lam + mu) grad(div u)
@@ -43,20 +49,18 @@ def _pick_degree(base, coeff, override=None):
     return QUAD_DEGREES[-1]
 
 
-def _chunks(space, degree):
-    """Yield (sel, tab, cw_base, xq) per triangle chunk.
+def _chunks(space, rule):
+    """Yield (sel, cw_base, xq) per triangle chunk.
 
     cw_base is the physical quadrature weight (rule weight times |det B|);
     multiply by coefficient values for weighted forms.
     """
-    rule = triangle_quadrature(degree)
     nt = space.mesh.nt
     for t0 in range(0, nt, CHUNK):
         sel = slice(t0, min(t0 + CHUNK, nt))
-        tab = space.tabulate(rule.points, sel)
         xq = space.physical_points(rule.points, sel)
         cw = np.abs(space.detB[sel])[:, None] * rule.weights[None, :]
-        yield sel, tab, cw, xq
+        yield sel, cw, xq
 
 
 def _coeff_weights(coeff, cw, xq, positive=False):
@@ -118,7 +122,9 @@ def _form(space, coeff, base_degree, terms, degree=None, positive=False):
     deg = _pick_degree(base_degree, coeff, degree)
     nt, nloc = space.mesh.nt, space.nloc
     blocks = defaultdict(lambda: np.zeros((nt, nloc, nloc)))
-    for sel, tab, cw, xq in _chunks(space, deg):
+    rule = triangle_quadrature(deg)
+    for sel, cw, xq in _chunks(space, rule):
+        tab = space.tabulate(rule.points, sel)
         w = _coeff_weights(coeff, cw, xq, positive)
         for ab, parts in terms(tab).items():
             acc = blocks[ab][sel]
@@ -189,16 +195,18 @@ def mixed_divsigma_matrix(space, coeff, lam, mu, degree=None,
 
 
 def load_vector(space, f1, f2, degree=10):
-    """Broken load (f, v) for a two-component right-hand side."""
+    """Broken load (f, v) for a two-component right-hand side: per chunk
+    and component, one product of the weighted load values with the
+    reference value table (values need no push-forward)."""
     nt, nloc = space.mesh.nt, space.nloc
+    rule = triangle_quadrature(degree)
+    ref_v = space.ref_tables(rule.points)["v"]
     out = np.zeros((2, nt, nloc))
-    for sel, tab, cw, xq in _chunks(space, degree):
+    for sel, cw, xq in _chunks(space, rule):
         x, y = xq[..., 0], xq[..., 1]
         for c, f in enumerate((f1, f2)):
             fv = require_finite(np.asarray(f(x, y), dtype=float), "load")
-            fv = np.broadcast_to(fv, x.shape)
-            out[c, sel] = np.einsum("tq,tq,tqi->ti", cw, fv, tab["v"],
-                                    optimize=True)
+            out[c, sel] = (cw * fv) @ ref_v
     return out.reshape(-1)
 
 
@@ -207,27 +215,28 @@ def error_norms(space, u, exact, degree=10):
 
     u holds broken coefficients (component-major).  exact maps the keys
     v, gx, gy, hxx, hxy, hyy to pairs of callables (one per component);
-    keys may be omitted when the corresponding norm is not wanted.
+    keys may be omitted when the corresponding norm is not wanted.  Per
+    chunk, each component's coefficients are contracted with the reference
+    tables first and the resulting fields pushed forward
+    (``BrokenSpace.field``), only for the keys ``exact`` holds.
     """
     nt, nloc = space.mesh.nt, space.nloc
     uc = u.reshape(2, nt, nloc)
+    rule = triangle_quadrature(degree)
     acc = {"l2": 0.0, "h1": 0.0, "h2": 0.0}
     contrib = {
         "l2": (("v", 1.0),),
         "h1": (("gx", 1.0), ("gy", 1.0)),
         "h2": (("hxx", 1.0), ("hxy", 2.0), ("hyy", 1.0)),
     }
-    for sel, tab, cw, xq in _chunks(space, degree):
+    for sel, cw, xq in _chunks(space, rule):
         x, y = xq[..., 0], xq[..., 1]
+        fields = [space.field(uc[c], rule.points, sel) for c in range(2)]
         for norm, parts in contrib.items():
             for key, factor in parts:
                 if key not in exact:
                     continue
                 for c in range(2):
-                    approx = np.einsum("tqi,ti->tq", tab[key], uc[c][sel])
-                    ex = np.broadcast_to(
-                        np.asarray(exact[key][c](x, y), dtype=float), x.shape
-                    )
-                    diff = approx - ex
+                    diff = fields[c][key] - exact[key][c](x, y)
                     acc[norm] += factor * float(np.sum(cw * diff * diff))
     return {k: np.sqrt(v) for k, v in acc.items()}

@@ -19,15 +19,27 @@ from .harness import ExampleDef, check_levels, run_example, self_test
 from .mesh import DOMAINS, LEVEL_CAP, dump_mesh, generate_domain
 
 
-def parse_levels(text, big=False):
-    """Levels given as a range "1-3" or a comma list "1,2,4".  A range's
-    ends are checked against the level cap before it is expanded."""
-    text = str(text).strip()
-    if "-" in text:
+def parse_levels(value, big=False):
+    """Levels given as a range "1-3", a comma list "1,2,4" or a list of
+    integers (a JSON list in a config file).  A range's ends and a list's
+    entries are checked against the level cap; a range is checked before
+    it is expanded."""
+    bad = ValueError('levels must be a range "1-3", a comma list "1,2,4" '
+                     f"or a list of integers, got {value!r}")
+    if isinstance(value, list):
+        if not all(type(lvl) is int for lvl in value):
+            raise bad
+        check_levels(value, big)
+        return tuple(value)
+    text = str(value).strip()
+    try:
+        if "-" not in text:
+            return tuple(int(part) for part in text.split(","))
         lo, hi = (int(end) for end in text.split("-", 1))
-        check_levels((lo, hi), big)
-        return tuple(range(lo, hi + 1))
-    return tuple(int(part) for part in text.split(","))
+    except ValueError:
+        raise bad from None
+    check_levels((lo, hi), big)
+    return tuple(range(lo, hi + 1))
 
 
 def parse_tau_range(text):

@@ -3,7 +3,9 @@
 Three layers live here:
 
 * ``BrokenSpace``: discontinuous piecewise P2/P3 with per-triangle Lagrange
-  coefficients and affine push-forward of values/gradients/Hessians.
+  coefficients and affine push-forward (``push_forward``) of
+  values/gradients/Hessians, for every basis function (``tabulate``) or
+  for one broken field (``field``).
 
 * The constrained cubic space (element id ``b3``): piecewise cubics that are
   continuous at vertices, have edge-mean continuity of the value, and
@@ -68,42 +70,62 @@ class BrokenSpace:
         """Scalar broken dimension."""
         return self.mesh.nt * self.nloc
 
-    def _ref_tables(self, points):
+    def ref_tables(self, points):
+        """Reference basis tables (npoints, nloc) per key, cached."""
         key = points.tobytes()
         if key not in self._ref_cache:
             self._ref_cache[key] = self.shapes.tabulate(points)
         return self._ref_cache[key]
 
     def physical_points(self, ref_points, sel=slice(None)):
-        return self.p0[sel, None, :] + np.einsum(
-            "tab,qb->tqa", self.B[sel], ref_points
-        )
+        """Physical points p0 + B xi, shape (ntriangles, npoints, 2)."""
+        return self.p0[sel, None, :] + ref_points @ self.B[sel].transpose(
+            0, 2, 1)
 
     def tabulate(self, ref_points, sel=slice(None)):
-        """Physical values/derivatives on a triangle range.
+        """Physical values/derivatives of every basis function on a
+        triangle range.
 
         Returns a mapping with keys v, gx, gy, hxx, hxy, hyy of shape
         (ntriangles, npoints, nloc); each table is built when it is
         first read.
         """
-        ref = self._ref_tables(ref_points)
-        J = self.Binv[sel]
-        j00 = J[:, 0, 0, None, None]
-        j01 = J[:, 0, 1, None, None]
-        j10 = J[:, 1, 0, None, None]
-        j11 = J[:, 1, 1, None, None]
-        gx, gy = ref["gx"], ref["gy"]
-        hxx, hxy, hyy = ref["hxx"], ref["hxy"], ref["hyy"]
-        nt = J.shape[0]
-        return _Tables({
-            "v": lambda: np.broadcast_to(ref["v"], (nt,) + ref["v"].shape),
-            "gx": lambda: j00 * gx + j10 * gy,
-            "gy": lambda: j01 * gx + j11 * gy,
-            "hxx": lambda: j00**2 * hxx + 2 * j00 * j10 * hxy + j10**2 * hyy,
-            "hxy": lambda: j00 * j01 * hxx + (j00 * j11 + j10 * j01) * hxy
-            + j10 * j11 * hyy,
-            "hyy": lambda: j01**2 * hxx + 2 * j01 * j11 * hxy + j11**2 * hyy,
-        })
+        return push_forward(self.Binv[sel, :, :, None, None],
+                            self.ref_tables(ref_points))
+
+    def field(self, coeffs, ref_points, sel=slice(None)):
+        """Physical values/derivatives of one broken scalar field with
+        coefficients ``coeffs`` (nt, nloc): the reference tables are
+        contracted with the coefficients first, then pushed forward.  Keys
+        as ``tabulate``, shape (ntriangles, npoints), built on first read.
+        """
+        ref = self.ref_tables(ref_points)
+        c = coeffs[sel]
+        contracted = _Tables({key: (lambda key=key: c @ ref[key].T)
+                              for key in ref})
+        return push_forward(self.Binv[sel, :, :, None], contracted)
+
+
+def push_forward(J, ref):
+    """Physical values and derivatives from reference ones under the
+    affine map x = p0 + B xi: gradients by J^T, Hessians by J^T H J, with
+    J = B^-1.  ``J`` carries trailing axes so that ``J[:, a, b]``
+    broadcasts against the arrays of ``ref``, per-basis tables
+    (npoints, nloc) or fields (ntriangles, npoints).  Each key is built on
+    first read, from the reference arrays it needs."""
+    j00, j01, j10, j11 = J[:, 0, 0], J[:, 0, 1], J[:, 1, 0], J[:, 1, 1]
+    return _Tables({
+        "v": lambda: np.broadcast_to(
+            ref["v"], np.broadcast_shapes(j00.shape, ref["v"].shape)),
+        "gx": lambda: j00 * ref["gx"] + j10 * ref["gy"],
+        "gy": lambda: j01 * ref["gx"] + j11 * ref["gy"],
+        "hxx": lambda: j00**2 * ref["hxx"] + 2 * j00 * j10 * ref["hxy"]
+        + j10**2 * ref["hyy"],
+        "hxy": lambda: j00 * j01 * ref["hxx"]
+        + (j00 * j11 + j10 * j01) * ref["hxy"] + j10 * j11 * ref["hyy"],
+        "hyy": lambda: j01**2 * ref["hxx"] + 2 * j01 * j11 * ref["hxy"]
+        + j11**2 * ref["hyy"],
+    })
 
 
 class _Tables(dict):

@@ -10,6 +10,11 @@
   through the library's one form kernel.
 * ``barycentric_moment`` and ``divsigma_eval`` are closed forms for the
   quadrature and the stress divergence.
+* ``physical_tables``, ``error_norms_tables`` and ``load_vector_tables``
+  are the per-basis table route to the error norms and the load vector:
+  physical tables of every basis function, with gradients J^T g and
+  Hessians J^T H J written as matrix products (J = B^-1), then contracted
+  with the field.  They share no push-forward code with the library.
 * ``sorted_complex`` lists complex eigenvalues in a rounded order, for
   comparing two eigensolvers whose copies of one value differ in the last
   bits.
@@ -27,6 +32,7 @@ from bielastic.assembly import (
     _form,
     _graddiv_fields,
 )
+from bielastic.polybasis import triangle_quadrature
 from bielastic.spaces import _edge_functional_tables
 
 
@@ -189,3 +195,63 @@ def sorted_complex(values):
     values = np.asarray(values)
     return values[np.lexsort((values.imag, np.round(values.real, 9),
                               np.round(np.abs(values), 9)))]
+
+
+def physical_tables(space, ref_points):
+    """Physical values/derivatives of every basis function on every
+    triangle, shape (nt, npoints, nloc) per key."""
+    ref = space.shapes.tabulate(ref_points)
+    J = space.Binv
+    grad = np.stack([ref["gx"], ref["gy"]], axis=-1)
+    hess = np.stack([np.stack([ref["hxx"], ref["hxy"]], axis=-1),
+                     np.stack([ref["hxy"], ref["hyy"]], axis=-1)], axis=-2)
+    g = np.einsum("qia,tab->tqib", grad, J)
+    h = np.einsum("tab,qiac,tcd->tqibd", J, hess, J)
+    v = np.broadcast_to(ref["v"], (space.mesh.nt,) + ref["v"].shape)
+    return {"v": v, "gx": g[..., 0], "gy": g[..., 1],
+            "hxx": h[..., 0, 0], "hxy": h[..., 0, 1], "hyy": h[..., 1, 1]}
+
+
+def _quadrature(space, degree):
+    """Physical points (nt, npoints, 2) and weights (nt, npoints)."""
+    rule = triangle_quadrature(degree)
+    xq = space.p0[:, None, :] + np.einsum("tab,qb->tqa", space.B,
+                                          rule.points)
+    cw = np.abs(space.detB)[:, None] * rule.weights[None, :]
+    return rule, xq, cw
+
+
+def error_norms_tables(space, u, exact, degree=10):
+    """``assembly.error_norms`` through per-basis physical tables."""
+    rule, xq, cw = _quadrature(space, degree)
+    tab = physical_tables(space, rule.points)
+    uc = u.reshape(2, space.mesh.nt, space.nloc)
+    x, y = xq[..., 0], xq[..., 1]
+    contrib = {
+        "l2": (("v", 1.0),),
+        "h1": (("gx", 1.0), ("gy", 1.0)),
+        "h2": (("hxx", 1.0), ("hxy", 2.0), ("hyy", 1.0)),
+    }
+    acc = {"l2": 0.0, "h1": 0.0, "h2": 0.0}
+    for norm, parts in contrib.items():
+        for key, factor in parts:
+            if key not in exact:
+                continue
+            for c in range(2):
+                approx = np.einsum("tqi,ti->tq", tab[key], uc[c])
+                diff = approx - np.broadcast_to(exact[key][c](x, y), x.shape)
+                acc[norm] += factor * float(np.sum(cw * diff * diff))
+    return {k: math.sqrt(v) for k, v in acc.items()}
+
+
+def load_vector_tables(space, f1, f2, degree=10):
+    """``assembly.load_vector`` through the broadcast value table."""
+    rule, xq, cw = _quadrature(space, degree)
+    tab = physical_tables(space, rule.points)
+    x, y = xq[..., 0], xq[..., 1]
+    out = np.stack([
+        np.einsum("tq,tq,tqi->ti", cw, np.broadcast_to(f(x, y), x.shape),
+                  tab["v"])
+        for f in (f1, f2)
+    ])
+    return out.reshape(-1)

@@ -24,7 +24,9 @@ from bielastic.spaces import BrokenSpace, build_morley, vector_transform
 
 from oracles import (
     curlrot_matrix,
+    error_norms_tables,
     laplace_matrix,
+    load_vector_tables,
     mixed_graddiv_curlrot_matrix,
 )
 
@@ -566,3 +568,68 @@ class TestErrorNorms:
         # partition of unity per component
         assert rhs[:nb].sum() == pytest.approx(2.0, rel=1e-12)
         assert rhs[nb:].sum() == pytest.approx(1.0, rel=1e-12)
+
+
+def smooth_exact():
+    """Exact table of a non-polynomial two-component field, from sympy."""
+    x, y = sp.symbols("x y")
+    fields = (sp.exp(x - y / 2) * sp.sin(2 * x + y), sp.cos(x * y) + x)
+    derivs = {"v": lambda w: w, "gx": lambda w: sp.diff(w, x),
+              "gy": lambda w: sp.diff(w, y), "hxx": lambda w: sp.diff(w, x, 2),
+              "hxy": lambda w: sp.diff(w, x, y),
+              "hyy": lambda w: sp.diff(w, y, 2)}
+    return {key: tuple(sp.lambdify((x, y), d(w), "numpy") for w in fields)
+            for key, d in derivs.items()}
+
+
+class TestReferenceContractedPath:
+    """error_norms and load_vector against the per-basis table route of
+    ``oracles``, on meshes whose inverse Jacobians have nonzero
+    off-diagonal entries."""
+
+    @pytest.fixture(scope="class", params=["b3", "morley"])
+    def spaces(self, request):
+        degree = 3 if request.param == "b3" else 2
+        return [BrokenSpace(generate_domain(d, 2), degree)
+                for d in ("equilateral-triangle", "l-shape")]
+
+    def test_meshes_have_off_diagonal_jacobians(self, spaces):
+        for space in spaces:
+            J = space.Binv
+            assert np.abs(J[:, 0, 1] - J[:, 1, 0]).max() > 1.0
+
+    @pytest.mark.parametrize("keys", [
+        ("v", "gx", "gy", "hxx", "hxy", "hyy"), ("v",),
+        ("hxx", "hxy", "hyy"),
+    ])
+    def test_norms_match_tables(self, spaces, keys):
+        exact = {k: v for k, v in smooth_exact().items() if k in keys}
+        rng = np.random.default_rng(3)
+        for space in spaces:
+            u = rng.standard_normal(2 * space.ndof)
+            got = error_norms(space, u, exact)
+            want = error_norms_tables(space, u, exact)
+            for norm in ("l2", "h1", "h2"):
+                assert abs(got[norm] - want[norm]) <= 1e-13 * want[norm]
+            assert (got["l2"] > 0) == ("v" in keys)
+            assert (got["h2"] > 0) == ("hxx" in keys)
+
+    def test_load_matches_tables(self, spaces):
+        f1 = lambda x, y: np.exp(x - y / 2) * np.sin(2 * x + y)
+        f2 = lambda x, y: np.cos(x * y) + x
+        for space in spaces:
+            got = load_vector(space, f1, f2)
+            want = load_vector_tables(space, f1, f2)
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+    def test_no_per_basis_tables(self, spaces, monkeypatch):
+        """Neither routine falls back to BrokenSpace.tabulate."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("per-basis physical tables were built")
+        monkeypatch.setattr(BrokenSpace, "tabulate", refuse)
+        space = spaces[0]
+        u = np.ones(2 * space.ndof)
+        norms = error_norms(space, u, smooth_exact())
+        assert all(np.isfinite(v) for v in norms.values())
+        one = lambda x, y: np.ones_like(x)
+        assert np.isfinite(load_vector(space, one, one)).all()

@@ -103,6 +103,39 @@ class TestRunExampleCommand:
             f"error: level {levels.split('-')[1]} exceeds the cap 4; "
             "pass big=True (--big) to allow level 5\n")
 
+    def test_config_levels_list(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"levels": [2, 1]}))
+        assert main(["run-example", "3", "--config", str(cfg),
+                     "--format", "csv"]) == 0
+        rows = capsys.readouterr().out.strip().split("\n")[1:]
+        assert sorted({row.split(",")[0] for row in rows}) == ["1", "2"]
+
+    @pytest.mark.parametrize("big, err", [
+        (False, "error: level 5 exceeds the cap 4; "
+                "pass big=True (--big) to allow level 5\n"),
+        (True, "error: level 6 exceeds the cap 5\n"),
+    ])
+    def test_config_levels_list_over_cap_exits_2(self, tmp_path, capsys,
+                                                 big, err):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"levels": [1, 6 if big else 5]}))
+        argv = ["run-example", "3", "--config", str(cfg)]
+        assert main(argv + ["--big"] * big) == 2
+        assert capsys.readouterr().err == err
+
+    @pytest.mark.parametrize("levels", [[1, "2"], [1, 2.0], [True], "1.5",
+                                        {"lo": 1}])
+    def test_config_levels_other_values_exit_2(self, tmp_path, capsys,
+                                               levels):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"levels": levels}))
+        assert main(["run-example", "3", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            'error: levels must be a range "1-3", a comma list "1,2,4" or '
+            f"a list of integers, got {levels!r}\n")
+
     def test_companion_over_cap_exits_2(self, capsys):
         assert main(["run-example", "9", "--levels", "5", "--big"]) == 2
         assert "companion dimension" in capsys.readouterr().err

@@ -13,7 +13,7 @@ import sympy as sp
 
 from bielastic.eigen import kernel_basis
 from bielastic.mesh import TriMesh, generate_domain
-from bielastic.polybasis import edge_gauss, p3_shapes
+from bielastic.polybasis import edge_gauss, p3_shapes, triangle_quadrature
 from bielastic.spaces import (
     BrokenSpace,
     _entity_variables,
@@ -340,6 +340,26 @@ class TestBrokenSpace:
         eye = np.broadcast_to(np.eye(2), prod.shape)
         assert np.abs(prod - eye).max() < 1e-13
         assert np.abs(space.detB - 2 * mesh.signed_areas()).max() < 1e-15
+
+    def test_physical_points_affine_map(self):
+        """p0 + B xi per triangle, on a sheared and jittered mesh and on a
+        triangle range."""
+        base = generate_domain("unit-square", 2)
+        rng = np.random.default_rng(11)
+        jitter = 0.2 * base.h * rng.uniform(-1, 1, base.vertices.shape)
+        jitter[base.boundary_vertex] = 0.0
+        verts = (base.vertices + jitter) @ np.array([[1.0, 0.3], [0.5, 1.2]])
+        mesh = TriMesh(verts, base.triangles, domain="skewed", level=2,
+                       h=base.h)
+        space = BrokenSpace(mesh, 3)
+        xi = triangle_quadrature(10).points
+        got = space.physical_points(xi)
+        want = np.stack([space.p0[t] + xi @ space.B[t].T
+                         for t in range(mesh.nt)])
+        assert got.shape == (mesh.nt, len(xi), 2)
+        assert np.abs(got - want).max() <= 1e-15
+        part = space.physical_points(xi, slice(5, 9))
+        assert np.abs(part - want[5:9]).max() <= 1e-15
 
     def test_physical_derivatives_sympy(self):
         """Push-forward of gradients and Hessians on a skewed triangle."""
