@@ -4,11 +4,15 @@ Every matrix is block-diagonal per triangle over broken coefficients; vector
 fields use a component-major layout, so a two-component form is the 2x2
 block matrix of scalar-layout pieces.  Every matrix comes from one kernel,
 ``_form``: each form lists, per component block, its weighted products of
-tabulated fields (values, gradients, Hessians).  Quadrature degree is chosen from the
-polynomial degree of the integrand when the coefficient is polynomial and
-capped at the finest available rule otherwise (rational or trigonometric
-coefficients are integrated at degree 12; the consistency error this leaves
-is far below the discretization error at the mesh sizes involved).
+tabulated fields (values, gradients, Hessians).  Its quadrature degree is
+chosen from the polynomial degree of the integrand, read from the
+coefficient's expression tree, and capped at the finest available rule
+otherwise (rational or trigonometric coefficients are integrated at degree
+12; the consistency error this leaves is far below the discretization
+error at the mesh sizes involved).  Loads and error norms use the fixed
+degree ``FIELD_DEGREE``.  The kernel checks only finiteness, of the
+coefficient values and of the assembled blocks; whether a weight is
+admissible (positive) is decided by the problem drivers in ``solvers``.
 
 Loads and error norms need no per-basis physical tables.  The load
 contracts its weighted values with the reference value table; the error
@@ -31,12 +35,11 @@ from .coefficients import as_coefficient, require_finite
 from .polybasis import QUAD_DEGREES, triangle_quadrature
 
 CHUNK = 512
+FIELD_DEGREE = 10  # quadrature degree of loads and error norms
 
 
-def _pick_degree(base, coeff, override=None):
-    if override is not None:
-        need = override
-    elif coeff is None:
+def _pick_degree(base, coeff):
+    if coeff is None:
         need = base
     elif coeff.poly_degree is not None:
         need = base + coeff.poly_degree
@@ -63,18 +66,10 @@ def _chunks(space, rule):
         yield sel, cw, xq
 
 
-def _coeff_weights(coeff, cw, xq, positive=False):
+def _coeff_weights(coeff, cw, xq):
     if coeff is None:
         return cw
-    values = require_finite(coeff(xq[..., 0], xq[..., 1]))
-    if positive:
-        vmin = float(np.min(values))
-        if vmin <= 0.0:
-            raise ValueError(
-                f"coefficient must be positive on the domain; "
-                f"min value {vmin:.3e} at a quadrature point"
-            )
-    return cw * values
+    return cw * require_finite(coeff(xq[..., 0], xq[..., 1]))
 
 
 def _block_diag(space, blocks):
@@ -110,27 +105,30 @@ def _dot_terms(left, right, blocks):
             for a, b in blocks}
 
 
-def _form(space, coeff, base_degree, terms, degree=None, positive=False):
+def _form(space, coeff, base_degree, terms):
     """The one form kernel: block (a, b) gets sum over its terms (s, f, g)
     of s int c f_i g_j, with f and g tabulated fields of ``terms(tab)``.
 
     A form listing only block (0, 0) is scalar and repeated on both
     components; one listing (0, 1) but not (1, 0) is symmetric, and its
-    (1, 0) block is the transpose of (0, 1).
+    (1, 0) block is the transpose of (0, 1).  A block that overflows, for
+    a finite but huge coefficient, is refused.
     """
     coeff = None if coeff is None else as_coefficient(coeff)
-    deg = _pick_degree(base_degree, coeff, degree)
+    deg = _pick_degree(base_degree, coeff)
     nt, nloc = space.mesh.nt, space.nloc
     blocks = defaultdict(lambda: np.zeros((nt, nloc, nloc)))
     rule = triangle_quadrature(deg)
     for sel, cw, xq in _chunks(space, rule):
         tab = space.tabulate(rule.points, sel)
-        w = _coeff_weights(coeff, cw, xq, positive)
+        w = _coeff_weights(coeff, cw, xq)
         for ab, parts in terms(tab).items():
             acc = blocks[ab][sel]
             for s, f, g in parts:
                 acc += s * np.einsum("tq,tqi,tqj->tij", w, f, g,
                                      optimize=True)
+    for b in blocks.values():
+        require_finite(b, "assembled form")
     if (0, 1) in blocks and (1, 0) not in blocks:
         blocks[1, 0] = blocks[0, 1].transpose(0, 2, 1)
     mats = {ab: _block_diag(space, b) for ab, b in blocks.items()}
@@ -141,39 +139,37 @@ def _form(space, coeff, base_degree, terms, degree=None, positive=False):
     )
 
 
-def mass_matrix(space, coeff=None, degree=None, positive=False):
+def mass_matrix(space, coeff=None):
     """(c u, v); block-diagonal in the components."""
     return _form(space, coeff, 2 * space.degree,
-                 lambda tab: {(0, 0): [(1, tab["v"], tab["v"])]},
-                 degree, positive)
+                 lambda tab: {(0, 0): [(1, tab["v"], tab["v"])]})
 
 
-def hessian_matrix(space, coeff=None, degree=None):
+def hessian_matrix(space, coeff=None):
     """(c D2 u, D2 v) with the mixed derivative counted twice."""
     def terms(tab):
         hxx, hxy, hyy = tab["hxx"], tab["hxy"], tab["hyy"]
         return {(0, 0): [(1, hxx, hxx), (2, hxy, hxy), (1, hyy, hyy)]}
-    return _form(space, coeff, 2 * (space.degree - 2), terms, degree)
+    return _form(space, coeff, 2 * (space.degree - 2), terms)
 
 
-def bielastic_matrix(space, coeff, lam, mu, degree=None, positive=False):
+def bielastic_matrix(space, coeff, lam, mu):
     """(c div sigma(u), div sigma(v)) on the two-component space."""
     def terms(tab):
         d = _divsigma_fields(tab, lam, mu)
         return _dot_terms(d, d, _UPPER)
-    return _form(space, coeff, 2 * (space.degree - 2), terms, degree,
-                 positive)
+    return _form(space, coeff, 2 * (space.degree - 2), terms)
 
 
-def graddiv_matrix(space, coeff=None, degree=None):
+def graddiv_matrix(space, coeff=None):
     """(c grad div u, grad div v)."""
     def terms(tab):
         gd = _graddiv_fields(tab)
         return _dot_terms(gd, gd, _UPPER)
-    return _form(space, coeff, 2 * (space.degree - 2), terms, degree)
+    return _form(space, coeff, 2 * (space.degree - 2), terms)
 
 
-def elastic_matrix(space, lam, mu, coeff=None, degree=None):
+def elastic_matrix(space, lam, mu, coeff=None):
     """(c sigma(u), grad v) = int c [2 mu eps(u):eps(v) + lam div u div v]."""
     def terms(tab):
         gx, gy = tab["gx"], tab["gy"]
@@ -182,24 +178,23 @@ def elastic_matrix(space, lam, mu, coeff=None, degree=None):
             (0, 1): [(mu, gy, gx), (lam, gx, gy)],
             (1, 1): [(2 * mu + lam, gy, gy), (mu, gx, gx)],
         }
-    return _form(space, coeff, 2 * (space.degree - 1), terms, degree)
+    return _form(space, coeff, 2 * (space.degree - 1), terms)
 
 
-def mixed_divsigma_matrix(space, coeff, lam, mu, degree=None,
-                          positive=False):
+def mixed_divsigma_matrix(space, coeff, lam, mu):
     """F[i, j] = (c phi_j, div sigma(phi_i)): value against the operator."""
     def terms(tab):
         d = _divsigma_fields(tab, lam, mu)
         return {(a, b): [(1, d[a][b], tab["v"])] for a, b in _ALL}
-    return _form(space, coeff, 2 * space.degree - 2, terms, degree, positive)
+    return _form(space, coeff, 2 * space.degree - 2, terms)
 
 
-def load_vector(space, f1, f2, degree=10):
+def load_vector(space, f1, f2):
     """Broken load (f, v) for a two-component right-hand side: per chunk
     and component, one product of the weighted load values with the
     reference value table (values need no push-forward)."""
     nt, nloc = space.mesh.nt, space.nloc
-    rule = triangle_quadrature(degree)
+    rule = triangle_quadrature(FIELD_DEGREE)
     ref_v = space.ref_tables(rule.points)["v"]
     out = np.zeros((2, nt, nloc))
     for sel, cw, xq in _chunks(space, rule):
@@ -210,7 +205,7 @@ def load_vector(space, f1, f2, degree=10):
     return out.reshape(-1)
 
 
-def error_norms(space, u, exact, degree=10):
+def error_norms(space, u, exact):
     """Broken L2 / H1-semi / H2-semi errors of a two-component field.
 
     u holds broken coefficients (component-major).  exact maps the keys
@@ -222,7 +217,7 @@ def error_norms(space, u, exact, degree=10):
     """
     nt, nloc = space.mesh.nt, space.nloc
     uc = u.reshape(2, nt, nloc)
-    rule = triangle_quadrature(degree)
+    rule = triangle_quadrature(FIELD_DEGREE)
     acc = {"l2": 0.0, "h1": 0.0, "h2": 0.0}
     contrib = {
         "l2": (("v", 1.0),),

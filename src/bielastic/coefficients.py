@@ -1,9 +1,14 @@
 """Scalar coefficient fields over the domain.
 
-Supported kinds: constants, affine fields c0 + cx*x1 + cy*x2, the radial
-quadratic c0 + x1**2 + x2**2, and restricted closed-form expressions in x1
-and x2 (arithmetic, powers, sin, cos).  Expressions are parsed once into a
-validated evaluation tree; evaluation is vectorized over numpy arrays.
+Every coefficient is one validated expression tree in x1 and x2
+(arithmetic, powers, sin, cos and pi), compiled once and evaluated
+vectorized over numpy arrays by one ``__call__``.  Constants, affine
+fields c0 + cx*x1 + cy*x2 and the radial quadratic c0 + x1**2 + x2**2
+build their trees from literal and name nodes, so a non-finite literal is
+refused where the values are used (``require_finite``); ``expression``
+parses closed-form text; ``combine`` joins two trees under one operator.
+The polynomial degree, which sets the quadrature degree of a form, is read
+from the tree alone (``_poly_degree``; None when not polynomial).
 """
 
 import ast
@@ -14,6 +19,9 @@ import numpy as np
 
 _ALLOWED_CALLS = {"sin": np.sin, "cos": np.cos}
 _ALLOWED_NAMES = {"x1", "x2", "pi"}
+_NAMESPACE = {"__builtins__": {}, "pi": math.pi, **_ALLOWED_CALLS}
+_X1, _X2 = ast.Name("x1", ast.Load()), ast.Name("x2", ast.Load())
+_OPS = {"add": ast.Add, "sub": ast.Sub, "mul": ast.Mult, "div": ast.Div}
 
 _ALLOWED_NODES = (
     ast.Expression,
@@ -93,6 +101,14 @@ def _poly_degree(node):
     return None
 
 
+def _add(a, b):
+    return ast.BinOp(a, ast.Add(), b)
+
+
+def _mul(a, b):
+    return ast.BinOp(a, ast.Mult(), b)
+
+
 def _float_literals(tree):
     """A copy of the tree with every integer literal made a float, so that
     powers of literals overflow instead of growing without bound."""
@@ -107,44 +123,31 @@ def _float_literals(tree):
 
 
 class Coefficient:
-    """A scalar field c(x1, x2), evaluated in batch."""
+    """A scalar field c(x1, x2): one validated expression tree (``tree``,
+    the body of the expression), evaluated in batch."""
 
-    def __init__(self, kind, func, poly_degree, label):
-        self.kind = kind
-        self._func = func
-        self.poly_degree = poly_degree
-        self.label = label
+    def __init__(self, tree):
+        expr = ast.Expression(tree)
+        _validate_tree(expr)
+        self.tree = tree
+        self.poly_degree = _poly_degree(expr)
+        code = ast.fix_missing_locations(_float_literals(expr))
+        self._code = compile(code, "<coefficient>", "eval")
 
     @classmethod
     def constant(cls, value):
-        value = float(value)
-        return cls(
-            "constant",
-            lambda x1, x2: np.full(np.shape(x1), value),
-            0,
-            repr(value),
-        )
+        return cls(ast.Constant(float(value)))
 
     @classmethod
     def affine(cls, c0, cx, cy):
-        c0, cx, cy = float(c0), float(cx), float(cy)
-        deg = 0 if cx == 0.0 and cy == 0.0 else 1
-        return cls(
-            "affine",
-            lambda x1, x2: c0 + cx * x1 + cy * x2,
-            deg,
-            f"{c0} + {cx}*x1 + {cy}*x2",
-        )
+        c0, cx, cy = (ast.Constant(float(c)) for c in (c0, cx, cy))
+        return cls(_add(_add(c0, _mul(cx, _X1)), _mul(cy, _X2)))
 
     @classmethod
     def radial_quadratic(cls, c0):
-        c0 = float(c0)
-        return cls(
-            "radial-quadratic",
-            lambda x1, x2: c0 + x1**2 + x2**2,
-            2,
-            f"{c0} + x1**2 + x2**2",
-        )
+        x1sq, x2sq = (ast.BinOp(x, ast.Pow(), ast.Constant(2))
+                      for x in (_X1, _X2))
+        return cls(_add(_add(ast.Constant(float(c0)), x1sq), x2sq))
 
     @classmethod
     def expression(cls, text):
@@ -154,30 +157,28 @@ class Coefficient:
             raise ValueError(
                 f"cannot parse expression {text!r}: {exc.msg}"
             ) from None
-        _validate_tree(tree)
-        code = compile(_float_literals(tree), "<coefficient>", "eval")
-        namespace = {"__builtins__": {}, "pi": math.pi, **_ALLOWED_CALLS}
-
-        def func(x1, x2):
-            # non-finite values are rejected where coefficients are used
-            try:
-                with np.errstate(all="ignore"):
-                    out = eval(code, namespace, {"x1": x1, "x2": x2})
-            except (ZeroDivisionError, OverflowError) as exc:
-                raise ValueError(
-                    f"cannot evaluate expression {text!r}: {exc}"
-                ) from None
-            if np.iscomplexobj(out):
-                raise ValueError(f"expression {text!r} has complex values")
-            return np.broadcast_to(np.asarray(out, float), np.shape(x1)).copy()
-
-        return cls("expression", func, _poly_degree(tree), text)
+        return cls(tree.body)
 
     def __call__(self, x1, x2):
-        return self._func(np.asarray(x1, float), np.asarray(x2, float))
+        x1, x2 = np.asarray(x1, float), np.asarray(x2, float)
+        # non-finite values are rejected where coefficients are used
+        try:
+            with np.errstate(all="ignore"):
+                out = eval(self._code, _NAMESPACE, {"x1": x1, "x2": x2})
+        except (ZeroDivisionError, OverflowError) as exc:
+            raise ValueError(
+                f"cannot evaluate expression {self.text!r}: {exc}"
+            ) from None
+        if np.iscomplexobj(out):
+            raise ValueError(f"expression {self.text!r} has complex values")
+        return np.broadcast_to(np.asarray(out, float), np.shape(x1)).copy()
+
+    @property
+    def text(self):
+        return ast.unparse(self.tree)
 
     def __repr__(self):
-        return f"Coefficient({self.kind}: {self.label})"
+        return f"Coefficient({self.text})"
 
 
 def require_finite(values, what="coefficient"):
@@ -196,33 +197,8 @@ def as_coefficient(c):
 
 def combine(op, a, b):
     """Pointwise combination of two coefficients (used for density algebra
-    like rho0*rho1/(rho1-rho0))."""
+    like rho0*rho1/(rho1-rho0)): the operands' trees joined under one
+    operator, the operands left unchanged."""
     a = as_coefficient(a)
     b = as_coefficient(b)
-    func = {
-        "add": lambda x1, x2: a(x1, x2) + b(x1, x2),
-        "sub": lambda x1, x2: a(x1, x2) - b(x1, x2),
-        "mul": lambda x1, x2: a(x1, x2) * b(x1, x2),
-        "div": lambda x1, x2: a(x1, x2) / b(x1, x2),
-    }[op]
-    if op in ("add", "sub"):
-        deg = (
-            max(a.poly_degree, b.poly_degree)
-            if a.poly_degree is not None and b.poly_degree is not None
-            else None
-        )
-    elif op == "mul":
-        deg = (
-            a.poly_degree + b.poly_degree
-            if a.poly_degree is not None and b.poly_degree is not None
-            else None
-        )
-    else:
-        deg = a.poly_degree if b.poly_degree == 0 else None
-    sym = {"add": "+", "sub": "-", "mul": "*", "div": "/"}[op]
-    return Coefficient(
-        "derived",
-        func,
-        deg,
-        f"({a.label}) {sym} ({b.label})",
-    )
+    return Coefficient(ast.BinOp(a.tree, _OPS[op](), b.tree))

@@ -53,6 +53,7 @@ SECANT_MAXITER = 50
 CERT_TOL = 1e-9
 DEDUPE_TOL = 1e-8
 CROSSING_TOL = 1e-8
+SCAN_POINTS = 60  # tau grid of the secant scan
 
 
 class Realization:
@@ -169,6 +170,8 @@ def coefficient_range(space, coeff):
 def fourth_order_block(real, coeff, lam, mu, alpha=None, inclusive=False):
     """The weighted (div sigma, div sigma) block.
 
+    A weight whose minimum over the degree-12 quadrature points
+    (``coefficient_range``) is not positive is refused, on either element.
     On the cubic element the form is assembled directly, and an alpha is
     refused, since no stabilization applies.  On Morley it is
     replaced by the alpha-split stabilization: (coeff - alpha) times the
@@ -180,11 +183,16 @@ def fourth_order_block(real, coeff, lam, mu, alpha=None, inclusive=False):
     """
     sp = real.space
     coeff = as_coefficient(coeff)
+    cmin = coefficient_range(sp, coeff)[0]
+    if cmin <= 0.0:
+        raise ValueError(
+            f"weight must be positive on the domain; its minimum is "
+            f"{cmin:.6g}"
+        )
     if real.element == "b3":
         if alpha is not None:
             raise ValueError("alpha applies only to the morley element")
-        return bielastic_matrix(sp, coeff, lam, mu, positive=True)
-    cmin = coefficient_range(sp, coeff)[0]
+        return bielastic_matrix(sp, coeff, lam, mu)
     if alpha is None:
         alpha = 0.5 * cmin
     ok = (0.0 < alpha <= cmin) if inclusive else (0.0 < alpha < cmin)
@@ -231,11 +239,20 @@ def detect_density_case(space, rho0, rho1):
     """Which non-intersecting ordering the densities satisfy.
 
     Returns "standard" when rho0 <= 1 <= rho1 (weight (rho1 - rho0)^-1)
-    and "swapped" when rho1 <= 1 <= rho0 (roles exchanged).
+    and "swapped" when rho1 <= 1 <= rho0 (roles exchanged).  A density
+    whose minimum over the degree-12 quadrature points is not positive is
+    refused; with both densities positive and strictly ordered, the
+    transmission weights r, r*lo and r*lo*hi are positive too.
     """
-    rho0, rho1 = as_coefficient(rho0), as_coefficient(rho1)
-    min0, max0 = coefficient_range(space, rho0)
-    min1, max1 = coefficient_range(space, rho1)
+    ranges = {"rho0": coefficient_range(space, rho0),
+              "rho1": coefficient_range(space, rho1)}
+    for name, (lo, _) in ranges.items():
+        if lo <= 0.0:
+            raise ValueError(
+                f"density {name} must be positive on the domain; its "
+                f"minimum is {lo:.6g}"
+            )
+    (min0, max0), (min1, max1) = ranges.values()
     if max0 <= 1.0 <= min1 and min1 - max0 > 0.0:
         return "standard"
     if max1 <= 1.0 <= min0 and min0 - max1 > 0.0:
@@ -271,13 +288,10 @@ class TepBlocks:
         r = combine("div", 1.0, combine("sub", hi, lo))
         D = fourth_order_block(real, r, lam, mu, alpha, inclusive=True)
         self.KD = real.reduced(D.tocsr())
-        F0 = mixed_divsigma_matrix(
-            sp, combine("mul", r, lo), lam, mu, positive=True
-        )
+        F0 = mixed_divsigma_matrix(sp, combine("mul", r, lo), lam, mu)
         self.KF = real.reduced((F0 + F0.T).tocsr())
         self.KB = real.reduced(elastic_matrix(sp, lam, mu).tocsr())
-        Mq = mass_matrix(sp, combine("mul", r, combine("mul", lo, hi)),
-                         positive=True)
+        Mq = mass_matrix(sp, combine("mul", r, combine("mul", lo, hi)))
         self.KM = real.reduced(Mq.tocsr())
         self._lambda_cache = {}
         self._last_vectors = None
@@ -346,18 +360,18 @@ def _secant_refine(f, a, b, fa, fb):
     return t, ft, SECANT_MAXITER, False
 
 
-def find_teps_secant(blocks, k=12, tau_lo=0.25, tau_hi=None, grid=60):
+def find_teps_secant(blocks, k=12, tau_lo=0.25, tau_hi=None):
     """Real transmission eigenvalues: roots of f_j(tau) = lambda_j(tau) - tau.
 
-    Scans each branch for sign changes, refines every bracket by
-    safeguarded secant iteration, certifies each root against all branches,
-    and deduplicates.
+    Scans each branch for sign changes at ``SCAN_POINTS`` taus, refines
+    every bracket by safeguarded secant iteration, certifies each root
+    against all branches, and deduplicates.
     """
     lam0 = blocks.lambda_of_tau(0.0, k)
     k = min(k, lam0.size)
     if tau_hi is None:
         tau_hi = 1.5 * lam0[-1]
-    taus = np.linspace(tau_lo, tau_hi, grid)
+    taus = np.linspace(tau_lo, tau_hi, SCAN_POINTS)
     table = np.array([blocks.lambda_of_tau(t, k) for t in taus])
     roots = []
     for j in range(k):
@@ -366,7 +380,7 @@ def find_teps_secant(blocks, k=12, tau_lo=0.25, tau_hi=None, grid=60):
         def f(tau, j=j):
             return blocks.lambda_of_tau(tau, k)[j] - tau
 
-        for i in range(grid - 1):
+        for i in range(SCAN_POINTS - 1):
             if fj[i] == 0.0:
                 sign_change = True
                 a, b, fa, fb = taus[i], taus[i], 0.0, 0.0

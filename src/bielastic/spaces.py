@@ -140,7 +140,10 @@ class _Tables(dict):
         return value
 
 
-def _edge_functional_tables(mesh, ngauss=3):
+EDGE_POINTS = 3  # Gauss points per edge of the trace functionals
+
+
+def _edge_functional_tables(mesh):
     """Per-triangle edge-functional rows of the local P3 basis.
 
     For triangle t and local edge k (opposite local vertex k) returns the
@@ -153,17 +156,17 @@ def _edge_functional_tables(mesh, ngauss=3):
 
     Shapes: (nt, 3, 10) each.
     """
-    s, w = edge_gauss(ngauss)
+    s, w = edge_gauss(EDGE_POINTS)
     refv = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     # reference Gauss points for each (local edge, direction) pair
-    ref_pts = np.empty((3, 2, ngauss, 2))
+    ref_pts = np.empty((3, 2, EDGE_POINTS, 2))
     for k in range(3):
         a, b = refv[(k + 1) % 3], refv[(k + 2) % 3]
         ref_pts[k, 0] = a[None, :] + s[:, None] * (b - a)[None, :]
         ref_pts[k, 1] = b[None, :] + s[:, None] * (a - b)[None, :]
     nt = mesh.nt
     tab = BrokenSpace(mesh, 3).tabulate(ref_pts.reshape(-1, 2))
-    val, gx, gy = (tab[key].reshape(nt, 3, 2, ngauss, 10)
+    val, gx, gy = (tab[key].reshape(nt, 3, 2, EDGE_POINTS, 10)
                    for key in ("v", "gx", "gy"))
     tri = mesh.triangles
     lengths = mesh.edge_lengths()
@@ -177,7 +180,7 @@ def _edge_functional_tables(mesh, ngauss=3):
         # direction 0 if the global edge start is local vertex k+1
         fwd = (mesh.edges[e, 0] == tri[:, (k + 1) % 3]).astype(int)
         at = np.arange(nt), k, 1 - fwd
-        v = val[at]                            # (nt, ngauss, 10)
+        v = val[at]                            # (nt, EDGE_POINTS, 10)
         dn = (gx[at] * normals[e, 0, None, None]
               + gy[at] * normals[e, 1, None, None])
         le = lengths[e][:, None]
@@ -204,20 +207,15 @@ def _phi_matrices(mesh):
     return phi
 
 
-def _entity_variables(mesh, homogeneous=True, per_edge=3):
+def _entity_variables(mesh, per_edge=3):
     """Number the entity variables: vertex values first, then the
     ``per_edge`` functionals of every edge (the (mean, n-moment0,
     n-moment1) triple for ``b3``, the mean normal derivative for Morley).
-    In the homogeneous case boundary entities are fixed to zero and carry
-    no variable."""
+    Boundary entities are fixed to zero and carry no variable."""
     vert_var = np.full(mesh.nv, -1, np.int64)
     edge_var = np.full(mesh.ne, -1, np.int64)
-    if homogeneous:
-        keep_v = np.flatnonzero(~mesh.boundary_vertex)
-        keep_e = np.flatnonzero(~mesh.boundary_edge)
-    else:
-        keep_v = np.arange(mesh.nv)
-        keep_e = np.arange(mesh.ne)
+    keep_v = np.flatnonzero(~mesh.boundary_vertex)
+    keep_e = np.flatnonzero(~mesh.boundary_edge)
     vert_var[keep_v] = np.arange(len(keep_v))
     edge_var[keep_e] = len(keep_v) + per_edge * np.arange(len(keep_e))
     nvars = len(keep_v) + per_edge * len(keep_e)
@@ -263,9 +261,8 @@ class EntityReduction:
     entity variables).
     """
 
-    def __init__(self, mesh, homogeneous, nvars, psi, lift):
+    def __init__(self, mesh, nvars, psi, lift):
         self.mesh = mesh
-        self.homogeneous = homogeneous
         self.nvars = nvars
         self.psi = psi
         self.lift = lift
@@ -275,7 +272,7 @@ class EntityReduction:
         return self.nvars - self.psi.shape[0]
 
 
-def reduce_entities(mesh, homogeneous=True):
+def reduce_entities(mesh):
     """Exact reduction of the broken constraints to entity variables.
 
     The twelve entity functionals of a cubic on one triangle satisfy two
@@ -285,8 +282,8 @@ def reduce_entities(mesh, homogeneous=True):
     coefficients from entity values (exact on compatible data).  Rows are
     swept in geometric strips (centroid y, then x).
 
-    Without boundary conditions the rows are independent.  With them the
-    full system has exactly two dependencies, and both weight every
+    Boundary entities carry no variable.  With these boundary conditions
+    the full system has exactly two dependencies, and both weight every
     triangle's pair of rows, so dropping the last triangle's pair leaves
     ``psi`` with full row rank.  The test suite certifies this rank
     against a dense SVD of the explicit constraint rows.
@@ -305,14 +302,12 @@ def reduce_entities(mesh, homogeneous=True):
         rows[:, other, :] -= fac[:, None] * rows[:, r, :]
     recon = np.linalg.pinv(phi)  # (nt, 10, 12)
 
-    vert_var, edge_var, nvars = _entity_variables(mesh, homogeneous)
+    vert_var, edge_var, nvars = _entity_variables(mesh)
     slot_vars = _slot_vars(mesh, vert_var, edge_var)
 
     cx = mesh.vertices[mesh.triangles, 0].mean(axis=1)
     cy = mesh.vertices[mesh.triangles, 1].mean(axis=1)
-    order = np.lexsort((cx, cy))
-    if homogeneous:
-        order = order[:-1]
+    order = np.lexsort((cx, cy))[:-1]
     vals = rows[order]
     cols = np.broadcast_to(slot_vars[order][:, None, :], vals.shape)
     row_ids = np.broadcast_to(
@@ -325,7 +320,7 @@ def reduce_entities(mesh, homogeneous=True):
     )
 
     lift = _local_map(recon, slot_vars, nvars)
-    return EntityReduction(mesh, homogeneous, nvars, psi, lift)
+    return EntityReduction(mesh, nvars, psi, lift)
 
 
 def build_morley(mesh):

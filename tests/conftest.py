@@ -16,10 +16,10 @@ def dense_nullspace(matrix, tol=1e-9):
     return vt[rank:].T
 
 
-def b3_oracle_basis(mesh, homogeneous=True):
+def b3_oracle_basis(mesh):
     """Orthonormal basis of the b3 space over broken-P3 coefficients (one
     scalar component), as a sparse matrix."""
-    matrix = build_b3_constraints(mesh, homogeneous).matrix
+    matrix = build_b3_constraints(mesh).matrix
     return sparse.csr_matrix(dense_nullspace(matrix))
 
 

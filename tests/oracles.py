@@ -39,26 +39,22 @@ from bielastic.spaces import _edge_functional_tables
 class ConstraintSystem:
     """Sparse linear constraints whose null space is the conforming space.
 
-    With ``homogeneous=True`` the boundary rows (vertex values, edge value
-    means, edge normal moments) are included, so the null space carries the
-    zero boundary conditions.  With ``homogeneous=False`` only the interior
-    continuity rows are kept; the null space is then the full nonconforming
-    space without boundary conditions, whose dimension is the quantity
-    reported as the degree-of-freedom count of the method.
+    The boundary rows (vertex values, edge value means, edge normal
+    moments) are included, so the null space carries the zero boundary
+    conditions.
     """
 
-    def __init__(self, mesh, matrix, kinds, homogeneous=True):
+    def __init__(self, mesh, matrix, kinds):
         self.mesh = mesh
         self.matrix = matrix
         self.kinds = kinds
-        self.homogeneous = homogeneous
 
     @property
     def nrows(self):
         return self.matrix.shape[0]
 
 
-def build_b3_constraints(mesh, homogeneous=True):
+def build_b3_constraints(mesh):
     """Explicit constraint rows over broken-P3 coefficients."""
     mean, mom0, mom1 = _edge_functional_tables(mesh)
     tri = mesh.triangles
@@ -83,7 +79,7 @@ def build_b3_constraints(mesh, homogeneous=True):
             vert_tris[tri[t, i]].append((t, i))
     for v in range(mesh.nv):
         inc = vert_tris[v]
-        if homogeneous and mesh.boundary_vertex[v]:
+        if mesh.boundary_vertex[v]:
             for t, i in inc:
                 add_row("vertex-bdry", [(t * nloc + i, 1.0)])
         else:
@@ -103,8 +99,6 @@ def build_b3_constraints(mesh, homogeneous=True):
         tplus, tminus = mesh.edge_tris[e]
         kplus = local_edge(tplus, e)
         if tminus < 0:
-            if not homogeneous:
-                continue
             for name, kind in (
                 ("mean", "bdry-mean"), ("n0", "bdry-n0"), ("n1", "bdry-n1")
             ):
@@ -129,7 +123,7 @@ def build_b3_constraints(mesh, homogeneous=True):
     matrix = sparse.csr_matrix(
         (vals, (rows, cols)), shape=(len(kinds), mesh.nt * nloc)
     )
-    return ConstraintSystem(mesh, matrix, np.array(kinds), homogeneous)
+    return ConstraintSystem(mesh, matrix, np.array(kinds))
 
 
 def _curlrot_fields(tab):
@@ -137,27 +131,27 @@ def _curlrot_fields(tab):
     return (-hyy, hxy), (hxy, -hxx)
 
 
-def laplace_matrix(space, coeff=None, degree=None):
+def laplace_matrix(space, coeff=None):
     """(c Lap u, Lap v) componentwise."""
     def terms(tab):
         lap = tab["hxx"] + tab["hyy"]
         return {(0, 0): [(1, lap, lap)]}
-    return _form(space, coeff, 2 * (space.degree - 2), terms, degree)
+    return _form(space, coeff, 2 * (space.degree - 2), terms)
 
 
-def curlrot_matrix(space, coeff=None, degree=None):
+def curlrot_matrix(space, coeff=None):
     """(c curl rot u, curl rot v)."""
     def terms(tab):
         cr = _curlrot_fields(tab)
         return _dot_terms(cr, cr, _UPPER)
-    return _form(space, coeff, 2 * (space.degree - 2), terms, degree)
+    return _form(space, coeff, 2 * (space.degree - 2), terms)
 
 
-def mixed_graddiv_curlrot_matrix(space, coeff=None, degree=None):
+def mixed_graddiv_curlrot_matrix(space, coeff=None):
     """M[i, j] = (c grad div phi_j, curl rot phi_i)."""
     def terms(tab):
         return _dot_terms(_curlrot_fields(tab), _graddiv_fields(tab), _ALL)
-    return _form(space, coeff, 2 * (space.degree - 2), terms, degree)
+    return _form(space, coeff, 2 * (space.degree - 2), terms)
 
 
 def barycentric_moment(a, b, c):

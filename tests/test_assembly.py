@@ -8,6 +8,7 @@ import pytest
 import scipy.sparse as sparse
 import sympy as sp
 
+import bielastic.assembly as assembly
 from bielastic.assembly import (
     bielastic_matrix,
     elastic_matrix,
@@ -20,6 +21,8 @@ from bielastic.assembly import (
 )
 from bielastic.coefficients import Coefficient
 from bielastic.mesh import TriMesh, generate_domain, refine_uniform
+from bielastic.polybasis import QUAD_DEGREES
+from bielastic.solvers import fourth_order_block, make_realization
 from bielastic.spaces import BrokenSpace, build_morley, vector_transform
 
 from oracles import (
@@ -404,25 +407,40 @@ class TestBrokenIdentities:
         assert np.array_equal(A.data, B.data)
         assert np.array_equal(A.indices, B.indices)
 
-    def test_positive_coefficient_check(self, sq1_space):
+    def test_positive_coefficient_check(self, sq1, sq1_space):
+        """A form assembles any finite weight; the fourth-order block
+        refuses a weight that is not positive, on both elements."""
         dips = Coefficient.affine(0.1, -1.0, 0.0)
-        with pytest.raises(ValueError, match="positive"):
-            mass_matrix(sq1_space, dips, positive=True)
         mass_matrix(sq1_space, dips)  # unchecked assembly is allowed
         ok = Coefficient.affine(8.0, 1.0, -1.0)
-        mass_matrix(sq1_space, ok, positive=True)
+        for element in ("b3", "morley"):
+            real = make_realization(sq1, element)
+            with pytest.raises(ValueError,
+                               match="weight must be positive.*minimum"):
+                fourth_order_block(real, dips, LAM, MU)
+            fourth_order_block(real, ok, LAM, MU)
 
-    def test_quadrature_degree_tracks_coefficient(self, sq1_space):
+    def test_quadrature_degree_tracks_coefficient(self, sq1_space,
+                                                  monkeypatch):
         affine = Coefficient.affine(8.0, 1.0, -1.0)
         quad = Coefficient.radial_quadratic(4.0)
-        for coeff, form in (
-            (affine, lambda d: mass_matrix(sq1_space, affine, degree=d)),
-            (quad, lambda d: bielastic_matrix(
-                sq1_space, quad, LAM, MU, degree=d)),
-        ):
-            auto = form(None).toarray()
-            full = form(12).toarray()
-            assert np.abs(auto - full).max() <= 1e-13 * np.abs(full).max()
+        forms = (lambda: mass_matrix(sq1_space, affine),
+                 lambda: bielastic_matrix(sq1_space, quad, LAM, MU))
+        auto = [form().toarray() for form in forms]
+        monkeypatch.setattr(assembly, "_pick_degree",
+                            lambda base, coeff: QUAD_DEGREES[-1])
+        for form, low in zip(forms, auto):
+            full = form().toarray()
+            assert np.abs(low - full).max() <= 1e-13 * np.abs(full).max()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_form_is_refused(self, sq1_space):
+        """A finite weight whose products overflow gives no inf or NaN
+        entries: the form is refused."""
+        huge = Coefficient.expression("1e308*x1*x1+1")
+        assert np.isfinite(huge(sq1_space.p0[:, 0], sq1_space.p0[:, 1])).all()
+        with pytest.raises(ValueError, match="assembled form is not finite"):
+            bielastic_matrix(sq1_space, huge, LAM, MU)
 
 
 @pytest.fixture(scope="module")
@@ -553,7 +571,7 @@ class TestErrorNorms:
         w1 = lambda x, y: np.sin(np.pi * x) ** 2 * np.sin(np.pi * y) ** 3
         w2 = lambda x, y: np.sin(np.pi * x) ** 3 * np.sin(np.pi * y) ** 2
         u = np.zeros(2 * mesh.nt * space.nloc)
-        norms = error_norms(space, u, {"v": (w1, w2)}, degree=12)
+        norms = error_norms(space, u, {"v": (w1, w2)})
         # int sin^4 = 3/8 and int sin^6 = 5/16 on [0, 1]
         exact = math.sqrt(2 * (3 / 8) * (5 / 16))
         assert norms["l2"] == pytest.approx(exact, abs=1e-9)

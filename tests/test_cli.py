@@ -430,6 +430,30 @@ class TestSolveCommands:
         assert err.startswith("error: Lame parameters need")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv, message", [
+        (["solve-bielastic", "--beta", "-1"],
+         "weight must be positive on the domain; its minimum is -1"),
+        (["solve-bielastic", "--beta", "-1", "--element", "morley"],
+         "weight must be positive on the domain; its minimum is -1"),
+        (["solve-source", "--f1", "1", "--f2", "0", "--beta", "0"],
+         "weight must be positive on the domain; its minimum is 0"),
+        (["solve-tep", "--rho0", "-1", "--rho1", "3"],
+         "density rho0 must be positive on the domain; its minimum is -1"),
+        (["solve-tep", "--rho0", "-1", "--rho1", "3", "--element", "morley"],
+         "density rho0 must be positive on the domain; its minimum is -1"),
+        (["solve-bielastic", "--k", "2", "--beta", "1e308*x1*x1+1"],
+         "assembled form is not finite on the domain"),
+    ])
+    def test_inadmissible_weights_exit_2(self, capsys, argv, message):
+        """A weight or density that is not positive, or a finite weight
+        whose form overflows, ends with one line naming it."""
+        command, *extra = argv
+        assert main([
+            command, "--domain", "unit-square", "--level", "1",
+            "--lam", "0.25", "--mu", "0.0625", *extra,
+        ]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
 
 class TestDumpMesh:
     def test_stdout(self, capsys):

@@ -275,7 +275,7 @@ class TestTepSecant:
     def test_empty_scan_warns(self, ex6_blocks):
         with pytest.warns(RuntimeWarning, match="no transmission"):
             roots = find_teps_secant(
-                ex6_blocks, k=2, tau_lo=0.26, tau_hi=0.40, grid=4
+                ex6_blocks, k=2, tau_lo=0.26, tau_hi=0.40
             )
         assert roots == []
 

@@ -81,9 +81,9 @@ class TestNullspaceOracle:
     ]
 
     @staticmethod
-    def assert_same_space(mesh, b3_oracle, homogeneous=True):
-        red = reduce_entities(mesh, homogeneous)
-        ref = b3_oracle(mesh, homogeneous).toarray()
+    def assert_same_space(mesh, b3_oracle):
+        red = reduce_entities(mesh)
+        ref = b3_oracle(mesh).toarray()
         assert red.dim == ref.shape[1]
         if red.dim == 0:
             return
@@ -112,20 +112,9 @@ class TestNullspaceOracle:
         resid = C @ N
         assert np.abs(resid).max() <= 1e-10 * np.abs(N).max()
 
-    @pytest.mark.parametrize("domain,level", [
-        ("unit-square", 0), ("unit-square", 1),
-        ("right-triangle", 1), ("l-shape", 0),
-    ])
-    def test_free_space_matches_dense_svd(self, domain, level, b3_oracle):
-        self.assert_same_space(
-            generate_domain(domain, level), b3_oracle, homogeneous=False
-        )
-
     def test_dimension_formulas(self, b3_oracle):
-        """Scalar dims on these meshes: constrained 4*Vi + T - 1 (the
-        compatibility system has exactly two redundant rows), free
-        4*V + T - 3 (full rank; the generic count 4*V + T - 1 overcounts
-        by the two relations that only appear with boundary conditions)."""
+        """Scalar dims on these meshes: 4*Vi + T - 1 (the compatibility
+        system has exactly two redundant rows)."""
         for domain, level in [("unit-square", 2), ("right-triangle", 2),
                               ("l-shape", 1), ("equilateral-triangle", 2)]:
             mesh = generate_domain(domain, level)
@@ -133,17 +122,14 @@ class TestNullspaceOracle:
             constrained = 4 * vi + mesh.nt - 1
             assert b3_oracle(mesh).shape[1] == constrained
             assert reduce_entities(mesh).dim == constrained
-            free = 4 * mesh.nv + mesh.nt - 3
-            assert b3_oracle(mesh, homogeneous=False).shape[1] == free
-            assert reduce_entities(mesh, homogeneous=False).dim == free
 
 
-def full_compatibility_system(mesh, homogeneous):
+def full_compatibility_system(mesh):
     """All 2*nt compatibility rows over entity variables, triangle-major,
     each pair an orthonormal basis of the left null space of the
     triangle's entity-functional matrix; also the sweep order."""
     phi = _phi_matrices(mesh)
-    vert_var, edge_var, nvars = _entity_variables(mesh, homogeneous)
+    vert_var, edge_var, nvars = _entity_variables(mesh)
     slot_vars = _slot_vars(mesh, vert_var, edge_var)
     G = np.zeros((2 * mesh.nt, nvars))
     for t in range(mesh.nt):
@@ -157,9 +143,8 @@ def full_compatibility_system(mesh, homogeneous):
 
 class TestCompatibilityRank:
     """Certifies the fixed row rule of ``reduce_entities``: the full
-    system has exactly two dependencies with boundary conditions and none
-    without, the last triangle's pair in sweep order carries both, and
-    the returned ``psi`` has full row rank."""
+    system has exactly two dependencies, the last triangle's pair in sweep
+    order carries both, and the returned ``psi`` has full row rank."""
 
     @pytest.mark.parametrize("level", [0, 1, 2, 3])
     @pytest.mark.parametrize("domain", [
@@ -167,19 +152,17 @@ class TestCompatibilityRank:
     ])
     def test_dependencies_and_dropped_pair(self, domain, level):
         mesh = generate_domain(domain, level)
-        for homogeneous, ndep in ((True, 2), (False, 0)):
-            G, order = full_compatibility_system(mesh, homogeneous)
-            left = scipy.linalg.null_space(G.T)
-            assert left.shape[1] == ndep
-            psi = reduce_entities(mesh, homogeneous).psi.toarray()
-            assert psi.shape[0] == 2 * mesh.nt - ndep
-            assert np.linalg.matrix_rank(psi) == psi.shape[0]
-            if homogeneous:
-                # both dependencies weight every triangle's pair equally,
-                # so the dropped (last) pair's block is nonsingular
-                dets = np.abs(np.linalg.det(left.reshape(mesh.nt, 2, 2)))
-                assert np.allclose(mesh.nt * dets, 1.0, rtol=1e-8)
-                assert mesh.nt * dets[order[-1]] > 0.5
+        G, order = full_compatibility_system(mesh)
+        left = scipy.linalg.null_space(G.T)
+        assert left.shape[1] == 2
+        psi = reduce_entities(mesh).psi.toarray()
+        assert psi.shape[0] == 2 * mesh.nt - 2
+        assert np.linalg.matrix_rank(psi) == psi.shape[0]
+        # both dependencies weight every triangle's pair equally, so the
+        # dropped (last) pair's block is nonsingular
+        dets = np.abs(np.linalg.det(left.reshape(mesh.nt, 2, 2)))
+        assert np.allclose(mesh.nt * dets, 1.0, rtol=1e-8)
+        assert mesh.nt * dets[order[-1]] > 0.5
 
 
 class TestEntityReduction:
@@ -205,11 +188,6 @@ class TestEntityReduction:
         assert per_row.max() <= 12
         per_psi_row = np.diff(red.psi.indptr)
         assert per_psi_row.max() <= 12
-
-    def test_free_dim(self):
-        mesh = generate_domain("right-triangle", 2)
-        red = reduce_entities(mesh, homogeneous=False)
-        assert red.dim == 4 * mesh.nv + mesh.nt - 3
 
     def test_vector_blocks(self):
         mesh = generate_domain("unit-square", 0)
