@@ -145,12 +145,12 @@ def mass_matrix(space, coeff=None):
                  lambda tab: {(0, 0): [(1, tab["v"], tab["v"])]})
 
 
-def hessian_matrix(space, coeff=None):
-    """(c D2 u, D2 v) with the mixed derivative counted twice."""
+def hessian_matrix(space):
+    """(D2 u, D2 v) with the mixed derivative counted twice."""
     def terms(tab):
         hxx, hxy, hyy = tab["hxx"], tab["hxy"], tab["hyy"]
         return {(0, 0): [(1, hxx, hxx), (2, hxy, hxy), (1, hyy, hyy)]}
-    return _form(space, coeff, 2 * (space.degree - 2), terms)
+    return _form(space, None, 2 * (space.degree - 2), terms)
 
 
 def bielastic_matrix(space, coeff, lam, mu):
@@ -161,16 +161,16 @@ def bielastic_matrix(space, coeff, lam, mu):
     return _form(space, coeff, 2 * (space.degree - 2), terms)
 
 
-def graddiv_matrix(space, coeff=None):
-    """(c grad div u, grad div v)."""
+def graddiv_matrix(space):
+    """(grad div u, grad div v)."""
     def terms(tab):
         gd = _graddiv_fields(tab)
         return _dot_terms(gd, gd, _UPPER)
-    return _form(space, coeff, 2 * (space.degree - 2), terms)
+    return _form(space, None, 2 * (space.degree - 2), terms)
 
 
-def elastic_matrix(space, lam, mu, coeff=None):
-    """(c sigma(u), grad v) = int c [2 mu eps(u):eps(v) + lam div u div v]."""
+def elastic_matrix(space, lam, mu):
+    """(sigma(u), grad v) = int 2 mu eps(u):eps(v) + lam div u div v."""
     def terms(tab):
         gx, gy = tab["gx"], tab["gy"]
         return {
@@ -178,7 +178,7 @@ def elastic_matrix(space, lam, mu, coeff=None):
             (0, 1): [(mu, gy, gx), (lam, gx, gy)],
             (1, 1): [(2 * mu + lam, gy, gy), (mu, gx, gx)],
         }
-    return _form(space, coeff, 2 * (space.degree - 1), terms)
+    return _form(space, None, 2 * (space.degree - 1), terms)
 
 
 def mixed_divsigma_matrix(space, coeff, lam, mu):
@@ -208,12 +208,12 @@ def load_vector(space, f1, f2):
 def error_norms(space, u, exact):
     """Broken L2 / H1-semi / H2-semi errors of a two-component field.
 
-    u holds broken coefficients (component-major).  exact maps the keys
-    v, gx, gy, hxx, hxy, hyy to pairs of callables (one per component);
-    keys may be omitted when the corresponding norm is not wanted.  Per
-    chunk, each component's coefficients are contracted with the reference
-    tables first and the resulting fields pushed forward
-    (``BrokenSpace.field``), only for the keys ``exact`` holds.
+    u holds broken coefficients (component-major).  exact is one callable:
+    ``exact(x, y)`` maps the keys v, gx, gy, hxx, hxy, hyy to the pair of
+    component values, and may omit the keys of norms not wanted.  It is
+    called once per chunk, and only the fields of the keys it returns are
+    contracted with the reference tables and pushed forward
+    (``BrokenSpace.field``).  A norm that is not finite is refused.
     """
     nt, nloc = space.mesh.nt, space.nloc
     uc = u.reshape(2, nt, nloc)
@@ -225,13 +225,15 @@ def error_norms(space, u, exact):
         "h2": (("hxx", 1.0), ("hxy", 2.0), ("hyy", 1.0)),
     }
     for sel, cw, xq in _chunks(space, rule):
-        x, y = xq[..., 0], xq[..., 1]
+        want = exact(xq[..., 0], xq[..., 1])
         fields = [space.field(uc[c], rule.points, sel) for c in range(2)]
         for norm, parts in contrib.items():
             for key, factor in parts:
-                if key not in exact:
+                if key not in want:
                     continue
                 for c in range(2):
-                    diff = fields[c][key] - exact[key][c](x, y)
+                    diff = fields[c][key] - want[key][c]
                     acc[norm] += factor * float(np.sum(cw * diff * diff))
-    return {k: np.sqrt(v) for k, v in acc.items()}
+    norms = {k: np.sqrt(v) for k, v in acc.items()}
+    require_finite(list(norms.values()), "error norm")
+    return norms

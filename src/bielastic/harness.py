@@ -1,15 +1,17 @@
 """Experiment runner: built-in examples, convergence orders, reports.
 
 The module bundles nine built-in experiment definitions (two source
-problems, three weighted eigenvalue problems, four transmission runs),
-drives the solvers level by level, attaches empirical convergence
-orders, and serializes the outcome as a text table, CSV, JSON, or plot
-data files. ``run_example``, given an example number or an
-``ExampleDef``, is the one way to run a study: it validates every option
-once, and one builder per kind supplies the per-level solve that the
-shared level loop calls. User-facing refinement levels are 1-based; each
-example carries its own offset into the mesh hierarchy so that level 1
-starts on the coarsest grid the reference values were produced on.
+problems with one exact-solution callable each, three weighted eigenvalue
+problems, four transmission runs), drives the solvers level by level,
+attaches empirical convergence orders, and serializes the outcome as a
+text table, CSV, JSON, or plot data files; the orders, the table and the
+plot files read one grouping of the rows, ``_series``. ``run_example``,
+given an example number or an ``ExampleDef``, is the one way to run a
+study: it validates every option once, and one builder per kind supplies
+the per-level solve that the shared level loop calls. User-facing
+refinement levels are 1-based; each example carries its own offset into
+the mesh hierarchy so that level 1 starts on the coarsest grid the
+reference values were produced on.
 """
 
 import json
@@ -54,47 +56,35 @@ EIGEN_COLUMNS = (
 PI = np.pi
 
 
-def _mirror_exact(v, gx, gy, hxx, hxy, hyy):
-    """Exact-solution table for a vector field whose second component is
-    the first with swapped arguments."""
+def _mirror(first):
+    """Exact solution of a vector field whose second component is the
+    first with swapped arguments.  ``first(x, y)`` returns the first
+    component's value and derivatives, keyed v, gx, gy, hxx, hxy, hyy;
+    the swap trades the x and y derivatives of the second component."""
+    swapped = {"v": "v", "gx": "gy", "gy": "gx", "hxx": "hyy", "hxy": "hxy",
+               "hyy": "hxx"}
+
+    def exact(x, y):
+        a, b = first(x, y), first(y, x)
+        return {key: (a[key], b[swapped[key]]) for key in swapped}
+    return exact
+
+
+def _zero_exact(x, y):
+    return {key: (0.0, 0.0) for key in ("v", "gx", "gy", "hxx", "hxy", "hyy")}
+
+
+def _ex1(x, y):
+    sx, sy, cy = np.sin(PI * x), np.sin(PI * y), np.cos(PI * y)
+    s2x, c2x = np.sin(2 * PI * x), np.cos(2 * PI * x)
     return {
-        "v": (v, lambda x, y: v(y, x)),
-        "gx": (gx, lambda x, y: gy(y, x)),
-        "gy": (gy, lambda x, y: gx(y, x)),
-        "hxx": (hxx, lambda x, y: hyy(y, x)),
-        "hxy": (hxy, lambda x, y: hxy(y, x)),
-        "hyy": (hyy, lambda x, y: hxx(y, x)),
+        "v": sx ** 2 * sy ** 3,
+        "gx": PI * s2x * sy ** 3,
+        "gy": 3 * PI * sx ** 2 * sy ** 2 * cy,
+        "hxx": 2 * PI ** 2 * c2x * sy ** 3,
+        "hxy": 3 * PI ** 2 * s2x * sy ** 2 * cy,
+        "hyy": 3 * PI ** 2 * sx ** 2 * sy * (2 - 3 * sy ** 2),
     }
-
-
-def _zero_exact():
-    zero = lambda x, y: np.zeros_like(np.asarray(x, dtype=float))
-    return {key: (zero, zero) for key in ("v", "gx", "gy", "hxx", "hxy", "hyy")}
-
-
-def _ex1_v(x, y):
-    return np.sin(PI * x) ** 2 * np.sin(PI * y) ** 3
-
-
-def _ex1_gx(x, y):
-    return PI * np.sin(2 * PI * x) * np.sin(PI * y) ** 3
-
-
-def _ex1_gy(x, y):
-    return 3 * PI * np.sin(PI * x) ** 2 * np.sin(PI * y) ** 2 * np.cos(PI * y)
-
-
-def _ex1_hxx(x, y):
-    return 2 * PI ** 2 * np.cos(2 * PI * x) * np.sin(PI * y) ** 3
-
-
-def _ex1_hxy(x, y):
-    return 3 * PI ** 2 * np.sin(2 * PI * x) * np.sin(PI * y) ** 2 * np.cos(PI * y)
-
-
-def _ex1_hyy(x, y):
-    s = np.sin(PI * y)
-    return 3 * PI ** 2 * np.sin(PI * x) ** 2 * s * (2 - 3 * s ** 2)
 
 
 def ex1_load_1(x, y):
@@ -110,34 +100,20 @@ def ex1_load_2(x, y):
     return ex1_load_1(y, x)
 
 
-def _ex2_v(x, y):
-    return x ** 2 * y ** 3 * (x + y - 1) ** 2
-
-
-def _ex2_gx(x, y):
-    return 2 * x * y ** 3 * (2 * x ** 2 + 3 * x * y - 3 * x + y ** 2 - 2 * y + 1)
-
-
-def _ex2_gy(x, y):
-    return x ** 2 * y ** 2 * (
-        3 * x ** 2 + 8 * x * y - 6 * x + 5 * y ** 2 - 8 * y + 3
-    )
-
-
-def _ex2_hxx(x, y):
-    return 2 * y ** 3 * (6 * x ** 2 + 6 * x * y - 6 * x + y ** 2 - 2 * y + 1)
-
-
-def _ex2_hxy(x, y):
-    return 2 * x * y ** 2 * (
-        6 * x ** 2 + 12 * x * y - 9 * x + 5 * y ** 2 - 8 * y + 3
-    )
-
-
-def _ex2_hyy(x, y):
-    return 2 * x ** 2 * y * (
-        3 * x ** 2 + 12 * x * y - 6 * x + 10 * y ** 2 - 12 * y + 3
-    )
+def _ex2(x, y):
+    return {
+        "v": x ** 2 * y ** 3 * (x + y - 1) ** 2,
+        "gx": 2 * x * y ** 3 * (
+            2 * x ** 2 + 3 * x * y - 3 * x + y ** 2 - 2 * y + 1),
+        "gy": x ** 2 * y ** 2 * (
+            3 * x ** 2 + 8 * x * y - 6 * x + 5 * y ** 2 - 8 * y + 3),
+        "hxx": 2 * y ** 3 * (
+            6 * x ** 2 + 6 * x * y - 6 * x + y ** 2 - 2 * y + 1),
+        "hxy": 2 * x * y ** 2 * (
+            6 * x ** 2 + 12 * x * y - 9 * x + 5 * y ** 2 - 8 * y + 3),
+        "hyy": 2 * x ** 2 * y * (
+            3 * x ** 2 + 12 * x * y - 6 * x + 10 * y ** 2 - 12 * y + 3),
+    }
 
 
 def ex2_load_1(x, y):
@@ -157,10 +133,8 @@ def ex2_load_2(x, y):
             + 108 * x - 49 * y ** 4 / 2 + 230 * y ** 3 - 327 * y ** 2 / 2)
 
 
-EX1_EXACT = _mirror_exact(_ex1_v, _ex1_gx, _ex1_gy, _ex1_hxx, _ex1_hxy,
-                          _ex1_hyy)
-EX2_EXACT = _mirror_exact(_ex2_v, _ex2_gx, _ex2_gy, _ex2_hxx, _ex2_hxy,
-                          _ex2_hyy)
+EX1_EXACT = _mirror(_ex1)
+EX2_EXACT = _mirror(_ex2)
 
 
 @dataclass(frozen=True)
@@ -178,7 +152,7 @@ class ExampleDef:
     rho0: object = None
     rho1: object = None
     loads: tuple = None
-    exact: dict = None
+    exact: object = None
     method: str = "secant"
     branches: int = 6
     note: str = ""
@@ -403,30 +377,20 @@ class ExperimentReport:
         """(h, error) column files keyed by file name, one per tracked
         quantity; eigenvalue errors are taken against the finest level
         present in the run."""
-        stem = self._stem()
         files = {}
-        if self.kind == "source":
-            for norm in SOURCE_NORMS:
-                rows = [r for r in self.rows if r["norm"] == norm]
-                lines = ["# h  error"]
-                lines += [f"{r['h']!r} {r['error']!r}" for r in rows]
-                files[f"{stem}_{norm}.dat"] = "\n".join(lines) + "\n"
-            return files
-        by_branch = {}
-        for row in self.rows:
-            by_branch.setdefault(row["branch"], []).append(row)
-        for branch, rows in sorted(by_branch.items()):
-            if len(rows) < 2:
-                continue
-            ref = complex(rows[-1]["value_re"], rows[-1]["value_im"])
-            lines = ["# h  error"]
-            for row in rows[:-1]:
-                err = abs(complex(row["value_re"], row["value_im"]) - ref)
-                if err == 0.0:
+        for label, rows in _series(self.kind, self.rows).items():
+            if self.kind == "source":
+                points = [(r["h"], r["error"]) for r in rows]
+            else:
+                ref = complex(rows[-1]["value_re"], rows[-1]["value_im"])
+                errs = [(r["h"], abs(complex(r["value_re"], r["value_im"])
+                                     - ref)) for r in rows[:-1]]
+                points = [(h, err) for h, err in errs if err != 0.0]
+                if not points:
                     continue
-                lines.append(f"{row['h']!r} {err!r}")
-            if len(lines) > 1:
-                files[f"{stem}_lambda{branch}.dat"] = "\n".join(lines) + "\n"
+            lines = ["# h  error"] + [f"{h!r} {err!r}" for h, err in points]
+            name = f"{self._stem()}_{label.replace('_', '')}.dat"
+            files[name] = "\n".join(lines) + "\n"
         return files
 
     def table(self):
@@ -447,33 +411,24 @@ class ExperimentReport:
         ] + ["Ord"]
         body = []
         starred = False
-        if self.kind == "source":
-            for norm in SOURCE_NORMS:
-                rows = {r["level"]: r for r in self.rows if r["norm"] == norm}
-                cells = [norm]
-                for lvl in levels:
-                    row = rows.get(lvl)
-                    cells.append(_sig6(row["error"]) if row else "")
-                cells.append(self._final_order_cell(norm))
-                body.append(cells)
-        else:
-            branches = sorted({r["branch"] for r in self.rows})
-            for branch in branches:
-                rows = {r["level"]: r for r in self.rows
-                        if r["branch"] == branch}
-                cells = [f"lambda_{branch}"]
-                for lvl in levels:
-                    row = rows.get(lvl)
-                    if row is None:
-                        cells.append("")
-                        continue
+        for label, rows in _series(self.kind, self.rows).items():
+            by_level = {r["level"]: r for r in rows}
+            cells = [label]
+            for lvl in levels:
+                row = by_level.get(lvl)
+                if row is None:
+                    cells.append("")
+                    continue
+                if self.kind == "source":
+                    text = _sig6(row["error"])
+                else:
                     text = _fmt_value(row["value_re"], row["value_im"])
-                    if row.get("crossing"):
-                        text += "*"
-                        starred = True
-                    cells.append(text)
-                cells.append(self._final_order_cell(f"lambda_{branch}"))
-                body.append(cells)
+                if row.get("crossing"):
+                    text += "*"
+                    starred = True
+                cells.append(text)
+            cells.append(self._final_order_cell(label))
+            body.append(cells)
         widths = [max([len(header[i])] + [len(r[i]) for r in body])
                   for i in range(len(header))]
         lines = head
@@ -514,23 +469,33 @@ def _base_meta(kind, domain, element, levels, lam, mu, **extra):
     return meta
 
 
-def _attach_orders(rows, key, levels):
+def _series(kind, rows):
+    """The tracked quantities of a report, each with its rows in level
+    order: the norms in ``SOURCE_NORMS`` order for a source run, and
+    ``lambda_j`` by branch j for an eigenvalue run."""
+    if kind == "source":
+        return {norm: [r for r in rows if r["norm"] == norm]
+                for norm in SOURCE_NORMS}
+    series = {}
+    for row in sorted(rows, key=lambda r: r["branch"]):
+        series.setdefault(f"lambda_{row['branch']}", []).append(row)
+    return series
+
+
+def _attach_orders(kind, rows, levels):
     """Per-pair orders of each quantity present at every level, written
     into the rows they attach to: the finer level of each pair of source
     errors, the finest level of each triple of eigenvalues."""
-    groups = {}
-    for row in rows:
-        groups.setdefault(row[key], []).append(row)
     out = {}
-    for name, group in groups.items():
+    for label, group in _series(kind, rows).items():
         if len(group) != len(levels):
             continue
-        if key == "norm":
-            label, offset = name, 1
+        if kind == "source":
+            offset = 1
             errs = [row["error"] for row in group]
             ords = source_order(errs) if len(errs) >= 2 else []
         else:
-            label, offset = f"lambda_{name}", 2
+            offset = 2
             if len(group) < 3:
                 continue
             ords = eig_order([complex(row["value_re"], row["value_im"])
@@ -577,7 +542,7 @@ def _source_solver(ex, meta, alpha, k, method, tau_range):
         res = solve_source(real, ex.beta, ex.lam, ex.mu, *ex.loads,
                            exact=ex.exact, alpha=alpha)
         norms = res.norms if ex.exact is not None else error_norms(
-            real.space, res.broken, _zero_exact()
+            real.space, res.broken, _zero_exact
         )
         return [{"norm": norm, "error": float(norms[norm]), "order": None}
                 for norm in SOURCE_NORMS]
@@ -679,9 +644,8 @@ def run_example(example, levels=None, element="b3", alpha=None, method=None,
     if ex.number is not None:
         meta["example"] = ex.number
         meta["note"] = ex.note
-    key = "norm" if ex.kind == "source" else "branch"
     return ExperimentReport(ex.kind, rows, meta,
-                            _attach_orders(rows, key, levels))
+                            _attach_orders(ex.kind, rows, levels))
 
 
 def _spot_points():
@@ -748,7 +712,7 @@ def self_test(stream=None):
 
     Verifies every registry coefficient and load at five random interior
     points against independently written restatements, checks the exact
-    solution tables against finite differences, mesh areas against the
+    solutions against finite differences, mesh areas against the
     reference geometry, and the sparse eigensolver against a dense
     oracle. Returns True when every check passes.
     """
@@ -765,8 +729,8 @@ def self_test(stream=None):
         _check(checks, f"coefficient {name}", err <= 1e-12 * (1.0 + float(np.max(np.abs(want)))),
                f"max deviation {err:.3e}")
 
-    for label, table in (("example1", EX1_EXACT), ("example2", EX2_EXACT)):
-        ok, worst = _derivative_table_consistent(table, x, y)
+    for label, exact in (("example1", EX1_EXACT), ("example2", EX2_EXACT)):
+        ok, worst = _derivatives_consistent(exact, x, y)
         _check(checks, f"{label} exact-solution derivatives", ok,
                f"worst finite-difference deviation {worst:.3e}")
 
@@ -817,26 +781,20 @@ def self_test(stream=None):
     return all_ok
 
 
-def _derivative_table_consistent(table, x, y, step=1e-6):
-    """Finite-difference consistency of a two-component exact-solution
-    table: gradients against values, second derivatives against
-    gradients."""
+def _derivatives_consistent(exact, x, y, step=1e-6):
+    """Finite-difference consistency of a two-component exact solution:
+    gradients against values, second derivatives against gradients."""
+    at = exact(x, y)
+    dx = (exact(x + step, y), exact(x - step, y))
+    dy = (exact(x, y + step), exact(x, y - step))
+    # key: (the key it differentiates, the two shifted evaluations)
+    quotients = {"gx": ("v", dx), "gy": ("v", dy), "hxx": ("gx", dx),
+                 "hyy": ("gy", dy), "hxy": ("gx", dy)}
     worst = 0.0
     for comp in (0, 1):
-        v = table["v"][comp]
-        gx, gy = table["gx"][comp], table["gy"][comp]
-        hxx, hxy, hyy = (table["hxx"][comp], table["hxy"][comp],
-                         table["hyy"][comp])
-        fd = [
-            (gx, lambda a, b: (v(a + step, b) - v(a - step, b)) / (2 * step)),
-            (gy, lambda a, b: (v(a, b + step) - v(a, b - step)) / (2 * step)),
-            (hxx, lambda a, b: (gx(a + step, b) - gx(a - step, b)) / (2 * step)),
-            (hyy, lambda a, b: (gy(a, b + step) - gy(a, b - step)) / (2 * step)),
-            (hxy, lambda a, b: (gx(a, b + step) - gx(a, b - step)) / (2 * step)),
-        ]
-        for exact_fn, approx_fn in fd:
-            got = exact_fn(x, y)
-            ref = approx_fn(x, y)
+        for key, (of, (plus, minus)) in quotients.items():
+            got = at[key][comp]
+            ref = (plus[of][comp] - minus[of][comp]) / (2 * step)
             scale = 1.0 + float(np.max(np.abs(got)))
             worst = max(worst, float(np.max(np.abs(got - ref))) / scale)
     return worst <= 1e-7, worst

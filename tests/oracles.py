@@ -15,6 +15,9 @@
   physical tables of every basis function, with gradients J^T g and
   Hessians J^T H J written as matrix products (J = B^-1), then contracted
   with the field.  They share no push-forward code with the library.
+* ``exact_of`` turns a table of per-key pairs of callables into the one
+  callable ``exact(x, y)`` that ``assembly.error_norms`` takes; the
+  table itself is what ``error_norms_tables`` reads.
 * ``sorted_complex`` lists complex eigenvalues in a rounded order, for
   comparing two eigensolvers whose copies of one value differ in the last
   bits.
@@ -213,6 +216,12 @@ def _quadrature(space, degree):
                                           rule.points)
     cw = np.abs(space.detB)[:, None] * rule.weights[None, :]
     return rule, xq, cw
+
+
+def exact_of(table):
+    """``exact(x, y)`` of a table mapping keys to pairs of callables."""
+    return lambda x, y: {key: tuple(f(x, y) for f in pair)
+                         for key, pair in table.items()}
 
 
 def error_norms_tables(space, u, exact, degree=10):

@@ -443,10 +443,13 @@ class TestSolveCommands:
          "density rho0 must be positive on the domain; its minimum is -1"),
         (["solve-bielastic", "--k", "2", "--beta", "1e308*x1*x1+1"],
          "assembled form is not finite on the domain"),
+        (["solve-source", "--f1", "1", "--f2", "0", "--beta", "1e-300"],
+         "error norm is not finite on the domain"),
     ])
     def test_inadmissible_weights_exit_2(self, capsys, argv, message):
-        """A weight or density that is not positive, or a finite weight
-        whose form overflows, ends with one line naming it."""
+        """A weight or density that is not positive, a finite weight whose
+        form overflows, or one so small that the solution's norms overflow,
+        ends with one line naming it."""
         command, *extra = argv
         assert main([
             command, "--domain", "unit-square", "--level", "1",
@@ -497,6 +500,17 @@ class TestSelfTestCommand:
 
 
 class TestSolverFailures:
+    @pytest.mark.xfail(strict=True, reason=(
+        "a mesh with no interior vertex has a zero discrete solution, and "
+        "the constrained solve divides its rounding-level residual by a "
+        "rounding-level ||P b|| (3.1e-16 of ||b||), so the check fails "
+        "with a relative residual of 1.864"))
+    def test_load_orthogonal_to_the_space_exits_0(self, capsys):
+        assert main([
+            "solve-source", "--domain", "right-triangle", "--level", "1",
+            "--lam", "0.25", "--mu", "0.0625", "--f1", "1", "--f2", "0",
+        ]) == 0
+
     def test_runtime_error_exits_3(self, capsys, monkeypatch):
         def boom(*args, **kwargs):
             raise RuntimeError("factorization failed")

@@ -12,6 +12,7 @@ import pytest
 import sympy as sp
 
 import bielastic.harness as harness
+from bielastic.assembly import FIELD_DEGREE
 from bielastic.harness import (
     DEFAULT_LEVELS,
     EX1_EXACT,
@@ -28,6 +29,9 @@ from bielastic.harness import (
     self_test,
     source_order,
 )
+from bielastic.mesh import generate_domain
+from bielastic.polybasis import triangle_quadrature
+from bielastic.spaces import BrokenSpace
 
 X, Y = sp.symbols("x y", real=True)
 
@@ -110,11 +114,11 @@ class TestLoadForensics:
         x, y = sample_points()
         assert np.abs(ex2_load_2(x, y) - ex2_load_1(y, x)).max() > 1.0
 
-    @pytest.mark.parametrize("table,base", [
+    @pytest.mark.parametrize("exact,base", [
         (EX1_EXACT, sp.sin(sp.pi * X) ** 2 * sp.sin(sp.pi * Y) ** 3),
         (EX2_EXACT, X ** 2 * Y ** 3 * (X + Y - 1) ** 2),
-    ])
-    def test_exact_tables_are_symbolic_derivatives(self, table, base):
+    ], ids=["example1", "example2"])
+    def test_exact_tables_are_symbolic_derivatives(self, exact, base):
         comps = (base, base.subs({X: Y, Y: X}, simultaneous=True))
         x, y = sample_points()
         for c, w in enumerate(comps):
@@ -127,7 +131,7 @@ class TestLoadForensics:
                 "hyy": sp.diff(w, Y, 2),
             }
             for key, expr in pairs.items():
-                got = table[key][c](x, y)
+                got = exact(x, y)[key][c]
                 want = lam_eval(expr)(x, y)
                 scale = 1.0 + np.abs(want).max()
                 assert np.abs(got - want).max() <= 1e-10 * scale, (key, c)
@@ -138,12 +142,77 @@ class TestLoadForensics:
         one = np.ones_like(t)
         square_edges = [(t, zero), (t, one), (zero, t), (one, t)]
         triangle_edges = [(t, zero), (zero, t), (t, 1.0 - t)]
-        for table, edges in ((EX1_EXACT, square_edges),
+        for exact, edges in ((EX1_EXACT, square_edges),
                              (EX2_EXACT, triangle_edges)):
             for c in (0, 1):
-                v = table["v"][c]
-                worst = max(np.abs(v(x, y)).max() for x, y in edges)
+                worst = max(np.abs(exact(x, y)["v"][c]).max()
+                            for x, y in edges)
                 assert worst <= 1e-14
+
+    @pytest.mark.parametrize("level", [1, 2])
+    @pytest.mark.parametrize("exact,first,domain", [
+        (EX1_EXACT, "ex1", "unit-square"),
+        (EX2_EXACT, "ex2", "right-triangle"),
+    ], ids=["example1", "example2"])
+    def test_exact_solutions_equal_per_key_formulas_bitwise(
+        self, exact, first, domain, level
+    ):
+        """Sharing the sines of example 1 and calling each example once
+        per point set leaves every value bit for bit as twelve separate
+        per-key formulas compute it, at the points the error norms use."""
+        space = BrokenSpace(generate_domain(domain, level), 3)
+        xq = space.physical_points(triangle_quadrature(FIELD_DEGREE).points)
+        x, y = xq[..., 0], xq[..., 1]
+        got = exact(x, y)
+        want = mirrored_per_key(PER_KEY_FORMULAS[first])
+        assert set(got) == set(want)
+        for key, pair in want.items():
+            for c in (0, 1):
+                assert np.array_equal(got[key][c], pair[c](x, y)), (key, c)
+
+
+PI = np.pi
+
+# Independent restatements of the first component, one function per key,
+# each with the order of operations that the library's shared factors must
+# reproduce bit for bit.
+PER_KEY_FORMULAS = {
+    "ex1": {
+        "v": lambda x, y: np.sin(PI * x) ** 2 * np.sin(PI * y) ** 3,
+        "gx": lambda x, y: PI * np.sin(2 * PI * x) * np.sin(PI * y) ** 3,
+        "gy": lambda x, y: (3 * PI * np.sin(PI * x) ** 2
+                            * np.sin(PI * y) ** 2 * np.cos(PI * y)),
+        "hxx": lambda x, y: (2 * PI ** 2 * np.cos(2 * PI * x)
+                             * np.sin(PI * y) ** 3),
+        "hxy": lambda x, y: (3 * PI ** 2 * np.sin(2 * PI * x)
+                             * np.sin(PI * y) ** 2 * np.cos(PI * y)),
+        "hyy": lambda x, y: (3 * PI ** 2 * np.sin(PI * x) ** 2
+                             * np.sin(PI * y)
+                             * (2 - 3 * np.sin(PI * y) ** 2)),
+    },
+    "ex2": {
+        "v": lambda x, y: x ** 2 * y ** 3 * (x + y - 1) ** 2,
+        "gx": lambda x, y: 2 * x * y ** 3 * (
+            2 * x ** 2 + 3 * x * y - 3 * x + y ** 2 - 2 * y + 1),
+        "gy": lambda x, y: x ** 2 * y ** 2 * (
+            3 * x ** 2 + 8 * x * y - 6 * x + 5 * y ** 2 - 8 * y + 3),
+        "hxx": lambda x, y: 2 * y ** 3 * (
+            6 * x ** 2 + 6 * x * y - 6 * x + y ** 2 - 2 * y + 1),
+        "hxy": lambda x, y: 2 * x * y ** 2 * (
+            6 * x ** 2 + 12 * x * y - 9 * x + 5 * y ** 2 - 8 * y + 3),
+        "hyy": lambda x, y: 2 * x ** 2 * y * (
+            3 * x ** 2 + 12 * x * y - 6 * x + 10 * y ** 2 - 12 * y + 3),
+    },
+}
+
+
+def mirrored_per_key(first):
+    """Pairs of per-key callables whose second component is the first
+    with swapped arguments (its x and y derivatives swap too)."""
+    swap = {"v": "v", "gx": "gy", "gy": "gx", "hxx": "hyy", "hxy": "hxy",
+            "hyy": "hxx"}
+    return {key: (first[key], lambda x, y, k=swap[key]: first[k](y, x))
+            for key in first}
 
 
 class TestOrderFormulas:
