@@ -1,38 +1,33 @@
 """Linear algebra layer: one direct solve and one symmetric generalized
-eigensolver, both on the kernel of a constraint matrix Psi, and the
-quadratic-pencil companion solver.
+eigensolver, and the quadratic-pencil companion solver.
 
-A matrix K restricted to ker(Psi) is handled through the augmented KKT
-system [[K + gamma Psi^T Psi, Psi^T], [Psi, 0]], whose solution is that
-of the plain KKT system, since Psi x = 0.  The factored matrix also
-carries -delta I in its zero block, which makes it symmetric
-quasi-definite (Vanderbei 1995): it then factors stably with diagonal
-pivots in a minimum-degree order, which fills in far less than the
-pivoting an indefinite KKT matrix needs.  Iterative refinement against
-the unregularized system removes the regularization.  A Psi with no
-rows is the unconstrained case: the kernel is the whole space, the
-projector onto it is the identity, and the factor is that of K alone.
+Both elements work in an explicit sparse basis of their space, so every
+matrix here is a reduced block with no constraint rows.  A symmetric
+positive definite K is factored with diagonal pivots in a minimum-degree
+order, and a solve refines against K, up to ``REFINE_STEPS`` steps, only
+while its relative residual stays above ``REFINE_TOL``.  The solve and the
+eigensolver take a ``KernelProjector``, which keeps the order of the last
+pattern factored; a caller that factors one pattern many times, as the
+secant scan does, shares one.  The eigensolver accepts a start vector, so
+a sweep over a parameter can start each Lanczos run from the eigenvectors
+of the previous one.  When ARPACK's Lanczos basis would span the whole
+space, a dense ``eigh`` of the pencil replaces it; ``DENSE_SYM_CAP``
+bounds that order.
 
-A KKT solve refines, up to ``REFINE_STEPS`` steps, only while its
-relative residual stays above ``REFINE_TOL``.
-
-The solve and the eigensolver take Psi as a ``KernelProjector``, which
-holds everything that depends on Psi alone; their callers build it, so
-one whose Psi is fixed builds it once for all its solves.  The
-eigensolver accepts a start vector in ker(Psi), so a sweep over a
-parameter can start each Lanczos run from the eigenvectors of the
-previous one.  When ARPACK's Lanczos basis would be at least as large as
-the kernel, it reduces the pencil densely onto a kernel basis instead,
-which is exact and cheaper there; ``DENSE_SYM_CAP`` bounds that basis.
+``KernelProjector``, ``ConstrainedOperator``, ``solve_sym_constrained``
+and ``eig_sym_constrained`` keep the names of the KKT design they
+replaced, which solved on the kernel of the cubic element's compatibility
+rows: the benchmark's tracer wraps them by name, and ROADMAP item 7
+renames them with it.
 
 The quadratic solver works on dense copies of its blocks, made only
 once the companion order has passed its cap.  For the few eigenvalues of
 smallest modulus it runs shift-invert Arnoldi at zero on the companion
 linearization, which needs one LU of K; this is valid for the
-transmission pencil, where K = D is positive definite on the kernel and
-M = Mq is positive definite, so no eigenvalue is zero or infinite.  The
-dense QZ of the whole companion pencil stays for all eigenvalues, for
-pencils too small for ARPACK, and as the fallback.
+transmission pencil, where K = D and M = Mq are positive definite, so no
+eigenvalue is zero or infinite.  The dense QZ of the whole companion
+pencil stays for all eigenvalues, for pencils too small for ARPACK, and
+as the fallback.
 """
 
 import warnings
@@ -105,10 +100,9 @@ def _check_residuals(result, scale_of):
     return result
 
 
-def _sym_result(A, B, vals, vecs, method, kernel):
+def _sym_result(A, B, vals, vecs, method):
     """Sort the eigenpairs ascending, B-normalize (a dense solve already
-    is, up to roundoff) and orient them, and check their residuals,
-    projected by ``kernel``."""
+    is, up to roundoff) and orient them, and check their residuals."""
     order = np.argsort(vals)
     vals, vecs = vals[order], vecs[:, order]
     bx = B @ vecs
@@ -116,7 +110,7 @@ def _sym_result(A, B, vals, vecs, method, kernel):
     vecs = vecs / scale
     turn = _orientation(vecs)
     vecs, bx = vecs * turn, bx * (turn / scale)
-    r = kernel(A @ vecs - bx * vals)
+    r = A @ vecs - bx * vals
     residuals = np.linalg.norm(r, axis=0) / np.linalg.norm(vecs, axis=0)
     result = EigResult(vals, vecs, residuals, method)
     na, nb = norm1(A), norm1(B)
@@ -124,42 +118,26 @@ def _sym_result(A, B, vals, vecs, method, kernel):
 
 
 class KernelProjector:
-    """Everything that depends on Psi alone, built once and shared by every
-    solve and eigensolve on ker(Psi).
+    """The factor order kept for the solves and eigensolves of one space.
 
-    Called on x, it applies the orthogonal projector onto ker(Psi) through
-    the normal equations, with a factor of Psi Psi^T.  For the KKT
-    matrices of ``ConstrainedOperator`` it holds ``ptp`` = Psi^T Psi and
-    its 1-norm, |Psi|_1 and the constraint ``border`` [[0, Psi^T],
-    [Psi, 0]], and ``factor`` keeps the minimum-degree order of the last
-    KKT pattern it factored.  ``basis``, a dense orthonormal basis of
-    ker(Psi), is computed on first use.
+    ``factor`` keeps the minimum-degree order of the last pattern it
+    factored.  The name, and the identity ``__call__``, remain from the
+    design that projected onto the kernel of constraint rows: in an
+    explicit basis the kernel is the whole space.  The benchmark's tracer
+    (``bench/tracer.py``) wraps ``__init__`` and ``__call__`` by name, so
+    the class is renamed with the tracer (ROADMAP item 7).
     """
 
-    def __init__(self, psi):
-        self.psi = sparse.csr_matrix(psi)
-        self.lu = spla.splu((self.psi @ self.psi.T).tocsc())
-        self.ptp = (self.psi.T @ self.psi).tocsr()
-        self.ptp_norm = norm1(self.ptp)
-        self.psi_norm = norm1(self.psi)
-        self.border = sparse.bmat(
-            [[None, self.psi.T], [self.psi, None]], format="csr"
-        )
-        self._basis = None
+    def __init__(self):
         self._order = self._permuted = None
 
     def __call__(self, x):
-        return x - self.psi.T @ self.lu.solve(self.psi @ x)
-
-    @property
-    def basis(self):
-        if self._basis is None:
-            self._basis = kernel_basis(self.psi)
-        return self._basis
+        """The projector onto the whole space: x itself."""
+        return x
 
     def factor(self, reg):
-        """LU of the quasi-definite CSR matrix ``reg`` with diagonal
-        pivots in a minimum-degree order on A + A^T.
+        """LU of the symmetric CSR matrix ``reg`` with diagonal pivots in
+        a minimum-degree order on A + A^T.
 
         SuperLU computes that order inside the factorization, and it
         depends on the pattern alone.  So the pattern last factored and
@@ -219,58 +197,17 @@ class _OrderedFactor:
         return self.lu.solve(b[self.p])[self.q]
 
 
-def _bordered(A, border):
-    """A padded with zero rows and columns to the order of ``border``,
-    plus ``border``."""
-    A = sparse.csr_matrix(A)
-    pad = np.full(border.shape[0] - A.shape[0], A.indptr[-1])
-    A = sparse.csr_matrix(
-        (A.data, A.indices, np.concatenate([A.indptr, pad])),
-        shape=border.shape,
-    )
-    return A + border
-
-
 class ConstrainedOperator:
-    """Factorization of the regularized, augmented KKT matrix of K on
-    ker(Psi); solves K-systems on ker(Psi).  ``kernel`` is the
-    ``KernelProjector`` of Psi, which supplies every part of the matrix
-    that depends on Psi alone.
-
-    With gamma = |K|_1 / |Psi^T Psi|_1 and Kg = K + gamma Psi^T Psi,
-    ``kkt`` is [[Kg, Psi^T], [Psi, 0]], which has the solution of the
-    plain KKT system, and ``lu`` factors [[Kg, Psi^T], [Psi, -delta I]]
-    with delta = 3e-8 |Psi|_1^2 / |K|_1.  Kg is positive definite on the
-    whole space, where K is so only on the kernel, and -delta I is
-    negative definite, so that matrix is symmetric quasi-definite: it
-    factors stably in a minimum-degree order on A + A^T with diagonal
-    pivots.  delta is small enough that refinement against ``kkt``
-    removes it in a few steps.  The order is computed once per KKT
-    pattern (``KernelProjector.factor``).
-
-    The constant 3e-8 was measured.  Below it, the rounding that a
-    smaller delta lets grow in the factor dominates the first solve's
-    error; above it, the regularization itself does, and 1e-5 helps the
-    source solve but costs the secant scan.  Triangular solves of one
-    ``tep-secant`` study (example 6, levels 1-3), and the relative KKT
-    residuals of the source solve at example 1 level 4, after the first
-    solve and after each refinement step:
-
-    ========  ============  ===================================
-    constant  tri. solves   example 1 level 4 residuals
-    ========  ============  ===================================
-    1e-9      25,647        fails the 1e-10 check of the solve
-    1e-8      21,905        8.5e-4, 8.7e-7, 1.1e-9, 3.0e-11
-    3e-8      18,555        3.3e-4, 4.2e-7, 7.1e-10, 3.0e-11
-    1e-7      19,172        9.2e-5, 8.1e-9, 3.1e-11, 3.1e-11
-    1e-5      33,710        8.1e-7, 1.6e-10, 5.7e-11, 3.5e-11
-    ========  ============  ===================================
-
-    With no rows (m = 0) gamma is 0, ``kkt`` is K and ``lu`` factors K
-    itself, which must then be positive definite.
+    """Factorization of a symmetric matrix K, positive definite for a
+    source solve and a shift-invert eigensolve at zero; solves K-systems
+    with iterative refinement.  ``kkt`` is K and ``lu`` its factor, in the
+    order that ``kernel``, the space's ``KernelProjector``, keeps.  The
+    class and attribute names remain from the KKT system it once factored;
+    the benchmark's tracer wraps ``__init__`` and ``solve`` and reads
+    ``kkt`` and ``lu.nnz`` by name (ROADMAP item 7 renames them).
 
     ``solve`` takes up to ``REFINE_STEPS`` steps of iterative refinement,
-    each only while the KKT residual exceeds ``REFINE_TOL`` times the
+    each only while the residual exceeds ``REFINE_TOL`` times the
     right-hand side.  A solve under that bound already has a backward error
     below 1e-13, and a further step would only lower it (Higham 1997), so
     it is skipped.  The bound sits three orders below both users of the solve:
@@ -280,101 +217,70 @@ class ConstrainedOperator:
     """
 
     def __init__(self, K, kernel):
-        self.n = K.shape[0]
-        self.m = kernel.psi.shape[0]
-        nk = norm1(K)
-        gamma = nk / kernel.ptp_norm if self.m else 0.0
-        delta = 3e-8 * kernel.psi_norm ** 2 / nk
-        self.kkt = _bordered(K + gamma * kernel.ptp, kernel.border)
-        shift = sparse.diags(np.repeat([0.0, -delta], [self.n, self.m]))
-        self.lu = kernel.factor(self.kkt + shift)
+        self.kkt = sparse.csr_matrix(K)
+        self.lu = kernel.factor(self.kkt)
 
     def solve(self, b):
-        rhs = np.zeros(self.n + self.m)
-        rhs[: self.n] = b
-        z = self.lu.solve(rhs)
-        bound = REFINE_TOL * np.linalg.norm(rhs)
+        x = self.lu.solve(b)
+        bound = REFINE_TOL * np.linalg.norm(b)
         for _ in range(REFINE_STEPS):
-            r = rhs - self.kkt @ z
+            r = b - self.kkt @ x
             if np.linalg.norm(r) <= bound:
                 break
-            z = z + self.lu.solve(r)
-        return z[: self.n]
+            x = x + self.lu.solve(r)
+        return x
 
 
 def solve_sym_constrained(K, kernel, b, tol=1e-10):
-    """Minimize 1/2 x'Kx - b'x over ker(Psi), with ``kernel`` the
-    ``KernelProjector`` P of Psi; returns the primal part.  Raises when
-    the projected residual P (b - K x) exceeds ``tol`` times P b."""
+    """Minimize 1/2 x'Kx - b'x for a symmetric positive definite K, with
+    ``kernel`` the ``KernelProjector`` whose order the factor takes.
+    Raises when the residual b - K x exceeds ``tol`` times b.  The name
+    remains from the constrained solve, since the benchmark's tracer wraps
+    it by name."""
     x = ConstrainedOperator(K, kernel).solve(b)
-    r = kernel(b - K @ x)
-    bnorm = np.linalg.norm(kernel(b))
-    if bnorm > 0 and np.linalg.norm(r) > tol * bnorm:
-        raise RuntimeError(
-            "constrained solve residual "
-            f"{np.linalg.norm(r) / bnorm:.3e} exceeds {tol:g}"
-        )
+    r = np.linalg.norm(b - K @ x)
+    bnorm = np.linalg.norm(b)
+    if bnorm > 0 and r > tol * bnorm:
+        raise RuntimeError(f"constrained solve residual {r / bnorm:.3e} "
+                           f"exceeds {tol:g}")
     return x
 
 
-def kernel_basis(psi):
-    """Dense orthonormal basis of ker(Psi) for a full-row-rank Psi.
-
-    Refuses kernels larger than ``DENSE_SYM_CAP``, beyond which the dense
-    SVD and the reduced pencil no longer fit the dense path.
-    """
-    kernel_dim = psi.shape[1] - psi.shape[0]
-    if kernel_dim > DENSE_SYM_CAP:
-        raise RuntimeError(
-            f"constraint kernel dimension {kernel_dim} exceeds the dense "
-            f"cap {DENSE_SYM_CAP}"
-        )
-    return dla.null_space(psi.toarray() if sparse.issparse(psi) else psi)
-
-
-def _eig_constrained_dense(KA, KB, kernel, k):
-    """Dense reduction of the constrained pencil onto the kernel basis of
-    ``kernel``, a ``KernelProjector``; k is clamped to the kernel
-    dimension."""
-    Z = kernel.basis
-    if Z.shape[1] == 0:
-        raise RuntimeError("constraint matrix has a trivial kernel")
-    k = min(k, Z.shape[1])
-    Ar = Z.T @ (KA @ Z)
-    Br = Z.T @ (KB @ Z)
-    vals, y = dla.eigh(Ar, Br, subset_by_index=[0, k - 1])
-    return vals, Z @ y
+def _eig_dense(KA, KB, k):
+    """The k smallest eigenpairs by a dense ``eigh`` of the pencil; k is
+    clamped to its order, which ``DENSE_SYM_CAP`` bounds."""
+    n = KA.shape[0]
+    if n > DENSE_SYM_CAP:
+        raise RuntimeError(f"pencil order {n} exceeds the dense cap "
+                           f"{DENSE_SYM_CAP}")
+    return dla.eigh(KA.toarray(), KB.toarray(),
+                    subset_by_index=[0, min(k, n) - 1])
 
 
 def eig_sym_constrained(KA, KB, kernel, k, v0=None):
-    """k smallest eigenpairs of KA x = lambda KB x restricted to ker(Psi),
-    with ``kernel`` the ``KernelProjector`` of Psi.
+    """k smallest eigenpairs of KA x = lambda KB x, with ``kernel`` the
+    ``KernelProjector`` whose kept order the factor takes.  The name
+    remains from the eigensolver on the kernel of constraint rows, since
+    the benchmark's tracer wraps it by name.
 
-    Shift-invert about zero through the KKT factorization; KA must be
-    positive definite on the kernel.  ARPACK keeps ncv = min(n, max(2k + 1,
-    20)) Lanczos vectors (scipy's default, passed explicitly).  When ncv
-    reaches the kernel dimension, the Lanczos basis would span the whole
-    kernel, so the problem is reduced densely onto an explicit null-space
-    basis instead, and k is clamped to the kernel dimension.  That
-    reduction is exact, needs no KKT factorization, and works on at most
-    ncv kernel columns, so it is also cheaper than the Lanczos run it
-    replaces.  The method is ``kkt-arpack`` or ``kkt-dense``, and
-    ``arpack`` or ``dense`` when Psi has no rows and the kernel is the
-    whole space.
+    Shift-invert about zero through ``ConstrainedOperator``; KA must be
+    positive definite.  ARPACK keeps ncv = min(n, max(2k + 1, 20)) Lanczos
+    vectors (scipy's default, passed explicitly).  When ncv reaches n, the
+    Lanczos basis would span the whole space, so the pencil is solved by a
+    dense ``eigh`` instead, and k is clamped to n; that is exact and
+    cheaper than the Lanczos run it replaces.  The method is ``arpack`` or
+    ``dense``.
 
-    ``v0`` starts the Lanczos run; it must lie in ker(Psi), for example
-    the sum of the eigenvectors of a nearby pencil, so a sweep converges
-    in fewer KKT solves.  Without it, or when it is zero, the run starts
-    from the KKT solve of KB times the ones vector.  Residuals are
-    measured after projecting out the constraint range with ``kernel``.
+    ``v0`` starts the Lanczos run, for example the sum of the eigenvectors
+    of a nearby pencil, so a sweep converges in fewer solves.  Without it,
+    or when it is zero, the run starts from the solve of KB times the ones
+    vector.
     """
     n = KA.shape[0]
-    m = kernel.psi.shape[0]
-    prefix = "kkt-" if m else ""
     ncv = min(n, max(2 * k + 1, 20))
-    if ncv >= n - m:
-        vals, vecs = _eig_constrained_dense(KA, KB, kernel, k)
-        method = prefix + "dense"
+    if ncv >= n:
+        vals, vecs = _eig_dense(KA, KB, k)
+        method = "dense"
     else:
         op = ConstrainedOperator(KA, kernel)
         opinv = spla.LinearOperator((n, n), matvec=op.solve, dtype=float)
@@ -383,17 +289,17 @@ def eig_sym_constrained(KA, KB, kernel, k, v0=None):
             v0 = op.solve(KB @ np.ones(n))
             nv0 = np.linalg.norm(v0)
             if nv0 == 0:
-                raise RuntimeError("constraint kernel start vector vanished")
+                raise RuntimeError("eigensolver start vector vanished")
         try:
             vals, vecs = spla.eigsh(
                 KA, k=k, M=KB, sigma=0.0, OPinv=opinv, v0=v0 / nv0,
                 ncv=ncv, tol=EIG_TOL, maxiter=EIG_MAXITER,
             )
-            method = prefix + "arpack"
+            method = "arpack"
         except spla.ArpackError:
-            vals, vecs = _eig_constrained_dense(KA, KB, kernel, k)
-            method = prefix + "dense"
-    return _sym_result(KA, KB, vals, vecs, method, kernel)
+            vals, vecs = _eig_dense(KA, KB, k)
+            method = "dense"
+    return _sym_result(KA, KB, vals, vecs, method)
 
 
 def check_companion_size(n):
@@ -485,7 +391,7 @@ def eig_quadratic(K, C, M, k=None):
     dense LU of K (method ``companion-arnoldi``); the two extra values
     keep a conjugate pair at the cut whole.  Shifting at zero is valid
     for the transmission pencil, where K = D is positive definite on the
-    kernel; M = Mq is positive definite too, so the pencil has no
+    space; M = Mq is positive definite too, so the pencil has no
     infinite eigenvalues.  The dense QZ of the whole companion pencil
     (method ``companion``) runs when k is None, when k + 2 is too close
     to 2n for ARPACK, and as the fallback when K is singular or ARPACK

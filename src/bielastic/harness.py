@@ -750,7 +750,7 @@ def self_test(stream=None):
     from scipy.sparse import csr_matrix
     want = dense_eigh(a, b, subset_by_index=[0, 4])[0]
     got = eig_sym_constrained(csr_matrix(a), csr_matrix(b),
-                              KernelProjector(csr_matrix((0, n))), 5)
+                              KernelProjector(), 5)
     err = float(np.max(np.abs(got.values - want) / np.abs(want)))
     _check(checks, "sparse eigensolver vs dense oracle",
            got.method == "arpack" and err <= 1e-9,

@@ -2,16 +2,16 @@
 tau-parameterized spectral function, and transmission-eigenvalue search
 by secant iteration or quadratic linearization.
 
-Both space realizations are one ``Realization``: a map ``lift`` from its
-variables to the broken space and compatibility rows ``psi`` on those
-variables.  The cubic element works in entity variables with its rows;
-Morley works in its explicit (local, sparse) basis with no rows, so its
-kernel is the whole space.  ``reduced`` takes an assembled broken form to
-the variables.  ``solve(A, f)`` takes a broken form and load; every
-eigensolver, ``eig`` and ``eig_quadratic``, takes reduced blocks, so a
-driver reduces each form once.  Both elements share one direct solve and
-one eigensolver on ker(psi); the cubic element's dense quadratic path
-reduces the blocks further onto a kernel basis of its rows.
+Both space realizations are one ``Realization``: a sparse map ``lift``
+from the coefficients of an explicit basis with local support to the
+broken space.  The cubic element's basis is W, a local basis of the
+kernel of its compatibility rows in entity variables
+(``spaces.local_basis``); Morley's is its nodal basis.  ``reduced`` takes
+an assembled broken form to the basis, exactly symmetric.
+``solve(A, f)`` takes a broken form and load; every eigensolver, ``eig``
+and ``eig_quadratic``, takes reduced blocks, so a driver reduces each
+form once.  Both elements share one direct solve, one eigensolver and one
+quadratic solver, none of which carries constraint rows.
 """
 
 import warnings
@@ -19,7 +19,6 @@ from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sparse
 
 from .assembly import (
     bielastic_matrix,
@@ -34,16 +33,15 @@ from .assembly import (
 from .coefficients import as_coefficient, combine, require_finite
 from .eigen import (
     KernelProjector,
-    check_companion_size,
     eig_quadratic,
     eig_sym_constrained,
-    kernel_basis,
     solve_sym_constrained,
 )
 from .polybasis import triangle_quadrature
 from .spaces import (
     BrokenSpace,
     build_morley,
+    local_basis,
     reduce_entities,
     vector_transform,
 )
@@ -57,38 +55,41 @@ SCAN_POINTS = 60  # tau grid of the secant scan
 
 
 class Realization:
-    """A space reached from its variables through ``lift``, constrained
-    by the compatibility rows ``psi``; every solve and eigensolve runs on
-    ker(psi).  A subclass names its ``element`` and ``solve_tol``, the
-    bound on the relative projected residual of a source solve."""
+    """A space reached from the coefficients of its basis through
+    ``lift``.  A subclass names its ``element`` and ``solve_tol``, the
+    bound on the relative residual of a source solve."""
 
-    def __init__(self, mesh, space, lift, psi):
+    def __init__(self, mesh, space, lift):
         self.mesh = mesh
         self.space = space
         self.lift = lift
-        self.psi = psi
         self._kernel = None
 
     @property
     def dofs(self):
-        return self.psi.shape[1] - self.psi.shape[0]
+        return self.lift.shape[1]
 
     def reduced(self, A):
-        return (self.lift.T @ A @ self.lift).tocsr()
+        """lift^T A lift, made exactly symmetric, as the forms are:
+        rounding in the products would leave entries without an equal
+        transpose, and could split a multiple real eigenvalue of the
+        quadratic pencil off the real axis."""
+        P = self.lift.T @ A @ self.lift
+        return (0.5 * (P + P.T)).tocsr()
 
     @property
     def kernel(self):
-        """The ``KernelProjector`` of psi, built on first use and shared
-        by every eigensolve of this realization."""
+        """The ``KernelProjector`` shared by every eigensolve of this
+        realization, built on first use; it keeps the factor order of the
+        last pattern factored."""
         if self._kernel is None:
-            self._kernel = KernelProjector(self.psi)
+            self._kernel = KernelProjector()
         return self._kernel
 
     def solve(self, A, f):
-        # a projector of its own, dropped after the solve: the shared one
-        # would hold its parts for the rest of the level, and its kept KKT
-        # order would make a second solve differ in the last bits
-        g = solve_sym_constrained(self.reduced(A), KernelProjector(self.psi),
+        # an order of its own, dropped after the solve: the shared one's
+        # kept order would make a second solve differ in the last bits
+        g = solve_sym_constrained(self.reduced(A), KernelProjector(),
                                   self.lift.T @ f, self.solve_tol)
         return self.lift @ g
 
@@ -100,54 +101,34 @@ class Realization:
 
 
 class B3Realization(Realization):
-    """Nonconforming cubic space in entity variables, with its
-    compatibility rows."""
+    """Nonconforming cubic space in the local basis W of the kernel of
+    its compatibility rows: ``lift`` is the entity reduction's lift times
+    diag(W, W)."""
 
     element = "b3"
     solve_tol = 1e-10
 
     def __init__(self, mesh):
-        space = BrokenSpace(mesh, 3)
         self.reduction = reduce_entities(mesh)
-        super().__init__(mesh, space, vector_transform(self.reduction.lift),
-                         vector_transform(self.reduction.psi))
-        self._basis = None
+        lift = vector_transform(self.reduction.lift) @ self.explicit_basis()
+        super().__init__(mesh, BrokenSpace(mesh, 3), lift)
 
     def explicit_basis(self):
-        """Kernel basis of the compatibility rows in entity variables,
-        block-diagonal over the two components."""
-        if self._basis is None:
-            self._basis = vector_transform(kernel_basis(self.reduction.psi))
-        return self._basis
-
-    def eig_quadratic(self, K, C, M, k=None):
-        check_companion_size(self.dofs)  # before the dense kernel basis
-        Z = self.explicit_basis()
-        n, m = Z.shape[0] // 2, Z.shape[1] // 2
-        Zs = Z[:n, :m].toarray()  # Z = diag(Zs, Zs)
-
-        def dense(A):
-            AZ0, AZ1 = A[:, :n] @ Zs, A[:, n:] @ Zs
-            P = np.block([[Zs.T @ AZ0[:n], Zs.T @ AZ1[:n]],
-                          [Zs.T @ AZ0[n:], Zs.T @ AZ1[n:]]])
-            # exactly symmetric, as the form is: rounding in the products
-            # would split a multiple real eigenvalue off the real axis
-            return 0.5 * (P + P.T)
-
-        return eig_quadratic(dense(K), dense(C), dense(M), k)
+        """diag(W, W), W = ``spaces.local_basis`` of the entity reduction,
+        as a sparse matrix.  The benchmark's tracer times this method and
+        reads its ``nnz`` by name (ROADMAP item 7 renames it)."""
+        return vector_transform(local_basis(self.reduction))
 
 
 class MorleyRealization(Realization):
-    """Stabilized Morley space with its explicit local basis and no
-    compatibility rows."""
+    """Stabilized Morley space with its explicit local basis."""
 
     element = "morley"
     solve_tol = 1e-12
 
     def __init__(self, mesh):
-        lift = vector_transform(build_morley(mesh))
-        super().__init__(mesh, BrokenSpace(mesh, 2), lift,
-                         sparse.csr_matrix((0, lift.shape[1])))
+        super().__init__(mesh, BrokenSpace(mesh, 2),
+                         vector_transform(build_morley(mesh)))
 
 
 def make_realization(mesh, element):
@@ -306,10 +287,10 @@ class TepBlocks:
         Memoized on (tau, k): the secant search certifies each root at
         the point its refinement evaluated last.  Each new evaluation
         starts its Lanczos run from the sum of the previous evaluation's
-        eigenvectors, which lies in the constraint kernel and is rich in
-        the wanted eigenvectors when tau moves little; only that last
-        eigenvector block is kept.  ``eig_methods`` counts the eigensolves
-        that the memo did not serve by ``EigResult.method``.
+        eigenvectors, which is rich in the wanted eigenvectors when tau
+        moves little; only that last eigenvector block is kept.
+        ``eig_methods`` counts the eigensolves that the memo did not serve
+        by ``EigResult.method``.
         """
         key = (float(tau), k)
         if key not in self._lambda_cache:

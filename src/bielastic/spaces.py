@@ -12,7 +12,10 @@ Three layers live here:
   edge-moment continuity of the normal derivative against linears; boundary
   analogues vanish.  The broken constraints are reduced exactly to shared
   entity variables (vertex values plus three per-edge trace functionals)
-  subject to two compatibility rows per triangle (``reduce_entities``).
+  subject to two compatibility rows per triangle (``reduce_entities``),
+  and ``local_basis`` gives the kernel of those rows a sparse basis with
+  local support: one function per interior edge, three per interior
+  vertex.
 
 * The Morley element (``build_morley``): the quadratic element with vertex
   values and edge mean normal derivatives, built from per-triangle
@@ -20,8 +23,9 @@ Three layers live here:
   one variable per edge.
 
 Both conforming spaces come as a sparse map to broken coefficients (one
-scalar component): ``lift`` from entity variables for ``b3`` and the map
-``build_morley`` returns from the degrees of freedom for Morley.
+scalar component): ``lift`` from entity variables times the local basis
+for ``b3`` and the map ``build_morley`` returns from the degrees of
+freedom for Morley.
 """
 
 import numpy as np
@@ -254,18 +258,20 @@ class EntityReduction:
     The space is parameterized by entity variables g (vertex values and
     three trace functionals per edge) subject to the full-row-rank
     compatibility system ``psi @ g = 0``; broken-P3 coefficients are
-    recovered locally as ``lift @ g``.  Solvers work on entity variables
-    with the compatibility rows enforced through saddle-point systems.
+    recovered locally as ``lift @ g``.  ``rows`` (nt, 2, 12) holds each
+    triangle's two orthonormal compatibility rows over its slots, from
+    which ``local_basis`` builds a basis of ker(psi).
 
     ``dim`` is the scalar dimension of the space (number of independent
     entity variables).
     """
 
-    def __init__(self, mesh, nvars, psi, lift):
+    def __init__(self, mesh, nvars, psi, lift, rows):
         self.mesh = mesh
         self.nvars = nvars
         self.psi = psi
         self.lift = lift
+        self.rows = rows
 
     @property
     def dim(self):
@@ -286,13 +292,17 @@ def reduce_entities(mesh):
     the full system has exactly two dependencies, and both weight every
     triangle's pair of rows, so dropping the last triangle's pair leaves
     ``psi`` with full row rank.  The test suite certifies this rank
-    against a dense SVD of the explicit constraint rows.
+    against a dense SVD of the explicit constraint rows.  No solver uses
+    ``psi``, which ``local_basis`` annihilates; it stays on the result as
+    the tests' oracle, and the benchmark's tracer, which wraps this
+    function by name, counts its rows.
     """
     phi = _phi_matrices(mesh)
     U, S, _ = np.linalg.svd(phi)
     if np.any(S[:, 9] <= 1e-8 * S[:, 0]):
         raise RuntimeError("degenerate triangle: trace functionals lost rank")
-    rows = U[:, :, 10:].transpose(0, 2, 1).copy()  # (nt, 2, 12)
+    local = U[:, :, 10:].transpose(0, 2, 1)  # (nt, 2, 12), orthonormal
+    rows = local.copy()
     # canonicalize the two compatibility rows per triangle (deterministic)
     for r, other in ((0, 1), (1, 0)):
         j = np.argmax(np.abs(rows[:, r, :]), axis=1)
@@ -320,7 +330,72 @@ def reduce_entities(mesh):
     )
 
     lift = _local_map(recon, slot_vars, nvars)
-    return EntityReduction(mesh, nvars, psi, lift)
+    return EntityReduction(mesh, nvars, psi, lift, local)
+
+
+def local_basis(reduction):
+    """Sparse basis W (nvars, dim) of ker(psi) with local support.
+
+    psi W = 0 holds when each triangle's two rows vanish on W's columns.
+    One function per interior edge: the null vector of the two adjacent
+    triangles' rows (4x3) on the edge's three variables.  Three per
+    interior vertex of degree d: the star's rows on the vertex value and
+    the three variables of each of its d edges form a 2d x (1 + 3d) block
+    of rank 2d - 2, whose kernel (dimension 3 + d) holds the star's d edge
+    functions; with those stacked under the block, the null space is the
+    three-dimensional rest.  By Euler's formula, ne_int + 3 nvi equals
+    dim ker(psi).  Edge functions come first, then three columns per
+    interior vertex in vertex order; vertices are batched by degree.
+    """
+    mesh, rows = reduction.mesh, reduction.rows
+    vert_var, edge_var, nvars = _entity_variables(mesh)
+    slot_vars = _slot_vars(mesh, vert_var, edge_var)
+
+    edges = np.flatnonzero(~mesh.boundary_edge)
+    tris = mesh.edge_tris[edges]                            # (ne_int, 2)
+    k = np.argmax(mesh.tri_edges[tris] == edges[:, None, None], axis=2)
+    slots = 3 + 3 * k[:, :, None, None] + np.arange(3)
+    block = np.take_along_axis(rows[tris], slots, axis=3)   # (ne_int, 2, 2, 3)
+    edge_fn = np.zeros((mesh.ne, 3))
+    edge_fn[edges] = np.linalg.svd(block.reshape(-1, 4, 3))[2][:, -1]
+    vals = [edge_fn[edges]]
+    ids = [edge_var[edges][:, None] + np.arange(3)]
+    cols = [np.repeat(np.arange(edges.size), 3)]
+
+    # corners and edge ends of every vertex, grouped by vertex; an
+    # interior vertex has as many edges as triangles
+    verts = np.flatnonzero(~mesh.boundary_vertex)
+    degree = np.bincount(mesh.triangles.ravel(), minlength=mesh.nv)
+    first = np.cumsum(degree) - degree
+    corners = np.argsort(mesh.triangles.ravel(), kind="stable")
+    ends = np.argsort(mesh.edges.ravel(), kind="stable")
+    ends_first = np.cumsum(np.bincount(mesh.edges.ravel(), minlength=mesh.nv))
+    for d in np.unique(degree[verts]):
+        v = verts[degree[verts] == d]
+        at = np.arange(d)
+        star = corners[first[v][:, None] + at] // 3               # (g, d)
+        spokes = ends[ends_first[v][:, None] - d + at] // 2       # (g, d)
+        var = np.concatenate([vert_var[v][:, None],
+                              (edge_var[spokes][:, :, None]
+                               + np.arange(3)).reshape(-1, 3 * d)], axis=1)
+        match = slot_vars[star][..., None] == var[:, None, None, :]
+        block = np.einsum("gjrs,gjsc->gjrc", rows[star], match)
+        spread = np.zeros((v.size, d, 1 + 3 * d))  # the star's edge functions
+        for j in range(d):
+            spread[:, j, 1 + 3 * j:4 + 3 * j] = edge_fn[spokes[:, j]]
+        stacked = np.concatenate(
+            [block.reshape(v.size, 2 * d, 1 + 3 * d), spread], axis=1)
+        rest = np.linalg.svd(stacked)[2][:, -3:]           # (g, 3, 1 + 3d)
+        vals.append(rest)
+        ids.append(np.broadcast_to(var[:, None, :], rest.shape))
+        col = edges.size + 3 * vert_var[v][:, None] + np.arange(3)
+        cols.append(np.repeat(col.ravel(), 1 + 3 * d))
+
+    vals, ids, cols = (np.concatenate([a.ravel() for a in arrays])
+                       for arrays in (vals, ids, cols))
+    keep = vals != 0.0
+    return sparse.csr_matrix((vals[keep], (ids[keep], cols[keep])),
+                             shape=(nvars, edges.size + 3 * verts.size))
 
 
 def build_morley(mesh):

@@ -3,6 +3,8 @@
 * ``build_b3_constraints`` writes the conditions of the constrained cubic
   space as explicit rows over broken-P3 coefficients; its null space is
   the independent check of the entity reduction.
+* ``kernel_basis`` is the dense orthonormal basis Z of ker(psi), the
+  independent check of the local basis W that the library solves in.
 * ``laplace_matrix``, ``curlrot_matrix`` and
   ``mixed_graddiv_curlrot_matrix`` assemble the forms of the identity
   div sigma(u) = mu Lap(u) + (lam + mu) grad(div u)
@@ -26,6 +28,7 @@
 import math
 
 import numpy as np
+import scipy.linalg as dla
 import scipy.sparse as sparse
 
 from bielastic.assembly import (
@@ -37,6 +40,11 @@ from bielastic.assembly import (
 )
 from bielastic.polybasis import triangle_quadrature
 from bielastic.spaces import _edge_functional_tables
+
+
+def kernel_basis(psi):
+    """Dense orthonormal basis of ker(psi), by a dense SVD."""
+    return dla.null_space(psi.toarray() if sparse.issparse(psi) else psi)
 
 
 class ConstraintSystem:

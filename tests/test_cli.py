@@ -500,11 +500,6 @@ class TestSelfTestCommand:
 
 
 class TestSolverFailures:
-    @pytest.mark.xfail(strict=True, reason=(
-        "a mesh with no interior vertex has a zero discrete solution, and "
-        "the constrained solve divides its rounding-level residual by a "
-        "rounding-level ||P b|| (3.1e-16 of ||b||), so the check fails "
-        "with a relative residual of 1.864"))
     def test_load_orthogonal_to_the_space_exits_0(self, capsys):
         assert main([
             "solve-source", "--domain", "right-triangle", "--level", "1",

@@ -5,7 +5,6 @@ import pytest
 import scipy.linalg as dla
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
-from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 import bielastic.eigen as eigen
 from bielastic.assembly import bielastic_matrix, load_vector, mass_matrix
@@ -19,13 +18,8 @@ from bielastic.eigen import (
 )
 from bielastic.harness import EXAMPLES
 from bielastic.mesh import generate_domain
-from bielastic.solvers import (
-    B3Realization,
-    TepBlocks,
-    fourth_order_block,
-    make_realization,
-)
-from bielastic.spaces import BrokenSpace, reduce_entities, vector_transform
+from bielastic.solvers import B3Realization, TepBlocks, make_realization
+from bielastic.spaces import vector_transform
 
 from oracles import sorted_complex
 
@@ -38,22 +32,18 @@ def random_spd(rng, n, density=0.4):
     return sparse.csr_matrix(A)
 
 
-def no_rows(n):
-    """The kernel of a constraint block with no rows: the whole space."""
-    return KernelProjector(sparse.csr_matrix((0, n)))
-
-
 class TestSolveSym:
-    """The constrained solve with an empty constraint block."""
+    """The direct solve of a symmetric positive definite matrix."""
 
     def test_identity(self):
         b = np.array([3.0, -1.0, 2.0])
-        x = solve_sym_constrained(sparse.eye(3, format="csr"), no_rows(3), b)
+        x = solve_sym_constrained(sparse.eye(3, format="csr"),
+                                  KernelProjector(), b)
         assert np.allclose(x, b)
 
     def test_diagonal(self):
         A = sparse.diags([2.0, 4.0]).tocsr()
-        x = solve_sym_constrained(A, no_rows(2), np.array([2.0, 4.0]))
+        x = solve_sym_constrained(A, KernelProjector(), np.array([2.0, 4.0]))
         assert np.allclose(x, [1.0, 1.0])
 
     def test_random_spd_residuals(self):
@@ -61,29 +51,29 @@ class TestSolveSym:
         for n in (5, 12, 30, 60):
             A = random_spd(rng, n)
             b = rng.standard_normal(n)
-            x = solve_sym_constrained(A, no_rows(n), b, 1e-12)
+            x = solve_sym_constrained(A, KernelProjector(), b, 1e-12)
             assert np.linalg.norm(b - A @ x) <= 1e-12 * np.linalg.norm(b)
 
     def test_singular_matrix_raises(self):
         A = sparse.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
         with pytest.raises(RuntimeError):
-            solve_sym_constrained(A, no_rows(2), np.array([1.0, 0.0]))
+            solve_sym_constrained(A, KernelProjector(), np.array([1.0, 0.0]))
 
 
 class TestEigSymGen:
-    """The constrained eigensolver with an empty constraint block."""
+    """The symmetric generalized eigensolver."""
 
     def test_diagonal_pencil(self):
         A = sparse.diags([2.0, 3.0]).tocsr()
         B = sparse.eye(2, format="csr")
-        res = eig_sym_constrained(A, B, no_rows(2), 2)
+        res = eig_sym_constrained(A, B, KernelProjector(), 2)
         assert res.method == "dense"
         assert np.allclose(res.values, [2.0, 3.0])
 
     def test_a_equals_b_gives_ones(self):
         rng = np.random.default_rng(3)
         A = random_spd(rng, 25)
-        res = eig_sym_constrained(A, A.copy(), no_rows(25), 5)
+        res = eig_sym_constrained(A, A.copy(), KernelProjector(), 5)
         assert np.allclose(res.values, 1.0, atol=1e-10)
 
     def test_sparse_path_matches_dense(self):
@@ -93,15 +83,15 @@ class TestEigSymGen:
         B = random_spd(rng, n, density=0.05)
         dense = dla.eigh(A.toarray(), B.toarray(), subset_by_index=[0, k - 1],
                          eigvals_only=True)
-        arpack = eig_sym_constrained(A, B, no_rows(n), k)
+        arpack = eig_sym_constrained(A, B, KernelProjector(), k)
         # 2 * 60 + 1 Lanczos vectors would span the space: dense reduction
-        full = eig_sym_constrained(A, B, no_rows(n), n // 2)
+        full = eig_sym_constrained(A, B, KernelProjector(), n // 2)
         assert arpack.method == "arpack" and full.method == "dense"
         assert np.allclose(arpack.values, dense, rtol=1e-9)
         assert np.allclose(full.values[:k], dense, rtol=1e-9)
         assert np.all(np.diff(full.values) >= -1e-12)
         for v0 in (np.zeros(n), arpack.vectors.sum(axis=1)):
-            warm = eig_sym_constrained(A, B, no_rows(n), k, v0=v0)
+            warm = eig_sym_constrained(A, B, KernelProjector(), k, v0=v0)
             assert np.allclose(warm.values, dense, rtol=1e-9)
         for res in (full, arpack):
             bn = np.einsum("ij,ij->j", res.vectors, (B @ res.vectors))
@@ -111,26 +101,31 @@ class TestEigSymGen:
         rng = np.random.default_rng(19)
         A = random_spd(rng, 40)
         B = random_spd(rng, 40)
-        res = eig_sym_constrained(A, B, no_rows(40), 4)
+        res = eig_sym_constrained(A, B, KernelProjector(), 4)
         bound = 1e-8 * (norm1(A) + np.abs(res.values) * norm1(B))
         assert np.all(res.residuals <= bound)
 
 
 @pytest.fixture(scope="module")
 def small_system(b3_oracle):
+    """Broken forms and load of the cubic element on the unit square at
+    mesh level 1, its ``lift`` from the local basis W, W = diag(Ws, Ws)
+    itself, the compatibility rows psi that W annihilates, and the dense
+    oracle basis N of the space."""
     mesh = generate_domain("unit-square", 1)
-    space = BrokenSpace(mesh, 3)
+    real = B3Realization(mesh)
+    space = real.space
     A = bielastic_matrix(space, None, LAM, MU)
     M = mass_matrix(space)
-    red = reduce_entities(mesh)
-    lift, psi = vector_transform(red.lift), vector_transform(red.psi)
+    lift, W = real.lift, real.explicit_basis()
+    psi = vector_transform(real.reduction.psi)
     N = vector_transform(b3_oracle(mesh))
     f = load_vector(
         space,
         lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y),
         lambda x, y: x * (1 - x) * y * (1 - y),
     )
-    return space, A, M, lift, psi, N, f
+    return space, A, M, lift, W, psi, N, f
 
 
 class CountingFactor:
@@ -147,24 +142,20 @@ class CountingFactor:
         return self.outputs[-1]
 
 
-def random_kkt_parts(rng, n=40, m=10):
-    """A well-conditioned K and a full-row-rank psi."""
-    psi = sparse.random(m, n, density=0.2, random_state=rng) + sparse.eye(m, n)
-    return random_spd(rng, n), sparse.csr_matrix(psi)
-
-
 class TestConstrained:
+    """The factor with refinement, the solve and the eigensolver, on
+    random matrices and on the cubic element's local basis against the
+    dense oracle basis."""
+
     def test_solve_skips_refinement_when_backward_stable(self):
         rng = np.random.default_rng(3)
-        K, psi = random_kkt_parts(rng)
-        op = ConstrainedOperator(K, KernelProjector(psi))
+        K = random_spd(rng, 40)
+        op = ConstrainedOperator(K, KernelProjector())
         op.lu = factor = CountingFactor(op.lu)
-        kkt = sparse.bmat([[K, psi.T], [psi, None]]).toarray()
         refine = eigen.REFINE_STEPS
         for _ in range(3):
             b = rng.standard_normal(K.shape[0])
-            ref = np.linalg.solve(kkt, np.concatenate(
-                [b, np.zeros(psi.shape[0])]))[: K.shape[0]]
+            ref = np.linalg.solve(K.toarray(), b)
             start = len(factor.inputs)
             x = op.solve(b)
             assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
@@ -178,14 +169,14 @@ class TestConstrained:
                 z = z + step
             if len(steps) <= refine:
                 assert np.linalg.norm(rhs - op.kkt @ z) <= bound
-            assert np.array_equal(x, z[: K.shape[0]])
+            assert np.array_equal(x, z)
 
     def test_solve_refines_an_inaccurate_first_solve(self):
-        # the factor of a perturbed KKT matrix stands in for a first solve
+        # the factor of a perturbed matrix stands in for a first solve
         # that is not backward stable
         rng = np.random.default_rng(5)
-        K, psi = random_kkt_parts(rng)
-        op = ConstrainedOperator(K, KernelProjector(psi))
+        K = random_spd(rng, 40)
+        op = ConstrainedOperator(K, KernelProjector())
         shift = 1e-10 * norm1(op.kkt) * sparse.eye(op.kkt.shape[0])
         op.lu = factor = CountingFactor(
             spla.splu((op.kkt + shift).tocsc(), permc_spec="NATURAL"))
@@ -197,97 +188,62 @@ class TestConstrained:
         assert np.linalg.norm(rhs - op.kkt @ first) > 100 * bound
         z = first + factor.outputs[1]
         assert np.linalg.norm(rhs - op.kkt @ z) <= bound
-        assert np.array_equal(x, z[: K.shape[0]])
-
-    def test_projector_annihilates_constraints(self, small_system):
-        _, _, _, _, psi, _, _ = small_system
-        proj = KernelProjector(psi)
-        rng = np.random.default_rng(2)
-        x = rng.standard_normal(psi.shape[1])
-        px = proj(x)
-        assert np.linalg.norm(psi @ px) <= 1e-10 * np.linalg.norm(x)
-        assert np.allclose(proj(px), px, atol=1e-12)
-        X = rng.standard_normal((psi.shape[1], 3))
-        columns = np.column_stack([proj(X[:, j]) for j in range(3)])
-        assert np.allclose(proj(X), columns, rtol=0, atol=1e-13)
+        assert np.array_equal(x, z)
 
     def test_kkt_solve_stays_in_kernel(self, small_system):
-        _, A, _, lift, psi, _, f = small_system
+        _, A, _, lift, W, psi, _, f = small_system
         K = (lift.T @ A @ lift).tocsr()
-        op = ConstrainedOperator(K, KernelProjector(psi))
-        x = op.solve(lift.T @ f)
-        assert np.linalg.norm(psi @ x) <= 1e-10 * np.linalg.norm(x)
+        op = ConstrainedOperator(K, KernelProjector())
+        g = W @ op.solve(lift.T @ f)
+        assert np.linalg.norm(psi @ g) <= 1e-10 * np.linalg.norm(g)
 
     def test_kkt_solve_undoes_the_ordering(self, small_system):
-        _, A, _, lift, psi, _, f = small_system
+        _, A, _, lift, _, _, _, f = small_system
         K = (lift.T @ A @ lift).tocsr()
         b = lift.T @ f
-        kkt = sparse.bmat([[K, psi.T], [psi, None]]).toarray()
-        rhs = np.concatenate([b, np.zeros(psi.shape[0])])
-        ref = np.linalg.solve(kkt, rhs)[: K.shape[0]]
-        x = ConstrainedOperator(K, KernelProjector(psi)).solve(b)
+        ref = np.linalg.solve(K.toarray(), b)
+        x = ConstrainedOperator(K, KernelProjector()).solve(b)
         assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
 
-    def test_kkt_ordering_fills_less_than_colamd(self):
-        real = B3Realization(generate_domain("unit-square", 3))
-        K = real.reduced(fourth_order_block(real, 1.0, LAM, MU))
-        op = ConstrainedOperator(K, KernelProjector(real.psi))
-        kkt = sparse.bmat([[K, real.psi.T], [real.psi, None]], format="csc")
-        assert op.kkt.shape == (6910, 6910)
-        assert op.lu.nnz < spla.splu(kkt).nnz
-
-    def test_quasi_definite_factor_fills_less_than_half_the_rcm_lu(self):
-        ex = EXAMPLES[6]
-        mesh = generate_domain(ex.domain, 2 + ex.mesh_offset)
-        blocks = TepBlocks(make_realization(mesh, "b3"), ex.lam, ex.mu,
-                           ex.rho0, ex.rho1)
-        K, psi = blocks.a_tau(2.0), blocks.real.psi
-        op = ConstrainedOperator(K, KernelProjector(psi))
-        kkt = sparse.bmat([[K, psi.T], [psi, None]], format="csr")
-        perm = reverse_cuthill_mckee(kkt, symmetric_mode=True)
-        rcm = spla.splu(kkt[perm][:, perm].tocsc(), permc_spec="NATURAL")
-        assert op.kkt.shape == (1662, 1662)
-        assert op.lu.nnz < 0.5 * rcm.nnz
-
     def test_constrained_solve_matches_explicit_basis(self, small_system):
-        _, A, _, lift, psi, N, f = small_system
+        _, A, _, lift, _, _, N, f = small_system
         K = (lift.T @ A @ lift).tocsr()
-        g = solve_sym_constrained(K, KernelProjector(psi), lift.T @ f)
+        g = solve_sym_constrained(K, KernelProjector(), lift.T @ f)
         y = np.linalg.solve((N.T @ A @ N).toarray(), N.T @ f)
-        broken_kkt = lift @ g
+        broken_local = lift @ g
         broken_dense = N @ y
         scale = np.linalg.norm(broken_dense)
-        assert np.linalg.norm(broken_kkt - broken_dense) <= 1e-8 * scale
+        assert np.linalg.norm(broken_local - broken_dense) <= 1e-8 * scale
 
     def test_constrained_eigs_match_explicit_basis(self, small_system):
-        _, A, M, lift, psi, N, _ = small_system
+        _, A, M, lift, W, psi, N, _ = small_system
         KA = (lift.T @ A @ lift).tocsr()
         KB = (lift.T @ M @ lift).tocsr()
-        res = eig_sym_constrained(KA, KB, KernelProjector(psi), 6)
+        res = eig_sym_constrained(KA, KB, KernelProjector(), 6)
         Ad = (N.T @ A @ N).toarray()
         Bd = (N.T @ M @ N).toarray()
         ref = dla.eigh(Ad, Bd, subset_by_index=[0, 5], eigvals_only=True)
         assert np.allclose(res.values, ref, rtol=1e-9)
         for j in range(6):
-            x = res.vectors[:, j]
+            x = W @ res.vectors[:, j]
             assert np.linalg.norm(psi @ x) <= 1e-8 * np.linalg.norm(x)
 
     def test_start_vector_and_shared_projector(self, small_system):
-        _, A, M, lift, psi, _, _ = small_system
+        _, A, M, lift, _, _, _, _ = small_system
         KA = (lift.T @ A @ lift).tocsr()
         KB = (lift.T @ M @ lift).tocsr()
-        kernel = KernelProjector(psi)
+        kernel = KernelProjector()
         cold = eig_sym_constrained(KA, KB, kernel, 6)
         for v0 in (np.zeros(KA.shape[0]), cold.vectors.sum(axis=1)):
             res = eig_sym_constrained(KA, KB, kernel, 6, v0=v0)
-            assert res.method == "kkt-arpack"
+            assert res.method == "arpack"
             assert np.allclose(res.values, cold.values, rtol=1e-10, atol=0)
             assert np.all(res.residuals <= 1e-8 * (
                 norm1(KA) + np.abs(res.values) * norm1(KB)))
 
     def test_dense_fallback_refuses_large_kernel(self, small_system,
                                                  monkeypatch):
-        _, A, M, lift, psi, _, _ = small_system
+        _, A, M, lift, _, _, _, _ = small_system
         KA = (lift.T @ A @ lift).tocsr()
         KB = (lift.T @ M @ lift).tocsr()
 
@@ -297,7 +253,7 @@ class TestConstrained:
         monkeypatch.setattr(eigen.spla, "eigsh", arpack_fails)
         monkeypatch.setattr(eigen, "DENSE_SYM_CAP", 10)
         with pytest.raises(RuntimeError, match="dense cap"):
-            eig_sym_constrained(KA, KB, KernelProjector(psi), 6)
+            eig_sym_constrained(KA, KB, KernelProjector(), 6)
 
 
 class TestNorm1:
@@ -320,8 +276,6 @@ class TestNorm1:
         for shape in ((0, 0), (3, 4), (0, 5), (5, 0)):
             assert norm1(sparse.csr_matrix(shape)) == 0.0
             assert norm1(np.zeros(shape)) == 0.0
-        kernel = no_rows(5)
-        assert kernel.psi_norm == 0.0 and kernel.ptp_norm == 0.0
 
 
 def ex6_level(level):
@@ -333,7 +287,7 @@ def ex6_level(level):
 
 
 def record_orderings(monkeypatch):
-    """Record the ordering of every KKT factorization: MMD_AT_PLUS_A for
+    """Record the ordering of every factorization: MMD_AT_PLUS_A for
     a pattern ordered afresh, NATURAL for one factored in a kept order."""
     specs = []
     splu = eigen._splu_diagonal
@@ -352,60 +306,48 @@ class TestKktOrder:
         specs = record_orderings(monkeypatch)
         for tau in (0.5, 1.0, 1.5, 2.0, 2.5):
             blocks.lambda_of_tau(tau, 6)
-        assert blocks.eig_methods == {"kkt-arpack": 5}
+        assert blocks.eig_methods == {"arpack": 5}
         assert specs == ["MMD_AT_PLUS_A"] + 4 * ["NATURAL"]
-        blocks.lambda_of_tau(0.0, 6)  # a_tau(0) = KD has its own pattern
+        # in the local basis, a_tau(0) = KD has the pattern of every a_tau
+        blocks.lambda_of_tau(0.0, 6)
+        assert specs[5:] == ["NATURAL"]
+        ConstrainedOperator(ex6_level(1).a_tau(1.0), blocks.real.kernel)
         blocks.lambda_of_tau(3.0, 6)  # only the last pattern is kept
-        assert specs[5:] == 2 * ["MMD_AT_PLUS_A"]
+        assert specs[6:] == 2 * ["MMD_AT_PLUS_A"]
 
     @pytest.mark.parametrize("level", [2, 3])
     def test_kept_order_gives_the_fresh_fill_and_solves(self, level):
         blocks = ex6_level(level)
-        kernel = KernelProjector(blocks.real.psi)
+        kernel = KernelProjector()
         ConstrainedOperator(blocks.a_tau(2.0), kernel)
         op = ConstrainedOperator(blocks.a_tau(3.0), kernel)
-        fresh = ConstrainedOperator(blocks.a_tau(3.0),
-                                    KernelProjector(blocks.real.psi))
+        fresh = ConstrainedOperator(blocks.a_tau(3.0), KernelProjector())
         assert isinstance(op.lu, eigen._OrderedFactor)
         assert isinstance(fresh.lu, spla.SuperLU)
-        assert op.lu.nnz == fresh.lu.nnz == {2: 16506, 3: 123586}[level]
+        assert op.lu.nnz == fresh.lu.nnz == {2: 7258, 3: 59802}[level]
         rng = np.random.default_rng(level)
         for _ in range(3):
-            b = rng.standard_normal(op.n)
+            b = rng.standard_normal(blocks.real.dofs)
             x, ref = op.solve(b), fresh.solve(b)
             assert np.linalg.norm(x - ref) <= 1e-13 * np.linalg.norm(ref)
 
-    def test_zero_tau_after_nonzero_is_ordered_afresh(self, monkeypatch):
-        blocks = ex6_level(2)
-        kernel = KernelProjector(blocks.real.psi)
-        ConstrainedOperator(blocks.a_tau(2.0), kernel)
+    def test_new_pattern_after_a_kept_one_is_ordered_afresh(self,
+                                                            monkeypatch):
+        kernel = KernelProjector()
+        ConstrainedOperator(ex6_level(2).a_tau(2.0), kernel)
+        blocks = ex6_level(1)
         specs = record_orderings(monkeypatch)
-        op = ConstrainedOperator(blocks.a_tau(0.0), kernel)
+        op = ConstrainedOperator(blocks.a_tau(2.0), kernel)
         assert specs == ["MMD_AT_PLUS_A"]
         op.lu = factor = CountingFactor(op.lu)
-        b = np.random.default_rng(4).standard_normal(op.n)
+        b = np.random.default_rng(4).standard_normal(blocks.real.dofs)
         x = op.solve(b)
         rhs, z = factor.inputs[0], factor.outputs[0]
         for step in factor.outputs[1:]:
             z = z + step
         r = rhs - op.kkt @ z
         assert np.linalg.norm(r) <= eigen.REFINE_TOL * np.linalg.norm(rhs)
-        assert np.array_equal(x, z[: op.n])
-
-    def test_dense_path_reduces_on_one_kernel_basis(self, monkeypatch):
-        blocks = ex6_level(1)
-        bases = []
-        basis = eigen.kernel_basis
-
-        def counting(psi):
-            bases.append(psi.shape)
-            return basis(psi)
-
-        monkeypatch.setattr(eigen, "kernel_basis", counting)
-        for tau in (0.0, 1.0, 2.0):
-            blocks.lambda_of_tau(tau, 12)
-        assert blocks.eig_methods == {"kkt-dense": 3}
-        assert len(bases) == 1
+        assert np.array_equal(x, z)
 
 
 class TestEigQuadratic:

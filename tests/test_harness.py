@@ -460,7 +460,7 @@ class TestReports:
         assert lines[-1].split() == ["quantity", "L1", "(h=0.5)", "Ord"]
 
     def test_eigensolver_path_per_level(self, ex3_report):
-        assert ex3_report.meta["eig_method"] == ["kkt-arpack", "kkt-arpack"]
+        assert ex3_report.meta["eig_method"] == ["arpack", "arpack"]
         report = run_example(9, levels=(1, 2, 3))
         paths = ["companion", "companion-arnoldi", "companion-arnoldi"]
         assert report.meta["eig_method"] == paths
@@ -469,8 +469,7 @@ class TestReports:
     def test_secant_eigensolves_per_level(self):
         report = run_example(6, levels=(1, 2))
         paths = report.meta["eig_method"]
-        assert [list(level) for level in paths] == [["kkt-dense"],
-                                                    ["kkt-arpack"]]
+        assert [list(level) for level in paths] == [["dense"], ["arpack"]]
         assert all(count > 0 for level in paths for count in level.values())
         assert json.loads(report.to_json())["meta"]["eig_method"] == paths
 

@@ -10,7 +10,7 @@ import bielastic.eigen as eigen
 import bielastic.solvers as solvers
 from bielastic.assembly import load_vector, mass_matrix
 from bielastic.coefficients import Coefficient, combine
-from bielastic.eigen import eig_quadratic, kernel_basis
+from bielastic.eigen import eig_quadratic
 from bielastic.harness import EXAMPLES, SCAN_BRANCHES
 from bielastic.mesh import generate_domain
 from bielastic.solvers import (
@@ -223,9 +223,9 @@ class TestSpectralFunction:
         factors = []
         init = eigen.KernelProjector.__init__
 
-        def counting_init(self, psi):
-            factors.append(psi.shape)
-            init(self, psi)
+        def counting_init(self):
+            factors.append(self)
+            init(self)
 
         monkeypatch.setattr(eigen.KernelProjector, "__init__",
                             counting_init)
@@ -238,7 +238,7 @@ class TestSpectralFunction:
         blocks = TepBlocks(b3_sq1, 0.25, 0.25, 1.0 / 20.0, 3.0)
         for tau in (0.0, 1.5, 1.5, 3.0):
             blocks.lambda_of_tau(tau, 6)
-        assert blocks.eig_methods == {"kkt-arpack": 3}
+        assert blocks.eig_methods == {"arpack": 3}
 
     def test_tau_quadratic_form_value(self, ex6_blocks):
         rng = np.random.default_rng(4)
@@ -304,7 +304,7 @@ def test_tau_mass_is_the_sum_of_both_mass_forms(number):
 class TestSecantScanOracle:
     """Every spectral-function evaluation of a full secant scan, each
     started from the previous evaluation's eigenvectors, against a dense
-    reduction onto an orthonormal kernel basis Z of psi."""
+    ``eigh`` of the same pencil."""
 
     @pytest.mark.parametrize("number, level", [
         (6, 1), (6, 2), (7, 1), (7, 2), (8, 1), (8, 2),
@@ -326,34 +326,13 @@ class TestSecantScanOracle:
 
         blocks.lambda_of_tau = recording
         find_teps_secant(blocks, k=SCAN_BRANCHES)
-        Z = kernel_basis(blocks.real.psi)
-        k = min(SCAN_BRANCHES, Z.shape[1])
-        Bz = Z.T @ (blocks.KB @ Z)
+        k = min(SCAN_BRANCHES, blocks.real.dofs)
+        Bz = blocks.KB.toarray()
         for tau, values in seen:
-            Az = Z.T @ (blocks.a_tau(tau) @ Z)
+            Az = blocks.a_tau(tau).toarray()
             ref = dla.eigh(Az, Bz, subset_by_index=[0, k - 1],
                            eigvals_only=True)
             assert values == pytest.approx(ref, rel=1e-9, abs=0)
-
-
-class TestConstrainedPath:
-    """Dense kernel reduction where ARPACK's Lanczos basis would span the
-    kernel (example 6, level 1: kernel 22, ncv 25), KKT-ARPACK beyond it
-    (level 2: kernel 134)."""
-
-    @pytest.mark.parametrize("level, method", [(1, "kkt-dense"),
-                                               (2, "kkt-arpack")])
-    def test_path_and_values(self, level, method):
-        blocks = _example_blocks(6, level)
-        A = blocks.a_tau(12.0)
-        res = eigen.eig_sym_constrained(A, blocks.KB, blocks.real.kernel,
-                                        SCAN_BRANCHES)
-        assert res.method == method
-        Z = kernel_basis(blocks.real.psi)
-        ref = dla.eigh(Z.T @ (A @ Z), Z.T @ (blocks.KB @ Z),
-                       subset_by_index=[0, SCAN_BRANCHES - 1],
-                       eigvals_only=True)
-        assert res.values == pytest.approx(ref, rel=1e-10, abs=0)
 
 
 class TestTepQuadratic:
@@ -391,17 +370,19 @@ def test_quadratic_path_reduces_each_form_once(monkeypatch, element):
 
 
 def test_b3_companion_blocks_are_exactly_symmetric(monkeypatch):
-    """Rounding in the dense kernel products would break the symmetry of
-    the forms and can move a multiple real eigenvalue off the real axis
-    (example 9, level 1)."""
+    """Rounding in the Galerkin products would break the symmetry of the
+    forms and can move a multiple real eigenvalue off the real axis
+    (example 9, level 1); ``reduced`` symmetrizes, on both elements."""
     handed = []
     monkeypatch.setattr(solvers, "eig_quadratic",
                         lambda *args: handed.append(args[:3]))
-    find_teps_quadratic(_example_blocks(9, 1), 10)
-    (blocks,) = handed
-    for A in blocks:
-        assert isinstance(A, np.ndarray)
-        assert np.array_equal(A, A.T)
+    for element in ("b3", "morley"):
+        find_teps_quadratic(_example_blocks(9, 1, element), 10)
+    assert len(handed) == 2
+    for blocks in handed:
+        for A in blocks:
+            A = A.toarray()
+            assert np.array_equal(A, A.T)
 
 
 @pytest.mark.parametrize("element", ["b3", "morley"])
@@ -423,12 +404,10 @@ def test_companion_cap_is_checked_before_any_dense_block(monkeypatch,
 
 
 def _dense_pencil(blocks):
-    """The kernel-reduced dense K, C, M that ``find_teps_quadratic`` hands
-    to ``eig_quadratic`` on the b3 element."""
-    Z = blocks.real.explicit_basis().toarray()
-    dense = lambda A: Z.T @ (A @ Z)
-    return (dense(blocks.KD), dense(blocks.KF - blocks.KB),
-            dense(blocks.KM))
+    """Dense copies of the K, C, M that ``find_teps_quadratic`` hands to
+    ``eig_quadratic``."""
+    return (blocks.KD.toarray(), (blocks.KF - blocks.KB).toarray(),
+            blocks.KM.toarray())
 
 
 def _qz_values(K, C, M):

@@ -11,8 +11,7 @@ import pytest
 import scipy.linalg
 import sympy as sp
 
-from bielastic.eigen import kernel_basis
-from bielastic.mesh import TriMesh, generate_domain
+from bielastic.mesh import DOMAINS, TriMesh, generate_domain
 from bielastic.polybasis import edge_gauss, p3_shapes, triangle_quadrature
 from bielastic.spaces import (
     BrokenSpace,
@@ -20,11 +19,12 @@ from bielastic.spaces import (
     _phi_matrices,
     _slot_vars,
     build_morley,
+    local_basis,
     reduce_entities,
     vector_transform,
 )
 
-from oracles import build_b3_constraints
+from oracles import build_b3_constraints, kernel_basis
 
 
 def single_triangle():
@@ -196,6 +196,60 @@ class TestEntityReduction:
         psi_v = vector_transform(red.psi)
         assert lift_v.shape == (2 * red.lift.shape[0], 2 * red.nvars)
         assert psi_v.shape == (2 * red.psi.shape[0], 2 * red.nvars)
+
+
+class TestLocalBasis:
+    """The local basis W of ker(psi) that the cubic element solves in:
+    one function per interior edge on the edge's three variables, three
+    per interior vertex on its star."""
+
+    @pytest.mark.parametrize("level", [0, 1, 2, 3])
+    @pytest.mark.parametrize("domain", DOMAINS)
+    def test_annihilates_psi_with_full_rank(self, domain, level):
+        red = reduce_entities(generate_domain(domain, level))
+        W = local_basis(red)
+        assert W.shape == (red.nvars, red.dim)
+        assert abs(red.psi @ W).max() <= 1e-13
+        assert np.linalg.matrix_rank(W.toarray()) == red.dim
+
+    @pytest.mark.parametrize("level", [0, 1, 2, 3])
+    @pytest.mark.parametrize("domain", DOMAINS)
+    def test_columns_live_on_one_edge_or_one_vertex_star(self, domain,
+                                                         level):
+        mesh = generate_domain(domain, level)
+        red = reduce_entities(mesh)
+        W = local_basis(red).tocsc()
+        vert_var, edge_var, nvars = _entity_variables(mesh)
+        edge_of = np.full(nvars, -1)
+        vertex_of = np.full(nvars, -1)
+        for e in np.flatnonzero(edge_var >= 0):
+            edge_of[edge_var[e] + np.arange(3)] = e
+        inner = np.flatnonzero(vert_var >= 0)
+        vertex_of[vert_var[inner]] = inner
+        stars = 0
+        for j in range(W.shape[1]):
+            rows = W.indices[W.indptr[j]:W.indptr[j + 1]]
+            edges = set(edge_of[rows]) - {-1}
+            verts = set(vertex_of[rows]) - {-1}
+            if not verts and len(edges) == 1:
+                continue  # one edge's three variables
+            # one interior vertex: its value and its edges' variables
+            centres = verts or set.intersection(
+                *(set(mesh.edges[e]) for e in edges))
+            assert len(centres) == 1
+            (c,) = centres
+            assert not mesh.boundary_vertex[c]
+            assert all(c in mesh.edges[e] for e in edges)
+            stars += 1
+        assert stars == 3 * inner.size
+
+    @pytest.mark.parametrize("domain", DOMAINS)
+    def test_spans_the_dense_kernel_of_psi(self, domain):
+        red = reduce_entities(generate_domain(domain, 2))
+        Z = kernel_basis(red.psi)
+        W = local_basis(red).toarray()
+        assert Z.shape[1] == red.dim
+        assert np.linalg.matrix_rank(np.hstack([Z, W]), tol=1e-8) == red.dim
 
 
 class TestConformingFunctions:
