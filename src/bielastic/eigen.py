@@ -2,23 +2,22 @@
 eigensolver, and the quadratic-pencil companion solver.
 
 Both elements work in an explicit sparse basis of their space, so every
-matrix here is a reduced block with no constraint rows.  A symmetric
-positive definite K is factored with diagonal pivots in a minimum-degree
-order, and a solve refines against K, up to ``REFINE_STEPS`` steps, only
-while its relative residual stays above ``REFINE_TOL``.  The solve and the
-eigensolver take a ``KernelProjector``, which keeps the order of the last
-pattern factored; a caller that factors one pattern many times, as the
-secant scan does, shares one.  The eigensolver accepts a start vector, so
-a sweep over a parameter can start each Lanczos run from the eigenvectors
-of the previous one.  When ARPACK's Lanczos basis would span the whole
-space, a dense ``eigh`` of the pencil replaces it; ``DENSE_SYM_CAP``
-bounds that order.
+matrix here is a reduced block with no constraint rows.  Every symmetric
+positive definite K is factored by one call, with diagonal pivots in a
+minimum-degree order.  The source solve refines its first solve against
+K, up to ``REFINE_STEPS`` steps, only while its relative residual stays
+above ``REFINE_TOL``; the eigensolver's operator is the bare pair of
+triangular solves.  The eigensolver accepts a start vector, so a sweep
+over a parameter can start each Lanczos run from the eigenvectors of the
+previous one.  When ARPACK's Lanczos basis would span the whole space, a
+dense ``eigh`` of the pencil replaces it; ``DENSE_SYM_CAP`` bounds that
+order.
 
-``KernelProjector``, ``ConstrainedOperator``, ``solve_sym_constrained``
-and ``eig_sym_constrained`` keep the names of the KKT design they
-replaced, which solved on the kernel of the cubic element's compatibility
-rows: the benchmark's tracer wraps them by name, and ROADMAP item 7
-renames them with it.
+``ConstrainedOperator``, ``solve_sym_constrained`` and
+``eig_sym_constrained`` keep the names of the KKT design they replaced,
+which solved on the kernel of the cubic element's compatibility rows, and
+``KernelProjector`` stays as a stub: the benchmark's tracer wraps them by
+name, and ROADMAP item 7 renames them with it.
 
 The quadratic solver works on dense copies of its blocks, made only
 once the companion order has passed its cap.  For the few eigenvalues of
@@ -118,130 +117,60 @@ def _sym_result(A, B, vals, vecs, method):
 
 
 class KernelProjector:
-    """The factor order kept for the solves and eigensolves of one space.
-
-    ``factor`` keeps the minimum-degree order of the last pattern it
-    factored.  The name, and the identity ``__call__``, remain from the
-    design that projected onto the kernel of constraint rows: in an
-    explicit basis the kernel is the whole space.  The benchmark's tracer
-    (``bench/tracer.py``) wraps ``__init__`` and ``__call__`` by name, so
-    the class is renamed with the tracer (ROADMAP item 7).
+    """A stub that nothing in the library constructs: its identity
+    ``__call__`` remains from the design that projected onto the kernel
+    of constraint rows, which an explicit basis makes the whole space.
+    The benchmark's tracer (``bench/tracer.py``) wraps ``__init__`` and
+    ``__call__`` by name, so the class goes with the tracer (ROADMAP
+    item 7).
     """
-
-    def __init__(self):
-        self._order = self._permuted = None
 
     def __call__(self, x):
         """The projector onto the whole space: x itself."""
         return x
 
-    def factor(self, reg):
-        """LU of the symmetric CSR matrix ``reg`` with diagonal pivots in
-        a minimum-degree order on A + A^T.
-
-        SuperLU computes that order inside the factorization, and it
-        depends on the pattern alone.  So the pattern last factored and
-        its order are kept, and a matrix of the same pattern, which the
-        secant scan makes at every tau != 0 of a level, is factored as
-        P reg P^T in its natural order: the same fill, without the
-        ordering.  The first such matrix also fixes where each entry of
-        reg goes in P reg P^T, so later ones are permuted by one gather.
-        """
-        kept = self._order
-        if (kept is not None and np.array_equal(kept[0], reg.indptr)
-                and np.array_equal(kept[1], reg.indices)):
-            q = kept[2]
-            if self._permuted is None:
-                self._permuted = _permuted_pattern(reg.indptr, reg.indices, q)
-            gather, indptr, indices = self._permuted
-            PA = sparse.csc_matrix((reg.data[gather], indices, indptr),
-                                   shape=reg.shape)
-            return _OrderedFactor(_splu_diagonal(PA, "NATURAL"), q)
-        indptr, indices = reg.indptr, reg.indices
-        reg = reg.tocsc()
-        lu = _splu_diagonal(reg, "MMD_AT_PLUS_A")
-        # perm_c is a view that would keep the whole factor alive
-        self._order = (indptr, indices, lu.perm_c.copy())
-        self._permuted = None
-        return lu
-
-
-def _splu_diagonal(A, permc_spec):
-    return spla.splu(A, permc_spec=permc_spec, diag_pivot_thresh=0.0,
-                     options=dict(SymmetricMode=True))
-
-
-def _permuted_pattern(indptr, indices, q):
-    """Where the entries of a CSR matrix A with this pattern go in the CSC
-    matrix P A P^T, with (P x)[q] = x: returns ``gather``, with
-    (P A P^T).data = A.data[gather], and that matrix's indptr and
-    indices."""
-    n = indptr.size - 1
-    rows = q[np.repeat(np.arange(n), np.diff(indptr))]
-    cols = q[indices]
-    gather = np.lexsort((rows, cols))
-    ptr = np.zeros_like(indptr)
-    np.cumsum(np.bincount(cols, minlength=n), out=ptr[1:])
-    return gather, ptr, rows[gather]
-
-
-class _OrderedFactor:
-    """A factor ``lu`` of P A P^T, with (P x)[q] = x, that serves as a
-    factor of A: ``solve`` and ``nnz`` are A's."""
-
-    def __init__(self, lu, q):
-        self.lu, self.nnz = lu, lu.nnz
-        self.q, self.p = q, np.argsort(q)
-
-    def solve(self, b):
-        return self.lu.solve(b[self.p])[self.q]
-
 
 class ConstrainedOperator:
-    """Factorization of a symmetric matrix K, positive definite for a
-    source solve and a shift-invert eigensolve at zero; solves K-systems
-    with iterative refinement.  ``kkt`` is K and ``lu`` its factor, in the
-    order that ``kernel``, the space's ``KernelProjector``, keeps.  The
-    class and attribute names remain from the KKT system it once factored;
-    the benchmark's tracer wraps ``__init__`` and ``solve`` and reads
-    ``kkt`` and ``lu.nnz`` by name (ROADMAP item 7 renames them).
-
-    ``solve`` takes up to ``REFINE_STEPS`` steps of iterative refinement,
-    each only while the residual exceeds ``REFINE_TOL`` times the
-    right-hand side.  A solve under that bound already has a backward error
-    below 1e-13, and a further step would only lower it (Higham 1997), so
-    it is skipped.  The bound sits three orders below both users of the solve:
-    ARPACK's relative tolerance ``EIG_TOL`` = 1e-10, which an operator
-    applied to 1e-13 does not limit, and the residual check of
-    ``solve_sym_constrained``, at most 1e-10.
+    """LU factor of a symmetric matrix K, positive definite for a source
+    solve and a shift-invert eigensolve at zero, with diagonal pivots in a
+    minimum-degree order on K + K^T; ``solve`` is one pair of triangular
+    solves, the operator that ARPACK applies.  ``kkt`` is K and ``lu`` its
+    factor.  The class and attribute names remain from the KKT system it
+    once factored; the benchmark's tracer wraps ``__init__`` and ``solve``
+    and reads ``kkt`` and ``lu.nnz`` by name (ROADMAP item 7 renames them).
     """
 
-    def __init__(self, K, kernel):
+    def __init__(self, K):
         self.kkt = sparse.csr_matrix(K)
-        self.lu = kernel.factor(self.kkt)
+        self.lu = spla.splu(self.kkt.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                            diag_pivot_thresh=0.0,
+                            options=dict(SymmetricMode=True))
 
     def solve(self, b):
-        x = self.lu.solve(b)
-        bound = REFINE_TOL * np.linalg.norm(b)
-        for _ in range(REFINE_STEPS):
-            r = b - self.kkt @ x
-            if np.linalg.norm(r) <= bound:
-                break
-            x = x + self.lu.solve(r)
-        return x
+        return self.lu.solve(b)
 
 
-def solve_sym_constrained(K, kernel, b, tol=1e-10):
-    """Minimize 1/2 x'Kx - b'x for a symmetric positive definite K, with
-    ``kernel`` the ``KernelProjector`` whose order the factor takes.
-    Raises when the residual b - K x exceeds ``tol`` times b.  The name
-    remains from the constrained solve, since the benchmark's tracer wraps
-    it by name."""
-    x = ConstrainedOperator(K, kernel).solve(b)
-    r = np.linalg.norm(b - K @ x)
+def solve_sym_constrained(K, b, tol=1e-10):
+    """Minimize 1/2 x'Kx - b'x for a symmetric positive definite K.
+
+    The first solve is refined, up to ``REFINE_STEPS`` steps, only while
+    the residual b - K x exceeds ``REFINE_TOL`` times b.  A solve under
+    that bound already has a backward error below 1e-13, and a further
+    step would only lower it (Higham 1997), so it is skipped.  Raises when
+    the last residual exceeds ``tol`` times b.  The name remains from the
+    constrained solve, since the benchmark's tracer wraps it by name.
+    """
+    op = ConstrainedOperator(K)
+    x = op.solve(b)
     bnorm = np.linalg.norm(b)
-    if bnorm > 0 and r > tol * bnorm:
-        raise RuntimeError(f"constrained solve residual {r / bnorm:.3e} "
+    for step in range(REFINE_STEPS + 1):
+        r = b - op.kkt @ x
+        rnorm = np.linalg.norm(r)
+        if rnorm <= REFINE_TOL * bnorm or step == REFINE_STEPS:
+            break
+        x = x + op.solve(r)
+    if rnorm > tol * bnorm:
+        raise RuntimeError(f"constrained solve residual {rnorm / bnorm:.3e} "
                            f"exceeds {tol:g}")
     return x
 
@@ -257,19 +186,20 @@ def _eig_dense(KA, KB, k):
                     subset_by_index=[0, min(k, n) - 1])
 
 
-def eig_sym_constrained(KA, KB, kernel, k, v0=None):
-    """k smallest eigenpairs of KA x = lambda KB x, with ``kernel`` the
-    ``KernelProjector`` whose kept order the factor takes.  The name
-    remains from the eigensolver on the kernel of constraint rows, since
-    the benchmark's tracer wraps it by name.
+def eig_sym_constrained(KA, KB, k, v0=None):
+    """k smallest eigenpairs of KA x = lambda KB x.  The name remains from
+    the eigensolver on the kernel of constraint rows, since the
+    benchmark's tracer wraps it by name.
 
-    Shift-invert about zero through ``ConstrainedOperator``; KA must be
-    positive definite.  ARPACK keeps ncv = min(n, max(2k + 1, 20)) Lanczos
-    vectors (scipy's default, passed explicitly).  When ncv reaches n, the
-    Lanczos basis would span the whole space, so the pencil is solved by a
-    dense ``eigh`` instead, and k is clamped to n; that is exact and
-    cheaper than the Lanczos run it replaces.  The method is ``arpack`` or
-    ``dense``.
+    Shift-invert about zero through ``ConstrainedOperator``, one pair of
+    triangular solves per application and no refinement: ARPACK's
+    relative tolerance ``EIG_TOL`` = 1e-10 sits far above the backward
+    error of the factor's solves; KA must be positive definite.  ARPACK
+    keeps ncv = min(n, max(2k + 1, 20)) Lanczos vectors (scipy's default,
+    passed explicitly).  When ncv reaches n, the Lanczos basis would span
+    the whole space, so the pencil is solved by a dense ``eigh`` instead,
+    and k is clamped to n; that is exact and cheaper than the Lanczos run
+    it replaces.  The method is ``arpack`` or ``dense``.
 
     ``v0`` starts the Lanczos run, for example the sum of the eigenvectors
     of a nearby pencil, so a sweep converges in fewer solves.  Without it,
@@ -282,7 +212,7 @@ def eig_sym_constrained(KA, KB, kernel, k, v0=None):
         vals, vecs = _eig_dense(KA, KB, k)
         method = "dense"
     else:
-        op = ConstrainedOperator(KA, kernel)
+        op = ConstrainedOperator(KA)
         opinv = spla.LinearOperator((n, n), matvec=op.solve, dtype=float)
         nv0 = 0.0 if v0 is None else np.linalg.norm(v0)
         if nv0 == 0:

@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .assembly import error_norms
 from .coefficients import Coefficient
-from .eigen import EIG_TOL, KernelProjector, eig_sym_constrained
+from .eigen import EIG_TOL, eig_sym_constrained
 from .mesh import DOMAIN_AREAS, generate_domain
 from .solvers import (
     CERT_TOL,
@@ -749,8 +749,7 @@ def self_test(stream=None):
     from scipy.linalg import eigh as dense_eigh
     from scipy.sparse import csr_matrix
     want = dense_eigh(a, b, subset_by_index=[0, 4])[0]
-    got = eig_sym_constrained(csr_matrix(a), csr_matrix(b),
-                              KernelProjector(), 5)
+    got = eig_sym_constrained(csr_matrix(a), csr_matrix(b), 5)
     err = float(np.max(np.abs(got.values - want) / np.abs(want)))
     _check(checks, "sparse eigensolver vs dense oracle",
            got.method == "arpack" and err <= 1e-9,

@@ -7,11 +7,12 @@ from the coefficients of an explicit basis with local support to the
 broken space.  The cubic element's basis is W, a local basis of the
 kernel of its compatibility rows in entity variables
 (``spaces.local_basis``); Morley's is its nodal basis.  ``reduced`` takes
-an assembled broken form to the basis, exactly symmetric.
-``solve(A, f)`` takes a broken form and load; every eigensolver, ``eig``
-and ``eig_quadratic``, takes reduced blocks, so a driver reduces each
-form once.  Both elements share one direct solve, one eigensolver and one
-quadratic solver, none of which carries constraint rows.
+an assembled broken form to the basis, exactly symmetric, and
+``solve(A, f)`` solves a broken form and load in it.  The drivers call
+the eigensolvers, ``eig_sym_constrained`` and ``eig_quadratic``, on
+reduced blocks directly, so each form is reduced once.  Both elements
+share one direct solve, one eigensolver and one quadratic solver, none of
+which carries constraint rows or keeps state between calls.
 """
 
 import warnings
@@ -31,12 +32,7 @@ from .assembly import (
     mixed_divsigma_matrix,
 )
 from .coefficients import as_coefficient, combine, require_finite
-from .eigen import (
-    KernelProjector,
-    eig_quadratic,
-    eig_sym_constrained,
-    solve_sym_constrained,
-)
+from .eigen import eig_quadratic, eig_sym_constrained, solve_sym_constrained
 from .polybasis import triangle_quadrature
 from .spaces import (
     BrokenSpace,
@@ -63,7 +59,6 @@ class Realization:
         self.mesh = mesh
         self.space = space
         self.lift = lift
-        self._kernel = None
 
     @property
     def dofs(self):
@@ -77,27 +72,10 @@ class Realization:
         P = self.lift.T @ A @ self.lift
         return (0.5 * (P + P.T)).tocsr()
 
-    @property
-    def kernel(self):
-        """The ``KernelProjector`` shared by every eigensolve of this
-        realization, built on first use; it keeps the factor order of the
-        last pattern factored."""
-        if self._kernel is None:
-            self._kernel = KernelProjector()
-        return self._kernel
-
     def solve(self, A, f):
-        # an order of its own, dropped after the solve: the shared one's
-        # kept order would make a second solve differ in the last bits
-        g = solve_sym_constrained(self.reduced(A), KernelProjector(),
-                                  self.lift.T @ f, self.solve_tol)
+        g = solve_sym_constrained(self.reduced(A), self.lift.T @ f,
+                                  self.solve_tol)
         return self.lift @ g
-
-    def eig(self, KA, KB, k, v0=None):
-        return eig_sym_constrained(KA, KB, self.kernel, k, v0=v0)
-
-    def eig_quadratic(self, K, C, M, k=None):
-        return eig_quadratic(K, C, M, k)
 
 
 class B3Realization(Realization):
@@ -213,7 +191,7 @@ def solve_bielastic_eigs(real, beta, lam, mu, k, alpha=None):
     the plain mass form."""
     A = fourth_order_block(real, beta, lam, mu, alpha)
     M = mass_matrix(real.space)
-    return real.eig(real.reduced(A), real.reduced(M), k)
+    return eig_sym_constrained(real.reduced(A), real.reduced(M), k)
 
 
 def detect_density_case(space, rho0, rho1):
@@ -297,7 +275,7 @@ class TepBlocks:
             v0 = None
             if self._last_vectors is not None:
                 v0 = self._last_vectors.sum(axis=1)
-            res = self.real.eig(self.a_tau(tau), self.KB, k, v0=v0)
+            res = eig_sym_constrained(self.a_tau(tau), self.KB, k, v0=v0)
             self._lambda_cache[key] = res.values
             self._last_vectors = res.vectors
             self.eig_methods[res.method] += 1
@@ -403,6 +381,4 @@ def find_teps_secant(blocks, k=12, tau_lo=0.25, tau_hi=None):
 def find_teps_quadratic(blocks, k=10):
     """Transmission eigenvalues through the companion linearization of
     K + tau C + tau^2 M; complex values allowed."""
-    return blocks.real.eig_quadratic(
-        blocks.KD, blocks.KF - blocks.KB, blocks.KM, k
-    )
+    return eig_quadratic(blocks.KD, blocks.KF - blocks.KB, blocks.KM, k)

@@ -283,10 +283,11 @@ def reduce_entities(mesh):
 
     The twelve entity functionals of a cubic on one triangle satisfy two
     linear relations (the left null space of its 12x10 functional
-    matrix), giving two compatibility rows per triangle over the entity
-    variables; ``lift`` is the local reconstruction of broken
-    coefficients from entity values (exact on compatible data).  Rows are
-    swept in geometric strips (centroid y, then x).
+    matrix), giving two orthonormal compatibility rows per triangle (the
+    SVD's left null vectors) over the entity variables; ``lift`` is the
+    local reconstruction of broken coefficients from entity values (exact
+    on compatible data).  Rows are swept in geometric strips (centroid y,
+    then x).
 
     Boundary entities carry no variable.  With these boundary conditions
     the full system has exactly two dependencies, and both weight every
@@ -302,14 +303,6 @@ def reduce_entities(mesh):
     if np.any(S[:, 9] <= 1e-8 * S[:, 0]):
         raise RuntimeError("degenerate triangle: trace functionals lost rank")
     local = U[:, :, 10:].transpose(0, 2, 1)  # (nt, 2, 12), orthonormal
-    rows = local.copy()
-    # canonicalize the two compatibility rows per triangle (deterministic)
-    for r, other in ((0, 1), (1, 0)):
-        j = np.argmax(np.abs(rows[:, r, :]), axis=1)
-        lead = rows[np.arange(mesh.nt), r, j]
-        rows[:, r, :] /= lead[:, None]
-        fac = rows[np.arange(mesh.nt), other, j]
-        rows[:, other, :] -= fac[:, None] * rows[:, r, :]
     recon = np.linalg.pinv(phi)  # (nt, 10, 12)
 
     vert_var, edge_var, nvars = _entity_variables(mesh)
@@ -318,7 +311,7 @@ def reduce_entities(mesh):
     cx = mesh.vertices[mesh.triangles, 0].mean(axis=1)
     cy = mesh.vertices[mesh.triangles, 1].mean(axis=1)
     order = np.lexsort((cx, cy))[:-1]
-    vals = rows[order]
+    vals = local[order]
     cols = np.broadcast_to(slot_vars[order][:, None, :], vals.shape)
     row_ids = np.broadcast_to(
         np.arange(2 * order.size).reshape(-1, 2, 1), vals.shape

@@ -10,15 +10,14 @@ import bielastic.eigen as eigen
 from bielastic.assembly import bielastic_matrix, load_vector, mass_matrix
 from bielastic.eigen import (
     ConstrainedOperator,
-    KernelProjector,
     eig_quadratic,
     eig_sym_constrained,
     norm1,
     solve_sym_constrained,
 )
-from bielastic.harness import EXAMPLES
+from bielastic.harness import run_example
 from bielastic.mesh import generate_domain
-from bielastic.solvers import B3Realization, TepBlocks, make_realization
+from bielastic.solvers import B3Realization
 from bielastic.spaces import vector_transform
 
 from oracles import sorted_complex
@@ -37,13 +36,12 @@ class TestSolveSym:
 
     def test_identity(self):
         b = np.array([3.0, -1.0, 2.0])
-        x = solve_sym_constrained(sparse.eye(3, format="csr"),
-                                  KernelProjector(), b)
+        x = solve_sym_constrained(sparse.eye(3, format="csr"), b)
         assert np.allclose(x, b)
 
     def test_diagonal(self):
         A = sparse.diags([2.0, 4.0]).tocsr()
-        x = solve_sym_constrained(A, KernelProjector(), np.array([2.0, 4.0]))
+        x = solve_sym_constrained(A, np.array([2.0, 4.0]))
         assert np.allclose(x, [1.0, 1.0])
 
     def test_random_spd_residuals(self):
@@ -51,13 +49,13 @@ class TestSolveSym:
         for n in (5, 12, 30, 60):
             A = random_spd(rng, n)
             b = rng.standard_normal(n)
-            x = solve_sym_constrained(A, KernelProjector(), b, 1e-12)
+            x = solve_sym_constrained(A, b, 1e-12)
             assert np.linalg.norm(b - A @ x) <= 1e-12 * np.linalg.norm(b)
 
     def test_singular_matrix_raises(self):
         A = sparse.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
         with pytest.raises(RuntimeError):
-            solve_sym_constrained(A, KernelProjector(), np.array([1.0, 0.0]))
+            solve_sym_constrained(A, np.array([1.0, 0.0]))
 
 
 class TestEigSymGen:
@@ -66,14 +64,14 @@ class TestEigSymGen:
     def test_diagonal_pencil(self):
         A = sparse.diags([2.0, 3.0]).tocsr()
         B = sparse.eye(2, format="csr")
-        res = eig_sym_constrained(A, B, KernelProjector(), 2)
+        res = eig_sym_constrained(A, B, 2)
         assert res.method == "dense"
         assert np.allclose(res.values, [2.0, 3.0])
 
     def test_a_equals_b_gives_ones(self):
         rng = np.random.default_rng(3)
         A = random_spd(rng, 25)
-        res = eig_sym_constrained(A, A.copy(), KernelProjector(), 5)
+        res = eig_sym_constrained(A, A.copy(), 5)
         assert np.allclose(res.values, 1.0, atol=1e-10)
 
     def test_sparse_path_matches_dense(self):
@@ -83,15 +81,15 @@ class TestEigSymGen:
         B = random_spd(rng, n, density=0.05)
         dense = dla.eigh(A.toarray(), B.toarray(), subset_by_index=[0, k - 1],
                          eigvals_only=True)
-        arpack = eig_sym_constrained(A, B, KernelProjector(), k)
+        arpack = eig_sym_constrained(A, B, k)
         # 2 * 60 + 1 Lanczos vectors would span the space: dense reduction
-        full = eig_sym_constrained(A, B, KernelProjector(), n // 2)
+        full = eig_sym_constrained(A, B, n // 2)
         assert arpack.method == "arpack" and full.method == "dense"
         assert np.allclose(arpack.values, dense, rtol=1e-9)
         assert np.allclose(full.values[:k], dense, rtol=1e-9)
         assert np.all(np.diff(full.values) >= -1e-12)
         for v0 in (np.zeros(n), arpack.vectors.sum(axis=1)):
-            warm = eig_sym_constrained(A, B, KernelProjector(), k, v0=v0)
+            warm = eig_sym_constrained(A, B, k, v0=v0)
             assert np.allclose(warm.values, dense, rtol=1e-9)
         for res in (full, arpack):
             bn = np.einsum("ij,ij->j", res.vectors, (B @ res.vectors))
@@ -101,7 +99,7 @@ class TestEigSymGen:
         rng = np.random.default_rng(19)
         A = random_spd(rng, 40)
         B = random_spd(rng, 40)
-        res = eig_sym_constrained(A, B, KernelProjector(), 4)
+        res = eig_sym_constrained(A, B, 4)
         bound = 1e-8 * (norm1(A) + np.abs(res.values) * norm1(B))
         assert np.all(res.residuals <= bound)
 
@@ -142,58 +140,93 @@ class CountingFactor:
         return self.outputs[-1]
 
 
-class TestConstrained:
-    """The factor with refinement, the solve and the eigensolver, on
-    random matrices and on the cubic element's local basis against the
-    dense oracle basis."""
+def record_factors(monkeypatch, factor=None):
+    """Give every ``ConstrainedOperator`` made from now on a
+    ``CountingFactor``, of ``factor(K)`` when given; returns the list of
+    those operators."""
+    ops = []
+    init = ConstrainedOperator.__init__
 
-    def test_solve_skips_refinement_when_backward_stable(self):
+    def recording(self, K):
+        init(self, K)
+        lu = self.lu if factor is None else factor(self.kkt)
+        self.lu = CountingFactor(lu)
+        ops.append(self)
+
+    monkeypatch.setattr(ConstrainedOperator, "__init__", recording)
+    return ops
+
+
+class TestConstrained:
+    """The factor, the refined solve and the eigensolver, on random
+    matrices and on the cubic element's local basis against the dense
+    oracle basis."""
+
+    def test_solve_skips_refinement_when_backward_stable(self, monkeypatch):
         rng = np.random.default_rng(3)
         K = random_spd(rng, 40)
-        op = ConstrainedOperator(K, KernelProjector())
-        op.lu = factor = CountingFactor(op.lu)
+        ops = record_factors(monkeypatch)
         refine = eigen.REFINE_STEPS
         for _ in range(3):
             b = rng.standard_normal(K.shape[0])
             ref = np.linalg.solve(K.toarray(), b)
-            start = len(factor.inputs)
-            x = op.solve(b)
+            x = solve_sym_constrained(K, b)
             assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
-            steps = factor.outputs[start:]
+            factor = ops[-1].lu
+            steps = factor.outputs
             assert 1 <= len(steps) <= refine + 1
-            rhs = factor.inputs[start]
-            bound = eigen.REFINE_TOL * np.linalg.norm(rhs)
+            assert np.array_equal(factor.inputs[0], b)
+            bound = eigen.REFINE_TOL * np.linalg.norm(b)
             z = steps[0]
             for step in steps[1:]:
-                assert np.linalg.norm(rhs - op.kkt @ z) > bound
+                assert np.linalg.norm(b - K @ z) > bound
                 z = z + step
             if len(steps) <= refine:
-                assert np.linalg.norm(rhs - op.kkt @ z) <= bound
+                assert np.linalg.norm(b - K @ z) <= bound
             assert np.array_equal(x, z)
 
-    def test_solve_refines_an_inaccurate_first_solve(self):
+    def test_solve_refines_an_inaccurate_first_solve(self, monkeypatch):
         # the factor of a perturbed matrix stands in for a first solve
         # that is not backward stable
         rng = np.random.default_rng(5)
         K = random_spd(rng, 40)
-        op = ConstrainedOperator(K, KernelProjector())
-        shift = 1e-10 * norm1(op.kkt) * sparse.eye(op.kkt.shape[0])
-        op.lu = factor = CountingFactor(
-            spla.splu((op.kkt + shift).tocsc(), permc_spec="NATURAL"))
-        x = op.solve(rng.standard_normal(K.shape[0]))
+        shift = 1e-10 * norm1(K) * sparse.eye(K.shape[0])
+        ops = record_factors(monkeypatch, lambda A: spla.splu(
+            (A + shift).tocsc(), permc_spec="NATURAL"))
+        b = rng.standard_normal(K.shape[0])
+        x = solve_sym_constrained(K, b)
+        factor = ops[0].lu
         assert len(factor.inputs) == 2
-        rhs = factor.inputs[0]
-        bound = eigen.REFINE_TOL * np.linalg.norm(rhs)
+        bound = eigen.REFINE_TOL * np.linalg.norm(b)
         first = factor.outputs[0]
-        assert np.linalg.norm(rhs - op.kkt @ first) > 100 * bound
+        assert np.linalg.norm(b - K @ first) > 100 * bound
         z = first + factor.outputs[1]
-        assert np.linalg.norm(rhs - op.kkt @ z) <= bound
+        assert np.linalg.norm(b - K @ z) <= bound
         assert np.array_equal(x, z)
+
+    def test_eigensolver_applies_one_triangular_solve(self, monkeypatch):
+        # example 3 at level 2, the first level where an operator that
+        # refined took more than one triangular solve per application
+        ops = record_factors(monkeypatch)
+        applied = []
+        solve = ConstrainedOperator.solve
+
+        def counting_solve(self, b):
+            before = len(self.lu.inputs)
+            x = solve(self, b)
+            applied.append(len(self.lu.inputs) - before)
+            return x
+
+        monkeypatch.setattr(ConstrainedOperator, "solve", counting_solve)
+        report = run_example(3, levels=(2,))
+        assert report.meta["eig_method"] == ["arpack"]
+        assert len(ops) == 1 and len(applied) > 1
+        assert applied == [1] * len(applied)
 
     def test_kkt_solve_stays_in_kernel(self, small_system):
         _, A, _, lift, W, psi, _, f = small_system
         K = (lift.T @ A @ lift).tocsr()
-        op = ConstrainedOperator(K, KernelProjector())
+        op = ConstrainedOperator(K)
         g = W @ op.solve(lift.T @ f)
         assert np.linalg.norm(psi @ g) <= 1e-10 * np.linalg.norm(g)
 
@@ -202,13 +235,13 @@ class TestConstrained:
         K = (lift.T @ A @ lift).tocsr()
         b = lift.T @ f
         ref = np.linalg.solve(K.toarray(), b)
-        x = ConstrainedOperator(K, KernelProjector()).solve(b)
+        x = ConstrainedOperator(K).solve(b)
         assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
 
     def test_constrained_solve_matches_explicit_basis(self, small_system):
         _, A, _, lift, _, _, N, f = small_system
         K = (lift.T @ A @ lift).tocsr()
-        g = solve_sym_constrained(K, KernelProjector(), lift.T @ f)
+        g = solve_sym_constrained(K, lift.T @ f)
         y = np.linalg.solve((N.T @ A @ N).toarray(), N.T @ f)
         broken_local = lift @ g
         broken_dense = N @ y
@@ -219,7 +252,7 @@ class TestConstrained:
         _, A, M, lift, W, psi, N, _ = small_system
         KA = (lift.T @ A @ lift).tocsr()
         KB = (lift.T @ M @ lift).tocsr()
-        res = eig_sym_constrained(KA, KB, KernelProjector(), 6)
+        res = eig_sym_constrained(KA, KB, 6)
         Ad = (N.T @ A @ N).toarray()
         Bd = (N.T @ M @ N).toarray()
         ref = dla.eigh(Ad, Bd, subset_by_index=[0, 5], eigvals_only=True)
@@ -232,10 +265,9 @@ class TestConstrained:
         _, A, M, lift, _, _, _, _ = small_system
         KA = (lift.T @ A @ lift).tocsr()
         KB = (lift.T @ M @ lift).tocsr()
-        kernel = KernelProjector()
-        cold = eig_sym_constrained(KA, KB, kernel, 6)
+        cold = eig_sym_constrained(KA, KB, 6)
         for v0 in (np.zeros(KA.shape[0]), cold.vectors.sum(axis=1)):
-            res = eig_sym_constrained(KA, KB, kernel, 6, v0=v0)
+            res = eig_sym_constrained(KA, KB, 6, v0=v0)
             assert res.method == "arpack"
             assert np.allclose(res.values, cold.values, rtol=1e-10, atol=0)
             assert np.all(res.residuals <= 1e-8 * (
@@ -253,7 +285,7 @@ class TestConstrained:
         monkeypatch.setattr(eigen.spla, "eigsh", arpack_fails)
         monkeypatch.setattr(eigen, "DENSE_SYM_CAP", 10)
         with pytest.raises(RuntimeError, match="dense cap"):
-            eig_sym_constrained(KA, KB, KernelProjector(), 6)
+            eig_sym_constrained(KA, KB, 6)
 
 
 class TestNorm1:
@@ -276,78 +308,6 @@ class TestNorm1:
         for shape in ((0, 0), (3, 4), (0, 5), (5, 0)):
             assert norm1(sparse.csr_matrix(shape)) == 0.0
             assert norm1(np.zeros(shape)) == 0.0
-
-
-def ex6_level(level):
-    """The transmission blocks of example 6 at this benchmark level."""
-    ex = EXAMPLES[6]
-    mesh = generate_domain(ex.domain, level - 1 + ex.mesh_offset)
-    return TepBlocks(make_realization(mesh, "b3"), ex.lam, ex.mu, ex.rho0,
-                     ex.rho1)
-
-
-def record_orderings(monkeypatch):
-    """Record the ordering of every factorization: MMD_AT_PLUS_A for
-    a pattern ordered afresh, NATURAL for one factored in a kept order."""
-    specs = []
-    splu = eigen._splu_diagonal
-
-    def recording(A, permc_spec):
-        specs.append(permc_spec)
-        return splu(A, permc_spec)
-
-    monkeypatch.setattr(eigen, "_splu_diagonal", recording)
-    return specs
-
-
-class TestKktOrder:
-    def test_scan_orders_each_pattern_once(self, monkeypatch):
-        blocks = ex6_level(2)
-        specs = record_orderings(monkeypatch)
-        for tau in (0.5, 1.0, 1.5, 2.0, 2.5):
-            blocks.lambda_of_tau(tau, 6)
-        assert blocks.eig_methods == {"arpack": 5}
-        assert specs == ["MMD_AT_PLUS_A"] + 4 * ["NATURAL"]
-        # in the local basis, a_tau(0) = KD has the pattern of every a_tau
-        blocks.lambda_of_tau(0.0, 6)
-        assert specs[5:] == ["NATURAL"]
-        ConstrainedOperator(ex6_level(1).a_tau(1.0), blocks.real.kernel)
-        blocks.lambda_of_tau(3.0, 6)  # only the last pattern is kept
-        assert specs[6:] == 2 * ["MMD_AT_PLUS_A"]
-
-    @pytest.mark.parametrize("level", [2, 3])
-    def test_kept_order_gives_the_fresh_fill_and_solves(self, level):
-        blocks = ex6_level(level)
-        kernel = KernelProjector()
-        ConstrainedOperator(blocks.a_tau(2.0), kernel)
-        op = ConstrainedOperator(blocks.a_tau(3.0), kernel)
-        fresh = ConstrainedOperator(blocks.a_tau(3.0), KernelProjector())
-        assert isinstance(op.lu, eigen._OrderedFactor)
-        assert isinstance(fresh.lu, spla.SuperLU)
-        assert op.lu.nnz == fresh.lu.nnz == {2: 7258, 3: 59802}[level]
-        rng = np.random.default_rng(level)
-        for _ in range(3):
-            b = rng.standard_normal(blocks.real.dofs)
-            x, ref = op.solve(b), fresh.solve(b)
-            assert np.linalg.norm(x - ref) <= 1e-13 * np.linalg.norm(ref)
-
-    def test_new_pattern_after_a_kept_one_is_ordered_afresh(self,
-                                                            monkeypatch):
-        kernel = KernelProjector()
-        ConstrainedOperator(ex6_level(2).a_tau(2.0), kernel)
-        blocks = ex6_level(1)
-        specs = record_orderings(monkeypatch)
-        op = ConstrainedOperator(blocks.a_tau(2.0), kernel)
-        assert specs == ["MMD_AT_PLUS_A"]
-        op.lu = factor = CountingFactor(op.lu)
-        b = np.random.default_rng(4).standard_normal(blocks.real.dofs)
-        x = op.solve(b)
-        rhs, z = factor.inputs[0], factor.outputs[0]
-        for step in factor.outputs[1:]:
-            z = z + step
-        r = rhs - op.kkt @ z
-        assert np.linalg.norm(r) <= eigen.REFINE_TOL * np.linalg.norm(rhs)
-        assert np.array_equal(x, z)
 
 
 class TestEigQuadratic:
