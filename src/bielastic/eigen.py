@@ -3,15 +3,15 @@ eigensolver, and the quadratic-pencil companion solver.
 
 Both elements work in an explicit sparse basis of their space, so every
 matrix here is a reduced block with no constraint rows.  Every symmetric
-positive definite K is factored by one call, with diagonal pivots in a
-minimum-degree order.  The source solve refines its first solve against
-K, up to ``REFINE_STEPS`` steps, only while its relative residual stays
-above ``REFINE_TOL``; the eigensolver's operator is the bare pair of
-triangular solves.  The eigensolver accepts a start vector, so a sweep
-over a parameter can start each Lanczos run from the eigenvectors of the
-previous one.  When ARPACK's Lanczos basis would span the whole space, a
-dense ``eigh`` of the pencil replaces it; ``DENSE_SYM_CAP`` bounds that
-order.
+positive definite K is factored by one call, ``factor_spd``, with
+diagonal pivots in a minimum-degree order.  The source solve refines its
+first solve against K, up to ``REFINE_STEPS`` steps, only while its
+relative residual stays above ``REFINE_TOL``; the eigensolver's operator
+is the bare pair of triangular solves.  The eigensolver accepts a start
+vector, so a sweep over a parameter can start each Lanczos run from the
+eigenvectors of the previous one.  When ARPACK's Lanczos basis would
+span the whole space, a dense ``eigh`` of the pencil replaces it;
+``DENSE_SYM_CAP`` bounds that order.
 
 ``ConstrainedOperator``, ``solve_sym_constrained`` and
 ``eig_sym_constrained`` keep the names of the KKT design they replaced,
@@ -19,17 +19,16 @@ which solved on the kernel of the cubic element's compatibility rows, and
 ``KernelProjector`` stays as a stub: the benchmark's tracer wraps them by
 name, and ROADMAP item 7 renames them with it.
 
-The quadratic solver works on dense copies of its blocks, made only
-once the companion order has passed its cap.  For the few eigenvalues of
-smallest modulus it runs shift-invert Arnoldi at zero on the companion
-linearization, which needs one LU of K; this is valid for the
-transmission pencil, where K = D and M = Mq are positive definite, so no
-eigenvalue is zero or infinite.  The dense QZ of the whole companion
-pencil stays for all eigenvalues, for pencils too small for ARPACK, and
-as the fallback.
+The quadratic solver works on the sparse blocks it is given.  For the
+few eigenvalues of smallest modulus it runs shift-invert Arnoldi at zero
+on the companion linearization, which needs the same SPD factor of K;
+this is valid for the transmission pencil, where K = D and M = Mq are
+positive definite, so no eigenvalue is zero or infinite.  The dense QZ
+of the whole companion pencil stays for all eigenvalues, for pencils too
+small for ARPACK, and as the fallback; it alone makes the blocks dense,
+and ``COMPANION_CAP`` bounds its order.
 """
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,21 +129,27 @@ class KernelProjector:
         return x
 
 
+def factor_spd(K):
+    """Sparse LU factor of a symmetric positive definite K, with diagonal
+    pivots in a minimum-degree order on K + K^T.  A singular K raises
+    ``RuntimeError``."""
+    return spla.splu(sparse.csc_matrix(K), permc_spec="MMD_AT_PLUS_A",
+                     diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
+
+
 class ConstrainedOperator:
-    """LU factor of a symmetric matrix K, positive definite for a source
-    solve and a shift-invert eigensolve at zero, with diagonal pivots in a
-    minimum-degree order on K + K^T; ``solve`` is one pair of triangular
-    solves, the operator that ARPACK applies.  ``kkt`` is K and ``lu`` its
-    factor.  The class and attribute names remain from the KKT system it
-    once factored; the benchmark's tracer wraps ``__init__`` and ``solve``
-    and reads ``kkt`` and ``lu.nnz`` by name (ROADMAP item 7 renames them).
+    """``factor_spd`` of a symmetric positive definite K, for a source
+    solve and a shift-invert eigensolve at zero; ``solve`` is one pair of
+    triangular solves, the operator that ARPACK applies.  ``kkt`` is K and
+    ``lu`` its factor.  The class and attribute names remain from the KKT
+    system it once factored; the benchmark's tracer wraps ``__init__`` and
+    ``solve`` and reads ``kkt`` and ``lu.nnz`` by name (ROADMAP item 7
+    renames them).
     """
 
     def __init__(self, K):
         self.kkt = sparse.csr_matrix(K)
-        self.lu = spla.splu(self.kkt.tocsc(), permc_spec="MMD_AT_PLUS_A",
-                            diag_pivot_thresh=0.0,
-                            options=dict(SymmetricMode=True))
+        self.lu = factor_spd(self.kkt)
 
     def solve(self, b):
         return self.lu.solve(b)
@@ -232,15 +237,6 @@ def eig_sym_constrained(KA, KB, k, v0=None):
     return _sym_result(KA, KB, vals, vecs, method)
 
 
-def check_companion_size(n):
-    """Refuse a pencil of order n whose companion exceeds the dense cap."""
-    if 2 * n > COMPANION_CAP:
-        raise ValueError(
-            f"companion dimension {2 * n} exceeds the dense cap "
-            f"{COMPANION_CAP}"
-        )
-
-
 def _companion_qz(K, C, M):
     """Every finite eigenpair of the companion pencil by dense QZ; the
     pencil vectors are the lower halves z[n:] of z = [tau x; x].
@@ -264,11 +260,12 @@ def _companion_qz(K, C, M):
 
 def _companion_arnoldi(K, C, M, nev):
     """At least the nev eigenpairs of smallest modulus, by shift-invert
-    Arnoldi at zero on the companion pencil.
+    Arnoldi at zero on the companion pencil of the sparse K, C, M.
 
     T [x; y] = [-K^-1 (C x + M y); x] has the eigenvalues 1/tau with
     eigenvectors [x; tau x] / tau, so its largest-modulus eigenvalues
-    give the smallest tau, and the upper half z[:n] is a pencil vector.
+    give the smallest tau, and the upper half z[:n] is a pencil vector;
+    K^-1 is one ``factor_spd`` of K.
 
     One start vector finds one copy of a multiple eigenvalue, so each
     Arnoldi run works on T deflated by the invariant subspace Q found so
@@ -276,16 +273,14 @@ def _companion_arnoldi(K, C, M, nev):
     Its eigenvectors w extend Q, and Rayleigh-Ritz on Q gives the
     eigenpairs.  The runs stop when one finds nothing larger than the
     nev-th largest eigenvalue already held, so the first run is checked
-    by a second one.  A singular K raises ``LinAlgWarning``, a failed run
-    ``ArpackError``.
+    by a second one.  A singular K or a failed run raises
+    ``RuntimeError`` (``ArpackError`` is one).
     """
     n = K.shape[0]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", dla.LinAlgWarning)
-        lu = dla.lu_factor(K)
+    lu = factor_spd(K)
 
     def apply(z):
-        x = dla.lu_solve(lu, C @ z[:n] + M @ z[n:])
+        x = lu.solve(C @ z[:n] + M @ z[n:])
         return np.concatenate([-x, z[:n]])
 
     Q = np.zeros((2 * n, 0))
@@ -313,38 +308,43 @@ def eig_quadratic(K, C, M, k=None):
     of the pencil K + tau C + tau^2 M, by its companion linearization
     [[-C, -K], [I, 0]] z = tau [[M, 0], [0, I]] z.
 
-    The blocks may be sparse; a pencil whose companion exceeds
-    ``COMPANION_CAP`` is refused before any block is made dense.  With k
+    The blocks are held sparse; a dense argument is converted.  With k
     given and small next to the companion order 2n, shift-invert
     Arnoldi at zero, with deflated reruns that recover every copy of a
     multiple eigenvalue, computes the k + 2 of smallest modulus from one
-    dense LU of K (method ``companion-arnoldi``); the two extra values
-    keep a conjugate pair at the cut whole.  Shifting at zero is valid
-    for the transmission pencil, where K = D is positive definite on the
-    space; M = Mq is positive definite too, so the pencil has no
+    sparse SPD factor of K (method ``companion-arnoldi``); the two extra
+    values keep a conjugate pair at the cut whole.  Shifting at zero is
+    valid for the transmission pencil, where K = D is positive definite
+    on the space; M = Mq is positive definite too, so the pencil has no
     infinite eigenvalues.  The dense QZ of the whole companion pencil
     (method ``companion``) runs when k is None, when k + 2 is too close
     to 2n for ARPACK, and as the fallback when K is singular or ARPACK
-    fails.
+    fails.  Only the QZ makes the blocks dense, and ``COMPANION_CAP``
+    bounds it alone: over the cap it refuses the pencil (``ValueError``),
+    or, after a failed Arnoldi run, raises ``RuntimeError``.
 
     Returns eigenvalues sorted by modulus, the negative-imaginary member
     of each conjugate pair first, the order reports print; infinite
     eigenvalues are dropped.
     """
+    K, C, M = (sparse.csr_matrix(A) for A in (K, C, M))
     n = K.shape[0]
-    check_companion_size(n)
-    Kd = K.toarray() if sparse.issparse(K) else np.asarray(K, float)
-    Cd = C.toarray() if sparse.issparse(C) else np.asarray(C, float)
-    Md = M.toarray() if sparse.issparse(M) else np.asarray(M, float)
     method = "companion"
+    failure = None
     if k is not None and 2 * (k + 2) + 1 < 2 * n:
         try:
-            vals, x = _companion_arnoldi(Kd, Cd, Md, k + 2)
+            vals, x = _companion_arnoldi(K, C, M, k + 2)
             method = "companion-arnoldi"
-        except (dla.LinAlgWarning, spla.ArpackError):
-            pass
+        except RuntimeError as exc:
+            failure = exc
     if method == "companion":
-        vals, x = _companion_qz(Kd, Cd, Md)
+        if 2 * n > COMPANION_CAP:
+            over = (f"companion dimension {2 * n} exceeds the dense cap "
+                    f"{COMPANION_CAP}")
+            if failure is None:
+                raise ValueError(over)
+            raise RuntimeError(f"{over}, and Arnoldi failed: {failure}")
+        vals, x = _companion_qz(K.toarray(), C.toarray(), M.toarray())
     order = np.lexsort((vals.imag, np.abs(vals)))
     vals, x = vals[order], x[:, order]
     if k is not None:
@@ -353,12 +353,10 @@ def eig_quadratic(K, C, M, k=None):
     norms[norms == 0] = 1.0
     x = x / norms
     x = x * _orientation(x)
-    residuals = np.empty(vals.size)
-    for j, tau in enumerate(vals):
-        r = Kd @ x[:, j] + tau * (Cd @ x[:, j]) + tau**2 * (Md @ x[:, j])
-        residuals[j] = np.linalg.norm(r) / np.linalg.norm(x[:, j])
+    r = K @ x + (C @ x) * vals + (M @ x) * vals**2
+    residuals = np.linalg.norm(r, axis=0) / np.linalg.norm(x, axis=0)
     result = EigResult(vals, x, residuals, method)
-    nk, nc, nm = norm1(Kd), norm1(Cd), norm1(Md)
+    nk, nc, nm = norm1(K), norm1(C), norm1(M)
     return _check_residuals(
         result, lambda v: nk + abs(v) * nc + abs(v) ** 2 * nm
     )

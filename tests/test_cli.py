@@ -12,11 +12,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bielastic
 import bielastic.cli as cli
+import bielastic.eigen as eigen
 from bielastic.cli import main, parse_coefficient, parse_levels, \
     parse_tau_range
 
@@ -136,9 +138,26 @@ class TestRunExampleCommand:
             'error: levels must be a range "1-3", a comma list "1,2,4" or '
             f"a list of integers, got {levels!r}\n")
 
-    def test_companion_over_cap_exits_2(self, capsys):
-        assert main(["run-example", "9", "--levels", "5", "--big"]) == 2
-        assert "companion dimension" in capsys.readouterr().err
+    @pytest.mark.parametrize("element", ["b3", "morley"])
+    def test_example_9_level_5_exits_0(self, capsys, element):
+        """The companion order (17,420 on b3, 11,780 on Morley) is over
+        the dense QZ's cap, which the Arnoldi path does not meet."""
+        assert main(["run-example", "9", "--levels", "5", "--big",
+                     "--element", element, "--format", "csv"]) == 0
+        out = capsys.readouterr().out
+        assert out.count("\n5,") == 10
+
+    def test_arnoldi_failure_over_cap_exits_3(self, capsys, monkeypatch):
+        """A valid pencil whose Arnoldi run fails and whose companion is
+        over the QZ's cap is a solver failure, not a bad specification."""
+        def arpack_fails(*args, **kwargs):
+            raise spla.ArpackError(-1)
+
+        monkeypatch.setattr(eigen, "COMPANION_CAP", 100)
+        monkeypatch.setattr(eigen.spla, "eigs", arpack_fails)
+        assert main(["run-example", "9", "--levels", "2"]) == 3
+        err = capsys.readouterr().err
+        assert "companion dimension" in err and "Arnoldi failed" in err
 
     @pytest.mark.parametrize("number, k", [(9, "-1"), (9, "0"), (3, "0")])
     def test_k_below_one_exits_2(self, capsys, number, k):

@@ -414,6 +414,17 @@ class TestEigQuadraticPath:
         assert eig_quadratic(K, C, M, 9).method == "companion-arnoldi"
         assert eig_quadratic(K, C, M, 10).method == "companion"
 
+    @pytest.mark.parametrize("k", [None, 6])
+    def test_residuals_match_a_loop_over_the_values(self, k):
+        """The residuals are one sparse product over every value; a loop
+        over the values, each in its own products, is the reference."""
+        K, C, M = random_pencil(np.random.default_rng(43), 30)
+        res = eig_quadratic(K, C, M, k)
+        for tau, x, got in zip(res.values, res.vectors.T, res.residuals):
+            want = np.linalg.norm(K @ x + tau * (C @ x) + tau**2 * (M @ x))
+            scale = norm1(K) + abs(tau) * norm1(C) + abs(tau)**2 * norm1(M)
+            assert abs(got - want) <= 1e-14 * scale
+
     def test_qz_when_arpack_fails(self, monkeypatch):
         K, C, M = random_pencil(np.random.default_rng(37), 30)
         ref = eig_quadratic(K, C, M, 6)

@@ -369,22 +369,42 @@ def test_b3_companion_blocks_are_exactly_symmetric(monkeypatch):
             assert np.array_equal(A, A.T)
 
 
-@pytest.mark.parametrize("element", ["b3", "morley"])
-def test_companion_cap_is_checked_before_any_dense_block(monkeypatch,
-                                                         element):
-    """A pencil over the companion cap is refused while its reduced
-    blocks are still sparse."""
-    blocks = _example_blocks(9, 2, element)
-    monkeypatch.setattr(eigen, "COMPANION_CAP", 2 * blocks.real.dofs - 2)
+@pytest.fixture
+def dense_copies(monkeypatch):
+    """Record the shape of every sparse matrix made dense."""
     made_dense = []
     for cls in (sparse.csr_matrix, sparse.csc_matrix):
         def spy(self, *args, _orig=cls.toarray, **kwargs):
             made_dense.append(self.shape)
             return _orig(self, *args, **kwargs)
         monkeypatch.setattr(cls, "toarray", spy)
+    return made_dense
+
+
+@pytest.mark.parametrize("element", ["b3", "morley"])
+def test_arnoldi_path_makes_no_dense_block(monkeypatch, dense_copies,
+                                           element):
+    """The companion cap bounds the dense QZ alone: a pencil over it is
+    solved by shift-invert Arnoldi on its sparse reduced blocks."""
+    blocks = _example_blocks(9, 2, element)
+    monkeypatch.setattr(eigen, "COMPANION_CAP", 2 * blocks.real.dofs - 2)
+    res = find_teps_quadratic(blocks, 10)
+    assert res.method == "companion-arnoldi"
+    assert res.values.size == 10
+    assert dense_copies == []
+
+
+@pytest.mark.parametrize("element", ["b3", "morley"])
+def test_qz_over_cap_is_refused_before_any_dense_block(monkeypatch,
+                                                       dense_copies,
+                                                       element):
+    """Every eigenvalue asks for the dense QZ; a pencil over the companion
+    cap is refused while its reduced blocks are still sparse."""
+    blocks = _example_blocks(9, 2, element)
+    monkeypatch.setattr(eigen, "COMPANION_CAP", 2 * blocks.real.dofs - 2)
     with pytest.raises(ValueError, match="companion dimension"):
-        find_teps_quadratic(blocks, 10)
-    assert made_dense == []
+        find_teps_quadratic(blocks, None)
+    assert dense_copies == []
 
 
 def _dense_pencil(blocks):
@@ -428,8 +448,12 @@ class TestTepArnoldi:
     @pytest.mark.parametrize("number, level", [
         (number, level) for number in (6, 7, 8, 9) for level in (2, 3)
     ])
-    def test_matches_qz(self, tep_pencils, number, level, k):
+    def test_matches_qz(self, monkeypatch, tep_pencils, number, level, k):
+        """At level 3 the companion cap sits below the pencil's companion
+        order, which bounds only the QZ."""
         (K, C, M), ref = tep_pencils(number, level)
+        if level == 3:
+            monkeypatch.setattr(eigen, "COMPANION_CAP", 2 * K.shape[0] - 2)
         res = eig_quadratic(K, C, M, k)
         assert res.method == "companion-arnoldi"
         got = sorted_complex(res.values)
