@@ -7,12 +7,12 @@ from the coefficients of an explicit basis with local support to the
 broken space.  The cubic element's basis is W, a local basis of the
 kernel of its compatibility rows in entity variables
 (``spaces.local_basis``); Morley's is its nodal basis.  ``reduced`` takes
-an assembled broken form to the basis, exactly symmetric, and
-``solve(A, f)`` solves a broken form and load in it.  The drivers call
-the eigensolvers, ``eig_sym_constrained`` and ``eig_quadratic``, on
-reduced blocks directly, so each form is reduced once.  Both elements
-share one direct solve, one eigensolver and one quadratic solver, none of
-which carries constraint rows or keeps state between calls.
+an assembled broken form to the basis, exactly symmetric.  The drivers
+reduce each form as soon as it is assembled, so no broken matrix outlives
+its reduction, and call the direct solve ``solve_sym_constrained`` and the
+eigensolvers, ``eig_sym_constrained`` and ``eig_quadratic``, on the
+reduced blocks.  Both elements share these three solvers, none of which
+carries constraint rows, a per-element tolerance or state between calls.
 """
 
 import warnings
@@ -52,8 +52,7 @@ SCAN_POINTS = 60  # tau grid of the secant scan
 
 class Realization:
     """A space reached from the coefficients of its basis through
-    ``lift``.  A subclass names its ``element`` and ``solve_tol``, the
-    bound on the relative residual of a source solve."""
+    ``lift``.  A subclass names its ``element``."""
 
     def __init__(self, mesh, space, lift):
         self.mesh = mesh
@@ -72,11 +71,6 @@ class Realization:
         P = self.lift.T @ A @ self.lift
         return (0.5 * (P + P.T)).tocsr()
 
-    def solve(self, A, f):
-        g = solve_sym_constrained(self.reduced(A), self.lift.T @ f,
-                                  self.solve_tol)
-        return self.lift @ g
-
 
 class B3Realization(Realization):
     """Nonconforming cubic space in the local basis W of the kernel of
@@ -84,7 +78,6 @@ class B3Realization(Realization):
     diag(W, W)."""
 
     element = "b3"
-    solve_tol = 1e-10
 
     def __init__(self, mesh):
         self.reduction = reduce_entities(mesh)
@@ -102,7 +95,6 @@ class MorleyRealization(Realization):
     """Stabilized Morley space with its explicit local basis."""
 
     element = "morley"
-    solve_tol = 1e-12
 
     def __init__(self, mesh):
         super().__init__(mesh, BrokenSpace(mesh, 2),
@@ -177,9 +169,9 @@ class SourceResult:
 
 def solve_source(real, beta, lam, mu, f1, f2, exact=None, alpha=None):
     """Weighted fourth-order source problem with load (f1, f2)."""
-    A = fourth_order_block(real, beta, lam, mu, alpha)
-    rhs = load_vector(real.space, f1, f2)
-    broken = real.solve(A, rhs)
+    KA = real.reduced(fourth_order_block(real, beta, lam, mu, alpha))
+    rhs = real.lift.T @ load_vector(real.space, f1, f2)
+    broken = real.lift @ solve_sym_constrained(KA, rhs)
     norms = (
         error_norms(real.space, broken, exact) if exact is not None else {}
     )
@@ -189,9 +181,9 @@ def solve_source(real, beta, lam, mu, f1, f2, exact=None, alpha=None):
 def solve_bielastic_eigs(real, beta, lam, mu, k, alpha=None):
     """k smallest eigenvalues of the weighted fourth-order pencil against
     the plain mass form."""
-    A = fourth_order_block(real, beta, lam, mu, alpha)
-    M = mass_matrix(real.space)
-    return eig_sym_constrained(real.reduced(A), real.reduced(M), k)
+    KA = real.reduced(fourth_order_block(real, beta, lam, mu, alpha))
+    KM = real.reduced(mass_matrix(real.space))
+    return eig_sym_constrained(KA, KM, k)
 
 
 def detect_density_case(space, rho0, rho1):

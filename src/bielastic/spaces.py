@@ -285,7 +285,8 @@ def reduce_entities(mesh):
     linear relations (the left null space of its 12x10 functional
     matrix), giving two orthonormal compatibility rows per triangle (the
     SVD's left null vectors) over the entity variables; ``lift`` is the
-    local reconstruction of broken coefficients from entity values (exact
+    local reconstruction of broken coefficients from entity values, the
+    pseudo-inverse of the functional matrix from the same SVD (exact
     on compatible data).  Rows are swept in geometric strips (centroid y,
     then x).
 
@@ -299,11 +300,13 @@ def reduce_entities(mesh):
     function by name, counts its rows.
     """
     phi = _phi_matrices(mesh)
-    U, S, _ = np.linalg.svd(phi)
+    U, S, Vt = np.linalg.svd(phi)
     if np.any(S[:, 9] <= 1e-8 * S[:, 0]):
         raise RuntimeError("degenerate triangle: trace functionals lost rank")
     local = U[:, :, 10:].transpose(0, 2, 1)  # (nt, 2, 12), orthonormal
-    recon = np.linalg.pinv(phi)  # (nt, 10, 12)
+    # the pseudo-inverse of phi, V S^-1 U[:, :10]^T: (nt, 10, 12)
+    recon = (Vt / S[:, :, None]).transpose(0, 2, 1) @ U[:, :, :10].transpose(
+        0, 2, 1)
 
     vert_var, edge_var, nvars = _entity_variables(mesh)
     slot_vars = _slot_vars(mesh, vert_var, edge_var)

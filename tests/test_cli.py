@@ -2,6 +2,7 @@
 emission, and exit codes."""
 
 import contextlib
+import csv
 import io
 import json
 import os
@@ -146,6 +147,16 @@ class TestRunExampleCommand:
                      "--element", element, "--format", "csv"]) == 0
         out = capsys.readouterr().out
         assert out.count("\n5,") == 10
+
+    @pytest.mark.parametrize("element", ["b3", "morley"])
+    def test_example_1_level_5_exits_0(self, capsys, element):
+        """At h = 1/64 the relative residual of the source solve has a
+        rounding floor over any fixed tolerance; its backward error does
+        not."""
+        assert main(["run-example", "1", "--levels", "5", "--big",
+                     "--element", element, "--format", "csv"]) == 0
+        out = capsys.readouterr().out
+        assert out.count("\n5,") == 3
 
     def test_arnoldi_failure_over_cap_exits_3(self, capsys, monkeypatch):
         """A valid pencil whose Arnoldi run fails and whose companion is
@@ -524,6 +535,24 @@ class TestSolverFailures:
             "solve-source", "--domain", "right-triangle", "--level", "1",
             "--lam", "0.25", "--mu", "0.0625", "--f1", "1", "--f2", "0",
         ]) == 0
+
+    @pytest.mark.parametrize("beta", [1e300, 1e200, 1e-200])
+    def test_huge_and_tiny_weights_exit_0(self, capsys, beta):
+        """The eigensolver scales its pencil, so the values are the unit
+        weight's times beta, with no overflow and no vanished start
+        vector."""
+        assert main([
+            "solve-bielastic", "--domain", "unit-square", "--level", "1",
+            "--lam", "0.25", "--mu", "0.0625", "--k", "2",
+            "--beta", repr(beta), "--format", "csv",
+        ]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        rows = list(csv.DictReader(io.StringIO(out)))
+        values = [float(row["value_re"]) / beta for row in rows]
+        assert values == pytest.approx([41.517040, 72.086538], rel=1e-6)
+        assert all(0 < float(row["residual"]) <= 1e-12 * beta
+                   for row in rows)
 
     def test_runtime_error_exits_3(self, capsys, monkeypatch):
         def boom(*args, **kwargs):

@@ -15,14 +15,25 @@ from bielastic.eigen import (
     norm1,
     solve_sym_constrained,
 )
-from bielastic.harness import run_example
+from bielastic.harness import EXAMPLES, run_example
 from bielastic.mesh import generate_domain
-from bielastic.solvers import B3Realization
+from bielastic.solvers import (
+    B3Realization,
+    fourth_order_block,
+    make_realization,
+)
 from bielastic.spaces import vector_transform
 
 from oracles import sorted_complex
 
 LAM, MU = 0.25, 0.0625
+
+
+def backward_error(K, b, x):
+    """The normwise backward error of x as a solution of K x = b, in the
+    1-norm."""
+    return np.abs(b - K @ x).sum() / (norm1(K) * np.abs(x).sum()
+                                      + np.abs(b).sum())
 
 
 def random_spd(rng, n, density=0.4):
@@ -49,8 +60,35 @@ class TestSolveSym:
         for n in (5, 12, 30, 60):
             A = random_spd(rng, n)
             b = rng.standard_normal(n)
-            x = solve_sym_constrained(A, b, 1e-12)
+            x = solve_sym_constrained(A, b)
+            assert backward_error(A, b, x) <= eigen.BACKWARD_ERROR_BOUND
             assert np.linalg.norm(b - A @ x) <= 1e-12 * np.linalg.norm(b)
+
+    @pytest.mark.parametrize("element", ["b3", "morley"])
+    @pytest.mark.parametrize("level", [1, 2, 3])
+    def test_check_rejects_a_perturbed_solution(self, monkeypatch, element,
+                                                level):
+        # example 1's source system; a random perturbation of x of
+        # relative size 1e-10 raises the backward error far over the
+        # bound, which the solution itself stays far under
+        ex = EXAMPLES[1]
+        mesh = generate_domain(ex.domain, level - 1 + ex.mesh_offset)
+        real = make_realization(mesh, element)
+        K = real.reduced(fourth_order_block(real, ex.beta, ex.lam, ex.mu))
+        b = real.lift.T @ load_vector(real.space, *ex.loads)
+        x = solve_sym_constrained(K, b)
+        assert backward_error(K, b, x) <= 1e-2 * eigen.BACKWARD_ERROR_BOUND
+        rng = np.random.default_rng(level)
+        solve = ConstrainedOperator.solve
+
+        def perturbed(self, rhs):
+            y = solve(self, rhs)
+            u = rng.standard_normal(y.size)
+            return y + 1e-10 * np.linalg.norm(y) / np.linalg.norm(u) * u
+
+        monkeypatch.setattr(ConstrainedOperator, "solve", perturbed)
+        with pytest.raises(RuntimeError, match="backward error"):
+            solve_sym_constrained(K, b)
 
     def test_singular_matrix_raises(self):
         A = sparse.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
@@ -95,6 +133,21 @@ class TestEigSymGen:
             bn = np.einsum("ij,ij->j", res.vectors, (B @ res.vectors))
             assert np.allclose(bn, 1.0, atol=1e-8)
 
+    @pytest.mark.parametrize("n", [16, 120])
+    def test_power_of_two_weights_scale_the_result_exactly(self, n):
+        # dense (n = 16) and ARPACK (n = 120) paths; the pencil is
+        # divided by powers of two near its norms first, so weights of
+        # 2^600 and 2^-300 give the unit pencil's result scaled exactly
+        rng = np.random.default_rng(23)
+        A = random_spd(rng, n, density=0.05)
+        B = random_spd(rng, n, density=0.05)
+        unit = eig_sym_constrained(A, B, 4)
+        big = eig_sym_constrained(A * 2.0**600, B * 2.0**-300, 4)
+        assert big.method == unit.method
+        assert np.array_equal(big.values, np.ldexp(unit.values, 900))
+        assert np.array_equal(big.vectors, np.ldexp(unit.vectors, 150))
+        assert np.array_equal(big.residuals, np.ldexp(unit.residuals, 600))
+
     def test_residual_bound(self):
         rng = np.random.default_rng(19)
         A = random_spd(rng, 40)
@@ -128,29 +181,26 @@ def small_system(b3_oracle):
 
 class CountingFactor:
     """Stands in for ``ConstrainedOperator.lu``; records every triangular
-    solve's right-hand side and result."""
+    solve's right-hand side."""
 
     def __init__(self, lu):
         self.lu = lu
-        self.inputs, self.outputs = [], []
+        self.inputs = []
 
     def solve(self, rhs):
         self.inputs.append(rhs)
-        self.outputs.append(self.lu.solve(rhs))
-        return self.outputs[-1]
+        return self.lu.solve(rhs)
 
 
-def record_factors(monkeypatch, factor=None):
+def record_factors(monkeypatch):
     """Give every ``ConstrainedOperator`` made from now on a
-    ``CountingFactor``, of ``factor(K)`` when given; returns the list of
-    those operators."""
+    ``CountingFactor``; returns the list of those operators."""
     ops = []
     init = ConstrainedOperator.__init__
 
     def recording(self, K):
         init(self, K)
-        lu = self.lu if factor is None else factor(self.kkt)
-        self.lu = CountingFactor(lu)
+        self.lu = CountingFactor(self.lu)
         ops.append(self)
 
     monkeypatch.setattr(ConstrainedOperator, "__init__", recording)
@@ -158,51 +208,8 @@ def record_factors(monkeypatch, factor=None):
 
 
 class TestConstrained:
-    """The factor, the refined solve and the eigensolver, on random
-    matrices and on the cubic element's local basis against the dense
-    oracle basis."""
-
-    def test_solve_skips_refinement_when_backward_stable(self, monkeypatch):
-        rng = np.random.default_rng(3)
-        K = random_spd(rng, 40)
-        ops = record_factors(monkeypatch)
-        refine = eigen.REFINE_STEPS
-        for _ in range(3):
-            b = rng.standard_normal(K.shape[0])
-            ref = np.linalg.solve(K.toarray(), b)
-            x = solve_sym_constrained(K, b)
-            assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
-            factor = ops[-1].lu
-            steps = factor.outputs
-            assert 1 <= len(steps) <= refine + 1
-            assert np.array_equal(factor.inputs[0], b)
-            bound = eigen.REFINE_TOL * np.linalg.norm(b)
-            z = steps[0]
-            for step in steps[1:]:
-                assert np.linalg.norm(b - K @ z) > bound
-                z = z + step
-            if len(steps) <= refine:
-                assert np.linalg.norm(b - K @ z) <= bound
-            assert np.array_equal(x, z)
-
-    def test_solve_refines_an_inaccurate_first_solve(self, monkeypatch):
-        # the factor of a perturbed matrix stands in for a first solve
-        # that is not backward stable
-        rng = np.random.default_rng(5)
-        K = random_spd(rng, 40)
-        shift = 1e-10 * norm1(K) * sparse.eye(K.shape[0])
-        ops = record_factors(monkeypatch, lambda A: spla.splu(
-            (A + shift).tocsc(), permc_spec="NATURAL"))
-        b = rng.standard_normal(K.shape[0])
-        x = solve_sym_constrained(K, b)
-        factor = ops[0].lu
-        assert len(factor.inputs) == 2
-        bound = eigen.REFINE_TOL * np.linalg.norm(b)
-        first = factor.outputs[0]
-        assert np.linalg.norm(b - K @ first) > 100 * bound
-        z = first + factor.outputs[1]
-        assert np.linalg.norm(b - K @ z) <= bound
-        assert np.array_equal(x, z)
+    """The factor, the solve and the eigensolver, on the cubic element's
+    local basis against the dense oracle basis."""
 
     def test_eigensolver_applies_one_triangular_solve(self, monkeypatch):
         # example 3 at level 2, the first level where an operator that
