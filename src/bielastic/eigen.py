@@ -13,6 +13,36 @@ eigenvectors of the previous one, and replaces ARPACK's Lanczos basis by a
 dense ``eigh`` of the pencil when that basis would span the whole space;
 ``DENSE_SYM_CAP`` bounds that order.
 
+The path follows from whether the caller reuses B.  A single eigensolve
+runs generalized shift-invert Lanczos (ARPACK mode 3): about four
+reverse-communication calls and three B products per solve.  A sweep that
+solves against the same B many times passes an ``SpdRoot`` of it, a root
+G G^T = B factored once, and each of its eigensolves runs either
+standard Lanczos (mode 1) on G^T A^-1 G, one call, one solve and two G
+products per step (the spectral transformation of Ericsson and Ruhe,
+Math. Comp. 35, 1980), or, at or below ``ROOT_DENSE_ORDER``, a dense
+standard ``eigh`` of G^-1 A G^-T, which factors nothing.  A single
+eigensolve keeps mode 3 because the root would cost a second factor, of
+about the fill of A's.
+
+``ROOT_DENSE_ORDER`` is measured: the secant scan of one level
+(``find_teps_secant`` with the report's 12 branches, root included),
+minimum of 5 runs on one pinned CPU of a shared 2-vCPU host, BLAS at 1
+thread, numpy 2.4.6 and scipy 1.17.1:
+
+    example, element, level   order  evaluations  dense eigh  Lanczos
+    9, b3, 2                     86          116     0.112 s   0.493 s
+    6, Morley, 2                 98           88     0.136 s   0.260 s
+    6, b3, 2                    134           97     0.199 s   0.325 s
+    8, Morley, 3                210           90     0.318 s   0.547 s
+    8, b3, 3                    294           97     0.731 s   0.513 s
+    9, Morley, 3                322          102     0.715 s   0.697 s
+    6, Morley, 3                450           94     1.423 s   0.816 s
+    9, b3, 3                    454          121     2.159 s   1.101 s
+    6, b3, 3                    646           96     3.762 s   1.283 s
+
+The two cross between orders 210 and 294; at 322 they tie.
+
 ``ConstrainedOperator``, ``solve_sym_constrained`` and
 ``eig_sym_constrained`` keep the names of the KKT design they replaced,
 which solved on the kernel of the cubic element's compatibility rows, and
@@ -30,6 +60,7 @@ and ``COMPANION_CAP`` bounds its order.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as dla
@@ -37,6 +68,7 @@ import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 
 DENSE_SYM_CAP = 3000
+ROOT_DENSE_ORDER = 250
 COMPANION_CAP = 6000
 EIG_TOL = 1e-10
 EIG_MAXITER = 500
@@ -97,12 +129,14 @@ def _check_residuals(result, scale_of):
     return result
 
 
-def _sym_result(A, B, vals, vecs, method):
+def _sym_result(A, na, bmul, nb, vals, vecs, method):
     """Sort the eigenpairs ascending, B-normalize (a dense solve already
-    is, up to roundoff) and orient them, and check their residuals."""
+    is, up to roundoff) and orient them, and check their residuals.
+    ``na`` is the 1-norm of A, ``bmul`` applies B and ``nb`` is its
+    1-norm."""
     order = np.argsort(vals)
     vals, vecs = vals[order], vecs[:, order]
-    bx = B @ vecs
+    bx = bmul(vecs)
     scale = np.sqrt(np.einsum("ij,ij->j", vecs, bx))
     vecs = vecs / scale
     turn = _orientation(vecs)
@@ -110,8 +144,13 @@ def _sym_result(A, B, vals, vecs, method):
     r = A @ vecs - bx * vals
     residuals = np.linalg.norm(r, axis=0) / np.linalg.norm(vecs, axis=0)
     result = EigResult(vals, vecs, residuals, method)
-    na, nb = norm1(A), norm1(B)
     return _check_residuals(result, lambda v: na + abs(v) * nb)
+
+
+def _exponent(norm):
+    """The even power of two near a 1-norm, by which the eigensolver
+    divides its matrix; dividing by it is exact."""
+    return 2 * (int(np.frexp(norm)[1]) // 2)
 
 
 class KernelProjector:
@@ -136,14 +175,46 @@ def factor_spd(K):
                      diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
 
 
+class SpdRoot:
+    """A symmetric positive definite B prepared once for the many
+    eigensolves of a sweep against it: the exponent b of ``_exponent``,
+    ``matrix`` = 2^-b B, its 1-norm ``norm``, and a root G G^T = 2^-b B
+    with its transpose ``GT``.
+
+    One ``factor_spd`` of 2^-b B gives P 2^-b B P^T = L diag(d) L^T with
+    the factor's row order P, so G = P^T L diag(sqrt(d)).  Unless the
+    row and column orders agree and every pivot is finite and positive,
+    B is not positive definite and a ``RuntimeError`` is raised; a
+    singular B raises one from the factor.
+    """
+
+    def __init__(self, B):
+        norm = norm1(B)
+        self.exponent = _exponent(norm)
+        self.norm = np.ldexp(norm, -self.exponent)
+        self.matrix = sparse.csr_matrix(B) * np.ldexp(1.0, -self.exponent)
+        lu = factor_spd(self.matrix)
+        d = lu.U.diagonal()
+        if not (np.array_equal(lu.perm_r, lu.perm_c)
+                and np.all((d > 0) & (d < np.inf))):
+            raise RuntimeError("the eigensolver's B is not positive definite")
+        self.G = (lu.L @ sparse.diags(np.sqrt(d))).tocsr()[lu.perm_r]
+        self.GT = self.G.T.tocsr()
+
+    @cached_property
+    def inverse(self):
+        """G^-1 as a dense array, made on first use."""
+        return np.linalg.inv(self.G.toarray())
+
+
 class ConstrainedOperator:
     """``factor_spd`` of a symmetric positive definite K, for a source
-    solve and a shift-invert eigensolve at zero; ``solve`` is one pair of
-    triangular solves, the operator that ARPACK applies.  ``kkt`` is K and
-    ``lu`` its factor.  The class and attribute names remain from the KKT
-    system it once factored; the benchmark's tracer wraps ``__init__`` and
-    ``solve`` and reads ``kkt`` and ``lu.nnz`` by name (ROADMAP item 7
-    renames them).
+    solve and the solves of an eigensolve; ``solve`` is one pair of
+    triangular solves, the core of the operator that ARPACK applies.
+    ``kkt`` is K and ``lu`` its factor.  The class and attribute names
+    remain from the KKT system it once factored; the benchmark's tracer
+    wraps ``__init__`` and ``solve`` and reads ``kkt`` and ``lu.nnz`` by
+    name (ROADMAP item 7 renames them).
     """
 
     def __init__(self, K):
@@ -174,68 +245,113 @@ def solve_sym_constrained(K, b):
     return x
 
 
-def _eig_dense(KA, KB, k):
-    """The k smallest eigenpairs by a dense ``eigh`` of the pencil; k is
-    clamped to its order, which ``DENSE_SYM_CAP`` bounds."""
+def _eig_dense(KA, KB, b, k):
+    """The k smallest eigenpairs of the pencil (KA, 2^-b KB) by a dense
+    ``eigh``; k is clamped to its order, which ``DENSE_SYM_CAP`` bounds.
+    For an ``SpdRoot`` KB, whose ``matrix`` is already scaled, the
+    standard ``eigh`` of C = G^-1 KA G^-T gives x = G^-T y."""
     n = KA.shape[0]
     if n > DENSE_SYM_CAP:
         raise RuntimeError(f"pencil order {n} exceeds the dense cap "
                            f"{DENSE_SYM_CAP}")
-    return dla.eigh(KA.toarray(), KB.toarray(),
-                    subset_by_index=[0, min(k, n) - 1])
+    subset = [0, min(k, n) - 1]
+    if isinstance(KB, SpdRoot):
+        Gi = KB.inverse
+        vals, y = dla.eigh(Gi @ (KA @ Gi.T), subset_by_index=subset)
+        return vals, Gi.T @ y
+    return dla.eigh(KA.toarray(), np.ldexp(KB.toarray(), -b),
+                    subset_by_index=subset)
+
+
+def _lanczos(KA, bmul, root, k, ncv, v0):
+    """The k eigenpairs of (KA, B) nearest zero by ARPACK, B applied by
+    ``bmul``: generalized shift-invert at zero (mode 3) when ``root`` is
+    None, else standard mode on z -> G^T KA^-1 G z with the ``SpdRoot``
+    G, whose eigenvalues 1/lambda are taken largest in modulus and whose
+    eigenvectors z give x = KA^-1 G z / mu in one block solve.  A start
+    vector x maps to G^T x."""
+    n = KA.shape[0]
+    op = ConstrainedOperator(KA)
+    nv0 = 0.0 if v0 is None else np.linalg.norm(v0)
+    if nv0 == 0:
+        v0 = op.solve(bmul(np.ones(n)))
+        nv0 = np.linalg.norm(v0)
+        if nv0 == 0:
+            raise RuntimeError("eigensolver start vector vanished")
+    lanczos = dict(k=k, ncv=ncv, tol=EIG_TOL, maxiter=EIG_MAXITER)
+    if root is None:
+        M = spla.LinearOperator((n, n), matvec=bmul, dtype=float)
+        opinv = spla.LinearOperator((n, n), matvec=op.solve, dtype=float)
+        return spla.eigsh(KA, M=M, sigma=0.0, OPinv=opinv, v0=v0 / nv0,
+                          **lanczos)
+    G, GT = root.G, root.GT
+    opz = spla.LinearOperator((n, n), matvec=lambda z: GT @ op.solve(G @ z),
+                              dtype=float)
+    z0 = GT @ v0
+    mu, z = spla.eigsh(opz, which="LM", v0=z0 / np.linalg.norm(z0),
+                       **lanczos)
+    return 1.0 / mu, op.solve(G @ z) / mu
 
 
 def eig_sym_constrained(KA, KB, k, v0=None):
-    """k smallest eigenpairs of KA x = lambda KB x.  The name remains from
-    the eigensolver on the kernel of constraint rows, since the
-    benchmark's tracer wraps it by name.
+    """k smallest eigenpairs of KA x = lambda KB x, KB a sparse matrix or
+    an ``SpdRoot`` of one.  The name remains from the eigensolver on the
+    kernel of constraint rows, since the benchmark's tracer wraps it by
+    name.
 
-    Shift-invert about zero through ``ConstrainedOperator``, one pair of
-    triangular solves per application and no refinement: ARPACK's
-    relative tolerance ``EIG_TOL`` = 1e-10 sits far above the backward
-    error of the factor's solves; KA must be positive definite.  ARPACK
-    keeps ncv = min(n, max(2k + 1, 20)) Lanczos vectors (scipy's default,
-    passed explicitly).  When ncv reaches n, the Lanczos basis would span
-    the whole space, so the pencil is solved by a dense ``eigh`` instead,
-    and k is clamped to n; that is exact and cheaper than the Lanczos run
-    it replaces.  The method is ``arpack`` or ``dense``.
+    A plain KB, as a single eigensolve passes it, runs generalized
+    shift-invert Lanczos at zero (ARPACK mode 3), and a dense ``eigh`` of
+    the pencil when ARPACK's ncv = min(n, max(2k + 1, 20)) Lanczos vectors
+    (scipy's default, passed explicitly) would span the whole space; k is
+    then clamped to n.  An ``SpdRoot``, which a sweep prepares once for
+    its many eigensolves against one KB, runs standard Lanczos on
+    G^T KA^-1 G (mode 1) with no KB product above ``ROOT_DENSE_ORDER``,
+    and at or below it a dense standard ``eigh`` of G^-1 KA G^-T, which
+    factors nothing.  A single eigensolve keeps mode 3 because the root
+    would cost it a second factor (see the module docstring).  ARPACK
+    applies ``ConstrainedOperator``, one pair of triangular solves per
+    step and no refinement: its relative tolerance ``EIG_TOL`` = 1e-10
+    sits far above the backward error of the solves; KA must be positive
+    definite.  The dense ``eigh`` is the fallback when ARPACK fails.
+    Every path's residuals are checked on the pencil (KA, KB), not on
+    the root.  The method is ``arpack`` or ``dense``.
 
-    KA and KB are first divided by 2^a and 2^b, the even powers of two
-    near their 1-norms, so no weight overflows or underflows; the values,
-    vectors and residuals are scaled back by 2^(a - b), 2^(-b/2) and 2^a.
-    These scalings are exact, so a moderate pencil gives the same bits.
+    KA and KB are divided by 2^a and 2^b, the even powers of two near
+    their 1-norms, so no weight overflows or underflows; KA is copied
+    scaled, a plain KB's products are scaled instead, and an ``SpdRoot``
+    holds its KB scaled.  The values, vectors and residuals are scaled
+    back by 2^(a - b), 2^(-b/2) and 2^a.  These scalings are exact, so a
+    moderate pencil gives the same bits.
 
     ``v0`` starts the Lanczos run, for example the sum of the eigenvectors
     of a nearby pencil, so a sweep converges in fewer solves.  Without it,
     or when it is zero, the run starts from the solve of KB times the ones
     vector.
     """
-    a, b = (2 * (int(np.frexp(norm1(A))[1]) // 2) for A in (KA, KB))
-    KA, KB = KA * np.ldexp(1.0, -a), KB * np.ldexp(1.0, -b)
+    na = norm1(KA)
+    a = _exponent(na)
+    KA, na = KA * np.ldexp(1.0, -a), np.ldexp(na, -a)
     n = KA.shape[0]
     ncv = min(n, max(2 * k + 1, 20))
-    if ncv >= n:
-        vals, vecs = _eig_dense(KA, KB, k)
-        method = "dense"
+    dense = ncv >= n
+    if isinstance(KB, SpdRoot):
+        root, b, nb, bmul = KB, KB.exponent, KB.norm, KB.matrix.__matmul__
+        dense = dense or n <= ROOT_DENSE_ORDER
     else:
-        op = ConstrainedOperator(KA)
-        opinv = spla.LinearOperator((n, n), matvec=op.solve, dtype=float)
-        nv0 = 0.0 if v0 is None else np.linalg.norm(v0)
-        if nv0 == 0:
-            v0 = op.solve(KB @ np.ones(n))
-            nv0 = np.linalg.norm(v0)
-            if nv0 == 0:
-                raise RuntimeError("eigensolver start vector vanished")
+        root, nb = None, norm1(KB)
+        b = _exponent(nb)
+        nb = np.ldexp(nb, -b)
+        bmul = lambda x: np.ldexp(KB @ x, -b)
+    method = "dense"
+    if not dense:
         try:
-            vals, vecs = spla.eigsh(
-                KA, k=k, M=KB, sigma=0.0, OPinv=opinv, v0=v0 / nv0,
-                ncv=ncv, tol=EIG_TOL, maxiter=EIG_MAXITER,
-            )
+            vals, vecs = _lanczos(KA, bmul, root, k, ncv, v0)
             method = "arpack"
         except spla.ArpackError:
-            vals, vecs = _eig_dense(KA, KB, k)
-            method = "dense"
-    res = _sym_result(KA, KB, vals, vecs, method)
+            pass
+    if method == "dense":
+        vals, vecs = _eig_dense(KA, KB, b, k)
+    res = _sym_result(KA, na, bmul, nb, vals, vecs, method)
     return EigResult(np.ldexp(res.values, a - b),
                      np.ldexp(res.vectors, -(b // 2)),
                      np.ldexp(res.residuals, a), method)

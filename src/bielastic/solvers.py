@@ -18,8 +18,10 @@ carries constraint rows, a per-element tolerance or state between calls.
 import warnings
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sparse
 
 from .assembly import (
     bielastic_matrix,
@@ -32,7 +34,12 @@ from .assembly import (
     mixed_divsigma_matrix,
 )
 from .coefficients import as_coefficient, combine, require_finite
-from .eigen import eig_quadratic, eig_sym_constrained, solve_sym_constrained
+from .eigen import (
+    SpdRoot,
+    eig_quadratic,
+    eig_sym_constrained,
+    solve_sym_constrained,
+)
 from .polybasis import triangle_quadrature
 from .spaces import (
     BrokenSpace,
@@ -228,6 +235,16 @@ class TepBlocks:
     with K = D, C = F0 + F0' - B, M = Mq.  Each form is reduced to the
     realization's variables as soon as it is assembled, and only the
     reduced blocks KD, KF, KB and KM are kept.
+
+    What every evaluation of the spectral function shares is prepared
+    once, on first use, and the quadratic path prepares none of it:
+    ``_terms``, the union pattern of KD, KF and KM with their entries
+    aligned to it, on which each tau-form is one vector expression; and
+    ``_kb_root``, an ``SpdRoot`` of KB, against which each eigensolve of
+    the scan runs: a dense standard ``eigh`` at or below
+    ``eigen.ROOT_DENSE_ORDER``, standard Lanczos with no KB product above
+    it.  A single eigensolve (``solve_bielastic_eigs``) passes its mass
+    block plain instead, since a root would cost it a second factor.
     """
 
     def __init__(self, real, lam, mu, rho0, rho1, alpha=None):
@@ -248,8 +265,31 @@ class TepBlocks:
         self._last_vectors = None
         self.eig_methods = Counter()
 
+    @cached_property
+    def _terms(self):
+        """The union pattern of KD, KF and KM, exactly symmetric as they
+        are, and the entries of each at its positions."""
+        pattern = (abs(self.KD) + abs(self.KF) + abs(self.KM)).tocsr()
+        rows = np.repeat(np.arange(pattern.shape[0]), np.diff(pattern.indptr))
+        return pattern, *(np.asarray(A[rows, pattern.indices]).ravel()
+                          for A in (self.KD, self.KF, self.KM))
+
+    @cached_property
+    def _kb_root(self):
+        return SpdRoot(self.KB)
+
     def a_tau(self, tau):
-        return self.KD + tau * self.KF + tau * tau * self.KM
+        """D + tau (F0 + F0') + tau^2 Mq on the pattern of ``_terms``, with
+        the entries of the sparse sum KD + tau KF + tau^2 KM.  A tau at
+        which the form overflows is refused (``ValueError``)."""
+        pattern, d, f, m = self._terms
+        with np.errstate(over="ignore", invalid="ignore"):
+            data = (d + tau * f) + (tau * tau) * m
+        if not np.all(np.isfinite(data)):
+            raise ValueError(f"tau range too wide: the tau-form overflows "
+                             f"at tau={tau:.6g}")
+        return sparse.csr_matrix((data, pattern.indices, pattern.indptr),
+                                 shape=pattern.shape)
 
     def lambda_of_tau(self, tau, k):
         """Sorted eigenvalues of the tau-form against the elastic energy.
@@ -258,16 +298,17 @@ class TepBlocks:
         the point its refinement evaluated last.  Each new evaluation
         starts its Lanczos run from the sum of the previous evaluation's
         eigenvectors, which is rich in the wanted eigenvectors when tau
-        moves little; only that last eigenvector block is kept.
-        ``eig_methods`` counts the eigensolves that the memo did not serve
-        by ``EigResult.method``.
+        moves little; only that last eigenvector block is kept.  Every
+        eigensolve is against ``_kb_root``.  ``eig_methods`` counts the
+        eigensolves that the memo did not serve by ``EigResult.method``.
         """
         key = (float(tau), k)
         if key not in self._lambda_cache:
             v0 = None
             if self._last_vectors is not None:
                 v0 = self._last_vectors.sum(axis=1)
-            res = eig_sym_constrained(self.a_tau(tau), self.KB, k, v0=v0)
+            res = eig_sym_constrained(self.a_tau(tau), self._kb_root, k,
+                                      v0=v0)
             self._lambda_cache[key] = res.values
             self._last_vectors = res.vectors
             self.eig_methods[res.method] += 1

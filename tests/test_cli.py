@@ -185,6 +185,17 @@ class TestRunExampleCommand:
         assert proc.stderr.startswith("error: tau range needs finite ends")
         assert len(proc.stderr.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("level", ["1", "2"])
+    def test_overflowing_tau_range_exits_2(self, level):
+        # finite ends, but tau^2 overflows the tau-form inside the range
+        proc = run_cli("solve-tep", "--domain", "unit-square", "--level",
+                       level, "--lam", "0.25", "--mu", "0.25", "--rho0",
+                       "0.05", "--rho1", "3", "--tau-range", "0:1e300")
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: tau range too wide: the "
+                                      "tau-form overflows at tau=")
+        assert len(proc.stderr.strip().splitlines()) == 1
+
     def test_scan_without_roots_prints_the_header(self):
         proc = run_cli("run-example", "6", "--levels", "1",
                        "--tau-range", "0.25:1")

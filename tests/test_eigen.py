@@ -10,6 +10,7 @@ import bielastic.eigen as eigen
 from bielastic.assembly import bielastic_matrix, load_vector, mass_matrix
 from bielastic.eigen import (
     ConstrainedOperator,
+    SpdRoot,
     eig_quadratic,
     eig_sym_constrained,
     norm1,
@@ -19,6 +20,7 @@ from bielastic.harness import EXAMPLES, run_example
 from bielastic.mesh import generate_domain
 from bielastic.solvers import (
     B3Realization,
+    TepBlocks,
     fourth_order_block,
     make_realization,
 )
@@ -155,6 +157,70 @@ class TestEigSymGen:
         res = eig_sym_constrained(A, B, 4)
         bound = 1e-8 * (norm1(A) + np.abs(res.values) * norm1(B))
         assert np.all(res.residuals <= bound)
+
+
+class TestSpdRoot:
+    """The root G G^T = 2^-b B that a sweep's eigensolves share."""
+
+    @pytest.mark.parametrize("element", ["b3", "morley"])
+    def test_root_reproduces_the_elastic_block(self, element):
+        ex = EXAMPLES[6]
+        mesh = generate_domain(ex.domain, 1 + ex.mesh_offset)
+        KB = TepBlocks(make_realization(mesh, element), ex.lam, ex.mu,
+                       ex.rho0, ex.rho1).KB
+        root = SpdRoot(KB)
+        scaled = np.ldexp(KB.toarray(), -root.exponent)
+        assert np.array_equal(root.matrix.toarray(), scaled)
+        assert root.norm == norm1(scaled)
+        error = norm1(root.G @ root.G.T - scaled)
+        assert error <= 1e-14 * root.norm
+        assert np.array_equal(root.GT.toarray(), root.G.T.toarray())
+        n = KB.shape[0]
+        assert np.allclose(root.inverse @ root.G, np.eye(n), rtol=0,
+                           atol=1e-12)
+
+    @pytest.mark.parametrize("diagonal, match", [
+        ([2.0, -1.0, 3.0], "not positive definite"),
+        ([2.0, 0.0, 3.0], "singular"),
+    ])
+    def test_indefinite_or_singular_b_raises(self, diagonal, match):
+        with pytest.raises(RuntimeError, match=match):
+            SpdRoot(sparse.diags(diagonal).tocsr())
+
+    @pytest.mark.parametrize("n, plain_method, root_method", [
+        (16, "dense", "dense"),
+        (120, "arpack", "dense"),
+        (eigen.ROOT_DENSE_ORDER + 40, "arpack", "arpack"),
+    ])
+    def test_root_gives_the_plain_pencils_eigenpairs(self, n, plain_method,
+                                                     root_method):
+        # below, at and above ROOT_DENSE_ORDER, against a B of weight
+        # 2^-300 so that its exponent is not zero
+        rng = np.random.default_rng(29)
+        A = random_spd(rng, n, density=0.05)
+        B = random_spd(rng, n, density=0.05) * 2.0**-300
+        plain = eig_sym_constrained(A, B, 4)
+        rooted = eig_sym_constrained(A, SpdRoot(B), 4)
+        assert (plain.method, rooted.method) == (plain_method, root_method)
+        assert np.allclose(rooted.values, plain.values, rtol=1e-10, atol=0)
+        assert np.allclose(np.abs(rooted.vectors.T @ (B @ plain.vectors)),
+                           np.eye(4), atol=1e-8)
+
+    def test_arpack_failure_falls_back_to_dense(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        n = eigen.ROOT_DENSE_ORDER + 20
+        A = random_spd(rng, n, density=0.02)
+        B = random_spd(rng, n, density=0.02)
+
+        def arpack_fails(*args, **kwargs):
+            raise spla.ArpackError(-1)
+
+        monkeypatch.setattr(eigen.spla, "eigsh", arpack_fails)
+        res = eig_sym_constrained(A, SpdRoot(B), 4)
+        assert res.method == "dense"
+        ref = dla.eigh(A.toarray(), B.toarray(), subset_by_index=[0, 3],
+                       eigvals_only=True)
+        assert np.allclose(res.values, ref, rtol=1e-10)
 
 
 @pytest.fixture(scope="module")

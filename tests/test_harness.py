@@ -467,7 +467,8 @@ class TestReports:
         assert json.loads(report.to_json())["meta"]["eig_method"] == paths
 
     def test_secant_eigensolves_per_level(self):
-        report = run_example(6, levels=(1, 2))
+        # level 3 (n = 646) is the first above eigen.ROOT_DENSE_ORDER
+        report = run_example(6, levels=(1, 3))
         paths = report.meta["eig_method"]
         assert [list(level) for level in paths] == [["dense"], ["arpack"]]
         assert all(count > 0 for level in paths for count in level.values())
