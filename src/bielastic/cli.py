@@ -2,8 +2,8 @@
 
 Subcommands cover the three solver families, the built-in examples, mesh
 inspection, and a quick self test. Options may also come from a JSON
-config file with the same key names (underscores for dashes); explicit
-command line values win over config values.
+config file with the same key names (underscores for dashes), which the
+same parser reads; explicit command line values win over config values.
 """
 
 import argparse
@@ -20,31 +20,27 @@ from .mesh import DOMAINS, LEVEL_CAP, dump_mesh, generate_domain
 
 
 def parse_levels(value, big=False):
-    """Levels given as a range "1-3", a comma list "1,2,4" or a list of
-    integers (a JSON list in a config file).  A range's ends and a list's
-    entries are checked against the level cap; a range is checked before
-    it is expanded."""
-    bad = ValueError('levels must be a range "1-3", a comma list "1,2,4" '
-                     f"or a list of integers, got {value!r}")
-    if isinstance(value, list):
-        if not all(type(lvl) is int for lvl in value):
-            raise bad
-        check_levels(value, big)
-        return tuple(value)
-    text = str(value).strip()
+    """Levels given as a range "1-3" or a comma list "1,2,4".  A range's
+    ends are checked against the level cap before it is expanded."""
     try:
-        if "-" not in text:
-            return tuple(int(part) for part in text.split(","))
-        lo, hi = (int(end) for end in text.split("-", 1))
+        if "-" not in value:
+            return tuple(int(part) for part in value.split(","))
+        lo, hi = (int(end) for end in value.split("-", 1))
     except ValueError:
-        raise bad from None
+        raise ValueError('levels must be a range "1-3", a comma list "1,2,4" '
+                         f"or a list of integers, got {value!r}") from None
     check_levels((lo, hi), big)
     return tuple(range(lo, hi + 1))
 
 
 def parse_tau_range(text):
-    lo, hi = str(text).split(":", 1)
-    return float(lo), float(hi)
+    """A secant scan interval "lo:hi" as two floats."""
+    try:
+        lo, hi = text.split(":")
+        return float(lo), float(hi)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f'must be "lo:hi" with two numbers, got {text!r}') from None
 
 
 def _join_tau_range(argv):
@@ -99,8 +95,19 @@ def _add_problem_flags(parser, beta=False, densities=False):
         parser.add_argument("--rho1", help="inner density coefficient")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser, its subcommands' too, that reads only full
+    option names and raises each error for ``main`` to report, exit 2."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bielastic",
         description="fourth-order elastic source, eigenvalue, and "
                     "transmission-eigenvalue experiments",
@@ -124,7 +131,8 @@ def build_parser():
     _add_problem_flags(p, densities=True)
     p.add_argument("--k", type=int, help="number of eigenvalues")
     p.add_argument("--method", choices=("secant", "quadratic"))
-    p.add_argument("--tau-range", help="secant scan interval lo:hi")
+    p.add_argument("--tau-range", type=parse_tau_range,
+                   help="secant scan interval lo:hi")
     _add_level_flags(p)
     _add_output_flags(p)
 
@@ -134,7 +142,8 @@ def build_parser():
     p.add_argument("--alpha", type=float)
     p.add_argument("--method", choices=("secant", "quadratic"))
     p.add_argument("--k", type=int)
-    p.add_argument("--tau-range", help="secant scan interval lo:hi")
+    p.add_argument("--tau-range", type=parse_tau_range,
+                   help="secant scan interval lo:hi")
     _add_level_flags(p)
     _add_output_flags(p)
 
@@ -148,38 +157,26 @@ def build_parser():
     return parser
 
 
-def _merge_config(args):
-    ns = vars(args)
-    path = ns.get("config")
-    if not path:
-        return ns
+def _config_args(path):
+    """A JSON config file's options as "--key=value" arguments, for the
+    parser to read as flags: null is absent and a list is the comma list
+    of its JSON entries."""
     with open(path) as handle:
         config = json.load(handle)
-    if not isinstance(config, dict):
-        raise ValueError("config must be a JSON object")
-    # every option of the subcommand, except the positional example number
-    # and --big, a store_true flag that is False, never None, when absent,
-    # so a config value could never fill it
-    allowed = set(ns) - {"command", "config", "number", "big"}
+    if not isinstance(config, dict) or "config" in config:
+        raise ValueError("config must be a JSON object with no config key")
     for key, value in config.items():
-        key = key.replace("-", "_")
-        if key not in allowed:
-            raise ValueError(
-                f"unknown config key {key!r} for {ns['command']}"
-            )
-        if ns.get(key) is None:
-            ns[key] = value
-    return ns
+        if isinstance(value, list):
+            value = ",".join(map(json.dumps, value))
+        if value is not None:
+            yield f"--{key.replace('_', '-')}={value}"
 
 
 def _levels(ns):
-    if ns.get("level") is not None and ns.get("levels") is not None:
-        raise ValueError("pass either --level or --levels, not both")
     if ns.get("level") is not None:
-        return (int(ns["level"]),)
+        return (ns["level"],)
     if ns.get("levels") is not None:
-        return parse_levels(ns["levels"], bool(ns.get("big")))
-    return None
+        return parse_levels(ns["levels"], ns["big"])
 
 
 def _require(ns, *keys):
@@ -230,8 +227,8 @@ def _adhoc_example(ns):
         coeffs = dict(beta=parse_coefficient(beta),
                       loads=(Coefficient.expression(ns["f1"]),
                              Coefficient.expression(ns["f2"])))
-    return ExampleDef(None, kind, ns["domain"], float(ns["lam"]),
-                      float(ns["mu"]), 0, **coeffs)
+    return ExampleDef(None, kind, ns["domain"], ns["lam"], ns["mu"], 0,
+                      **coeffs)
 
 
 def _dispatch(ns):
@@ -245,7 +242,7 @@ def _dispatch(ns):
         if not 1 <= ns["level"] <= LEVEL_CAP + 1:
             raise ValueError(
                 f"levels are 1-based, from 1 to {LEVEL_CAP + 1}")
-        mesh = generate_domain(ns["domain"], int(ns["level"]) - 1)
+        mesh = generate_domain(ns["domain"], ns["level"] - 1)
         if ns.get("out"):
             with open(ns["out"], "w") as handle:
                 dump_mesh(mesh, handle)
@@ -255,22 +252,24 @@ def _dispatch(ns):
 
     levels = _levels(ns)
     example = ns["number"] if cmd == "run-example" else _adhoc_example(ns)
-    tau_range = (parse_tau_range(ns["tau_range"])
-                 if ns.get("tau_range") is not None else None)
     report = run_example(
         example, levels=levels, element=ns.get("element") or "b3",
         alpha=ns.get("alpha"), method=ns.get("method"), k=ns.get("k"),
-        tau_range=tau_range, big=bool(ns.get("big")),
+        tau_range=ns.get("tau_range"), big=ns["big"],
     )
     return _emit(report, ns)
 
 
 def main(argv=None):
+    argv = _join_tau_range(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
-    args = parser.parse_args(
-        _join_tau_range(sys.argv[1:] if argv is None else argv))
     try:
-        ns = _merge_config(args)
+        ns = vars(parser.parse_args(argv))
+        if ns.get("config"):
+            # the command line's own arguments come last, so they win
+            command, *rest = argv
+            ns = vars(parser.parse_args(
+                [command, *_config_args(ns["config"]), *rest]))
         return _dispatch(ns)
     except (RuntimeError, np.linalg.LinAlgError, spla.ArpackError) as exc:
         # LinAlgError subclasses ValueError, so solver failures must be

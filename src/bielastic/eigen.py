@@ -22,8 +22,8 @@ standard Lanczos (mode 1) on G^T A^-1 G, one call, one solve and two G
 products per step (the spectral transformation of Ericsson and Ruhe,
 Math. Comp. 35, 1980), or, at or below ``ROOT_DENSE_ORDER``, a dense
 standard ``eigh`` of G^-1 A G^-T, which factors nothing.  A single
-eigensolve keeps mode 3 because the root would cost a second factor, of
-about the fill of A's.
+eigensolve keeps mode 3, where the root is a second factor, of about the
+fill of A's, that one solve does not repay (measured below).
 
 ``ROOT_DENSE_ORDER`` is measured: the secant scan of one level
 (``find_teps_secant`` with the report's 12 branches, root included),
@@ -42,6 +42,28 @@ thread, numpy 2.4.6 and scipy 1.17.1:
     6, b3, 3                    646           96     3.762 s   1.283 s
 
 The two cross between orders 210 and 294; at 322 they tie.
+
+Both sides of the fork between a plain B and a root, on the same host,
+in two processes each.  A single eigensolve,
+``eig_sym_constrained(KA, KM, 6)`` against the plain mass block and
+against an ``SpdRoot`` of it built inside the timing, minimum of 3; and
+one level's secant scan above ``ROOT_DENSE_ORDER``, minimum of 5:
+
+    example, element, level   order   plain B           root
+    3, b3, 4 (single)         11,782  0.465, 0.416 s    0.647, 0.651 s
+    5, b3, 4 (single)         23,814  1.165, 1.054 s    1.681, 1.628 s
+    5, Morley, 4 (single)     16,002  0.339, 0.330 s    0.506, 0.474 s
+    6, b3, 3 (scan)              646  2.035, 1.580 s    1.861, 1.444 s
+    6, Morley, 3 (scan)          450  1.428, 1.173 s    0.958, 0.865 s
+    9, b3, 3 (scan)              454  2.142, 2.067 s    1.263, 1.386 s
+
+At or below the order, one evaluation's 12 pairs (minimum of 200) by the
+root's standard ``eigh`` took 0.16, 0.70, 1.09, 1.47 and 2.85 ms (second
+process 0.11, 0.67, 0.83, 1.39 and 2.84 ms) at orders 22, 86, 98, 134
+and 210, and by a generalized ``eigh`` against a dense B 0.13, 0.84,
+1.02, 1.59 and 3.21 ms (0.13, 0.79, 0.97, 1.58 and 3.24 ms): a tie at
+22 and 98, the root 8-17 % faster at 86, 134 and 210.  So each of the
+four paths is the faster one where it runs.
 
 ``ConstrainedOperator``, ``solve_sym_constrained`` and
 ``eig_sym_constrained`` keep the names of the KKT design they replaced,

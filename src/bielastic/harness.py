@@ -212,10 +212,18 @@ EXAMPLES = {
 }
 
 
+def _integer(value, name):
+    """A Python or numpy integer as an int; a bool or any other value is
+    refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def check_levels(levels, big=False):
     """Validated, sorted, deduplicated 1-based refinement levels."""
     cap = LEVEL_CAP_BIG if big else LEVEL_CAP
-    out = sorted({int(lvl) for lvl in levels})
+    out = sorted({_integer(lvl, "a level") for lvl in levels})
     if not out:
         raise ValueError("no refinement levels requested")
     if out[0] < 1:
@@ -230,7 +238,7 @@ def check_levels(levels, big=False):
 
 def check_k(k):
     """The number of requested eigenvalues, which must be at least 1."""
-    k = int(k)
+    k = _integer(k, "k")
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
     return k

@@ -127,17 +127,20 @@ class TestRunExampleCommand:
         assert main(argv + ["--big"] * big) == 2
         assert capsys.readouterr().err == err
 
-    @pytest.mark.parametrize("levels", [[1, "2"], [1, 2.0], [True], "1.5",
-                                        {"lo": 1}])
+    @pytest.mark.parametrize("levels, text", [
+        ([1, "2"], '1,"2"'), ([1, 2.0], "1,2.0"), ([True], "true"),
+        ("1.5", "1.5"), ({"lo": 1}, "{'lo': 1}"),
+    ], ids=["levels0", "levels1", "levels2", "1.5", "levels4"])
     def test_config_levels_other_values_exit_2(self, tmp_path, capsys,
-                                               levels):
+                                               levels, text):
+        """A list reads as the comma list of its JSON entries."""
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"levels": levels}))
         assert main(["run-example", "3", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert err == (
             'error: levels must be a range "1-3", a comma list "1,2,4" or '
-            f"a list of integers, got {levels!r}\n")
+            f"a list of integers, got {text!r}\n")
 
     @pytest.mark.parametrize("element", ["b3", "morley"])
     def test_example_9_level_5_exits_0(self, capsys, element):
@@ -226,10 +229,20 @@ class TestRunExampleCommand:
         assert spaced.stdout == joined.stdout
         assert spaced.stderr == joined.stderr
 
-    def test_both_level_flags_rejected_by_parser(self):
-        with pytest.raises(SystemExit) as err:
-            main(["run-example", "3", "--level", "1", "--levels", "1-2"])
-        assert err.value.code == 2
+    def test_both_level_flags_rejected_by_parser(self, capsys):
+        assert main(["run-example", "3", "--level", "1",
+                     "--levels", "1-2"]) == 2
+        assert capsys.readouterr().err == (
+            "error: argument --levels: not allowed with argument --level\n")
+
+    @pytest.mark.parametrize("tau_range", ["5", "1:2:3", "a:1"])
+    def test_tau_range_not_lo_hi_exits_2(self, capsys, tau_range):
+        assert main(["solve-tep", "--domain", "unit-square", "--level", "1",
+                     "--lam", "0.25", "--mu", "0.25", "--rho0", "0.05",
+                     "--rho1", "3", "--tau-range", tau_range]) == 2
+        assert capsys.readouterr().err == (
+            'error: argument --tau-range: must be "lo:hi" with two '
+            f"numbers, got {tau_range!r}\n")
 
 
 class TestOutputTargets:
@@ -281,7 +294,8 @@ class TestConfig:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"level": 1, "beta": "1"}))
         assert main(["run-example", "3", "--config", str(cfg)]) == 2
-        assert "unknown config key" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: unrecognized arguments: --beta=1\n")
 
     @pytest.mark.parametrize("command, key", [
         ("solve-source", "rho0"), ("solve-tep", "f1"),
@@ -291,7 +305,8 @@ class TestConfig:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({key: "1"}))
         assert main([command, "--config", str(cfg)]) == 2
-        assert "unknown config key" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: unrecognized arguments: --{key}=1\n")
 
     def test_config_must_be_object_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -317,7 +332,57 @@ class TestConfig:
         cfg.write_text(json.dumps({"level": 1}))
         assert main(["run-example", "3", "--config", str(cfg),
                      "--levels", "1-2"]) == 2
-        assert "not both" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: argument --levels: not allowed with argument --level\n")
+
+    @pytest.mark.parametrize("argv, config, message", [
+        (["run-example", "3"], {"level": 2.5},
+         "argument --level: invalid int value: '2.5'"),
+        (["run-example", "3"], {"level": True},
+         "argument --level: invalid int value: 'True'"),
+        (["run-example", "3"], {"level": 1, "k": 2.7},
+         "argument --k: invalid int value: '2.7'"),
+        (["run-example", "3"], {"level": 1, "format": "xml"},
+         "argument --format: invalid choice: 'xml' "
+         "(choose from 'csv', 'json')"),
+        (["solve-bielastic"], {"lam": True},
+         "argument --lam: invalid float value: 'True'"),
+        (["run-example", "3"], {"config": "other.json"},
+         "config must be a JSON object with no config key"),
+        (["run-example", "3"], {"lev": 1},
+         "unrecognized arguments: --lev=1"),
+    ])
+    def test_config_value_is_read_as_its_flag(self, tmp_path, capsys, argv,
+                                              config, message):
+        """Each value gets its option's type, choices and exclusions, a
+        key must name its option in full, and a value the option refuses
+        ends in one line naming it."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert main([*argv, "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_config_null_is_absent(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"level": 1, "levels": None, "k": None,
+                                   "format": "csv"}))
+        assert main(["run-example", "3", "--config", str(cfg)]) == 0
+        assert len(capsys.readouterr().out.strip().split("\n")) == 1 + 6
+
+    def test_numeric_load_reads_as_its_flag(self, tmp_path, capsys):
+        square = ["--domain", "unit-square", "--level", "1", "--lam",
+                  "0.25", "--mu", "0.0625", "--format", "csv"]
+        assert main(["solve-source", *square, "--f1", "1", "--f2", "0"]) == 0
+        flag = capsys.readouterr().out
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"f1": 1, "f2": 0}))
+        assert main(["solve-source", *square, "--config", str(cfg)]) == 0
+        config = capsys.readouterr().out
+
+        def drop_seconds(text):
+            return [line.rsplit(",", 1)[0] for line in text.splitlines()]
+
+        assert drop_seconds(config) == drop_seconds(flag)
 
     def test_dashed_config_keys_normalize(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -274,6 +274,21 @@ class TestCheckLevels:
         with pytest.raises(ValueError, match="cap"):
             check_levels([6], big=True)
 
+    def test_rejects_a_level_that_is_no_integer(self):
+        with pytest.raises(ValueError,
+                           match="a level must be an integer, got 1.5"):
+            run_example(3, levels=[1.5])
+
+    @pytest.mark.parametrize("k", [2.7, True])
+    def test_rejects_a_k_that_is_no_integer(self, k):
+        with pytest.raises(ValueError,
+                           match=f"k must be an integer, got {k!r}"):
+            run_example(3, levels=(1,), k=k)
+
+    def test_accepts_numpy_integers(self):
+        report = run_example(3, levels=np.array([1]), k=np.int64(2))
+        assert report.meta["levels"] == [1] and report.meta["k"] == 2
+
 
 class TestRegistry:
     def test_numbers_and_kinds(self):

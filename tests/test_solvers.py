@@ -293,6 +293,7 @@ class TestSpectralFunction:
             ref = (b.KD + tau * b.KF + tau * tau * b.KM).tocsr()
             assert np.array_equal(A.toarray(), ref.toarray())
             assert A.nnz >= ref.nnz
+            assert (A != A.T).nnz == 0
 
 
 class TestTepSecant:
