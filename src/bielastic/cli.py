@@ -276,7 +276,7 @@ def main(argv=None):
         # matched before the invalid-specification family
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, KeyError, TypeError, FileNotFoundError,
+    except (ValueError, KeyError, TypeError, OSError,
             json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -11,7 +11,13 @@ scales its pencil by powers of two near its norms, accepts a start
 vector, so a sweep over a parameter can start each Lanczos run from the
 eigenvectors of the previous one, and replaces ARPACK's Lanczos basis by a
 dense ``eigh`` of the pencil when that basis would span the whole space;
-``DENSE_SYM_CAP`` bounds that order.
+``DENSE_SYM_CAP`` bounds that order.  Every eigensolve, symmetric or
+quadratic, dense or Lanczos, returns through one acceptance check,
+``_result``: each pair's residual ||sum_i lambda^i A_i x|| / ||x|| must
+be at most ``RESIDUAL_FACTOR`` times sum_i |lambda|^i ||A_i||_1.  So the
+pair's normwise backward error as an eigenpair of the matrix polynomial
+(Tisseur, Linear Algebra Appl. 309, 2000), with 1-norms for the 2-norms
+of the A_i, is at most ``RESIDUAL_FACTOR``, and a NaN fails the check.
 
 The path follows from whether the caller reuses B.  A single eigensolve
 runs generalized shift-invert Lanczos (ARPACK mode 3): about four
@@ -138,35 +144,27 @@ def _orientation(vectors):
     return turn
 
 
-def _check_residuals(result, scale_of):
-    bounds = np.array([scale_of(v) for v in result.values])
-    bad = result.residuals > RESIDUAL_FACTOR * bounds
+def _result(vals, vecs, unit, terms, method):
+    """The one acceptance path of every eigensolve: the sorted eigenpairs
+    (vals, vecs) of the matrix polynomial sum_i lambda^i A_i, where
+    ``terms`` lists (A_i @ vecs, ||A_i||_1) for each power i, products of
+    the solver's own vectors.  The residual ||sum_i lambda^i A_i x|| / ||x||
+    does not depend on the scale of x; a pair is accepted only when it is
+    at most ``RESIDUAL_FACTOR`` times sum_i |lambda|^i ||A_i||_1, so a NaN
+    fails.  The accepted vectors are divided by ``unit`` and oriented."""
+    r = sum(ax * vals**i for i, (ax, _) in enumerate(terms))
+    residuals = np.linalg.norm(r, axis=0) / np.linalg.norm(vecs, axis=0)
+    bounds = sum(norm * np.abs(vals)**i for i, (_, norm) in enumerate(terms))
+    bad = ~(residuals <= RESIDUAL_FACTOR * bounds)
     if np.any(bad):
-        worst = float(np.max(result.residuals / bounds))
+        worst = float(np.max(residuals / bounds))
         raise RuntimeError(
             f"eigensolver residuals exceed tolerance "
             f"(worst {worst:.3e} of the 1e-8 bound); method "
-            f"{result.method}, achieved {result.residuals[bad]}"
+            f"{method}, achieved {residuals[bad]}"
         )
-    return result
-
-
-def _sym_result(A, na, bmul, nb, vals, vecs, method):
-    """Sort the eigenpairs ascending, B-normalize (a dense solve already
-    is, up to roundoff) and orient them, and check their residuals.
-    ``na`` is the 1-norm of A, ``bmul`` applies B and ``nb`` is its
-    1-norm."""
-    order = np.argsort(vals)
-    vals, vecs = vals[order], vecs[:, order]
-    bx = bmul(vecs)
-    scale = np.sqrt(np.einsum("ij,ij->j", vecs, bx))
-    vecs = vecs / scale
-    turn = _orientation(vecs)
-    vecs, bx = vecs * turn, bx * (turn / scale)
-    r = A @ vecs - bx * vals
-    residuals = np.linalg.norm(r, axis=0) / np.linalg.norm(vecs, axis=0)
-    result = EigResult(vals, vecs, residuals, method)
-    return _check_residuals(result, lambda v: na + abs(v) * nb)
+    vecs = vecs / unit
+    return EigResult(vals, vecs * _orientation(vecs), residuals, method)
 
 
 def _exponent(norm):
@@ -373,7 +371,11 @@ def eig_sym_constrained(KA, KB, k, v0=None):
             pass
     if method == "dense":
         vals, vecs = _eig_dense(KA, KB, b, k)
-    res = _sym_result(KA, na, bmul, nb, vals, vecs, method)
+    order = np.argsort(vals)
+    vals, vecs = vals[order], vecs[:, order]
+    bx = bmul(vecs)
+    unit = np.sqrt(np.einsum("ij,ij->j", vecs, bx))
+    res = _result(vals, vecs, unit, [(KA @ vecs, na), (-bx, nb)], method)
     return EigResult(np.ldexp(res.values, a - b),
                      np.ldexp(res.vectors, -(b // 2)),
                      np.ldexp(res.residuals, a), method)
@@ -491,14 +493,5 @@ def eig_quadratic(K, C, M, k=None):
     vals, x = vals[order], x[:, order]
     if k is not None:
         vals, x = vals[:k], x[:, :k]
-    norms = np.linalg.norm(x, axis=0)
-    norms[norms == 0] = 1.0
-    x = x / norms
-    x = x * _orientation(x)
-    r = K @ x + (C @ x) * vals + (M @ x) * vals**2
-    residuals = np.linalg.norm(r, axis=0) / np.linalg.norm(x, axis=0)
-    result = EigResult(vals, x, residuals, method)
-    nk, nc, nm = norm1(K), norm1(C), norm1(M)
-    return _check_residuals(
-        result, lambda v: nk + abs(v) * nc + abs(v) ** 2 * nm
-    )
+    terms = [(A @ x, norm1(A)) for A in (K, C, M)]
+    return _result(vals, x, np.linalg.norm(x, axis=0), terms, method)

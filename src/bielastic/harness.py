@@ -558,16 +558,21 @@ def _source_solver(ex, meta, alpha, k, method, tau_range):
     return solve
 
 
+def _eig_rows(meta, res):
+    """One row per eigenpair of the ``EigResult`` res, real or complex;
+    its method goes into ``meta["eig_method"]``."""
+    meta["eig_method"].append(res.method)
+    return [{"branch": j, "value_re": value.real, "value_im": value.imag,
+             "order": None, "residual": float(res.residuals[j - 1])}
+            for j, value in enumerate(map(complex, res.values), start=1)]
+
+
 def _bielastic_solver(ex, meta, alpha, k, method, tau_range):
     meta.update(k=k, mesh_offset=ex.mesh_offset, eig_method=[])
 
     def solve(real):
-        res = solve_bielastic_eigs(real, ex.beta, ex.lam, ex.mu, k,
-                                   alpha=alpha)
-        meta["eig_method"].append(res.method)
-        return [{"branch": j, "value_re": float(value), "value_im": 0.0,
-                 "order": None, "residual": float(res.residuals[j - 1])}
-                for j, value in enumerate(res.values, start=1)]
+        return _eig_rows(meta, solve_bielastic_eigs(
+            real, ex.beta, ex.lam, ex.mu, k, alpha=alpha))
 
     return solve
 
@@ -595,12 +600,7 @@ def _tep_solver(ex, meta, alpha, k, method, tau_range):
                      "scan_branch": int(root.branch),
                      "iterations": int(root.iterations)}
                     for j, root in enumerate(roots, start=1)]
-        res = find_teps_quadratic(blocks, k)
-        meta["eig_method"].append(res.method)
-        return [{"branch": j, "value_re": value.real,
-                 "value_im": value.imag, "order": None,
-                 "residual": float(res.residuals[j - 1])}
-                for j, value in enumerate(map(complex, res.values), start=1)]
+        return _eig_rows(meta, find_teps_quadratic(blocks, k))
 
     return solve
 

@@ -274,6 +274,16 @@ class TestOutputTargets:
         payload = json.loads(target.read_text())
         assert payload["meta"]["example"] == 3
 
+    def test_existing_file_as_directory_exits_2(self, tmp_path, capsys):
+        target = tmp_path / "run.log"
+        target.write_text("")
+        assert main(["run-example", "3", "--level", "1",
+                     "--out", str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert (captured.err.startswith("error: ")
+                and captured.err.count("\n") == 1)
+
 
 class TestConfig:
     def test_config_supplies_missing_options(self, tmp_path, capsys):
@@ -318,6 +328,11 @@ class TestConfig:
         assert main(["run-example", "3",
                      "--config", str(tmp_path / "nope.json")]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_config_directory_exits_2(self, tmp_path, capsys):
+        assert main(["run-example", "3", "--config", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_malformed_config_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -516,3 +516,61 @@ class TestEigQuadraticPath:
         res = eig_quadratic(K, C, M, 6)
         assert res.method == "companion"
         assert res.values[0] == 0.0
+
+
+def symmetric_solve(n, root):
+    """An eigensolve of a random pencil of order n, against a plain B or
+    an ``SpdRoot`` of it."""
+    def solve():
+        rng = np.random.default_rng(47)
+        A = random_spd(rng, n, density=0.05)
+        B = random_spd(rng, n, density=0.05)
+        return eig_sym_constrained(A, SpdRoot(B) if root else B, 4)
+    return solve
+
+
+def quadratic_solve(k):
+    def solve():
+        return eig_quadratic(*random_pencil(np.random.default_rng(29), 30), k)
+    return solve
+
+
+class TestAcceptanceCheck:
+    """Every eigensolve path returns through one residual check."""
+
+    @pytest.mark.parametrize("spoil", ["value", "nan-vector"])
+    @pytest.mark.parametrize("method, solver, solve", [
+        pytest.param("dense", "_eig_dense", symmetric_solve(16, False),
+                     id="dense"),
+        pytest.param("arpack", "_lanczos", symmetric_solve(120, False),
+                     id="arpack"),
+        pytest.param("dense", "_eig_dense", symmetric_solve(120, True),
+                     id="dense-root"),
+        pytest.param("arpack", "_lanczos",
+                     symmetric_solve(eigen.ROOT_DENSE_ORDER + 40, True),
+                     id="arpack-root"),
+        pytest.param("companion", "_companion_qz", quadratic_solve(None),
+                     id="companion"),
+        pytest.param("companion-arnoldi", "_companion_arnoldi",
+                     quadratic_solve(6), id="companion-arnoldi"),
+    ])
+    def test_a_spoiled_pair_is_refused(self, monkeypatch, spoil, method,
+                                       solver, solve):
+        # the raw solver returns one value off by 1e-3 relative, or one
+        # eigenvector of NaN, whose residual no "greater than" test fails
+        assert solve().method == method
+        raw = getattr(eigen, solver)
+
+        def spoiled(*args, **kwargs):
+            vals, vecs = raw(*args, **kwargs)
+            vals, vecs = vals.copy(), vecs.copy()
+            if spoil == "value":
+                vals[1] *= 1 + 1e-3
+            else:
+                vecs[:, 1] = np.nan
+            return vals, vecs
+
+        monkeypatch.setattr(eigen, solver, spoiled)
+        with pytest.raises(RuntimeError,
+                           match=f"exceed tolerance.*method {method},"):
+            solve()
