@@ -7,11 +7,11 @@ attaches empirical convergence orders, and serializes the outcome as a
 text table, CSV, JSON, or plot data files; the orders, the table and the
 plot files read one grouping of the rows, ``_series``. ``run_example``,
 given an example number or an ``ExampleDef``, is the one way to run a
-study: it validates every option once, and one builder per kind supplies
-the per-level solve that the shared level loop calls. User-facing
-refinement levels are 1-based; each example carries its own offset into
-the mesh hierarchy so that level 1 starts on the coarsest grid the
-reference values were produced on.
+study: it validates every option once, and its level loop solves each
+level through ``_level_rows``. User-facing refinement levels are 1-based;
+each example carries its own offset into the mesh hierarchy so that
+level 1 starts on the coarsest grid the reference values were produced
+on.
 """
 
 import json
@@ -306,20 +306,14 @@ def eig_order(values, ref=None):
     return source_order(errs)
 
 
-def _plain(obj):
-    if isinstance(obj, dict):
-        return {k: _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
+def _json_value(obj):
+    """The JSON form of a value ``json`` cannot write: a complex number as
+    {"re", "im"}, a numpy scalar as its Python value."""
     if isinstance(obj, complex):
         return {"re": obj.real, "im": obj.imag}
-    return obj
+    if isinstance(obj, np.generic):
+        return obj.item()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _cell(value):
@@ -370,12 +364,9 @@ class ExperimentReport:
         return "\n".join(lines) + "\n"
 
     def to_json(self):
-        payload = {
-            "meta": _plain(self.meta),
-            "orders": _plain(self.orders),
-            "rows": _plain(self.rows),
-        }
-        return json.dumps(payload, indent=2) + "\n"
+        payload = {"meta": self.meta, "orders": self.orders,
+                   "rows": self.rows}
+        return json.dumps(payload, indent=2, default=_json_value) + "\n"
 
     def _stem(self):
         number = self.meta.get("example")
@@ -514,50 +505,6 @@ def _attach_orders(kind, rows, levels):
     return out
 
 
-def _run_levels(domain, element, levels, mesh_offset, meta, solve):
-    """The level loop of every run kind.
-
-    Each level builds its mesh and realization and calls ``solve(real)``,
-    which returns the level's rows.  The loop times the whole level, space
-    included, prefixes each row with level, h and dofs and ends it with
-    seconds, and appends h and dofs to ``meta``.  The warnings a level
-    raises are caught, and each distinct message goes into
-    ``meta["warnings"]`` with its level.
-    """
-    rows = []
-    for lvl in levels:
-        t0 = time.perf_counter()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            mesh = generate_domain(domain, lvl - 1 + mesh_offset)
-            real = make_realization(mesh, element)
-            level_rows = solve(real)
-        seconds = time.perf_counter() - t0
-        meta["h"].append(mesh.h)
-        meta["dofs"].append(real.dofs)
-        for message in dict.fromkeys(str(w.message) for w in caught):
-            meta["warnings"].append({"level": lvl, "message": message})
-        rows += [{"level": lvl, "h": mesh.h, "dofs": real.dofs, **row,
-                  "seconds": seconds} for row in level_rows]
-    return rows
-
-
-def _source_solver(ex, meta, alpha, k, method, tau_range):
-    meta.update(mesh_offset=ex.mesh_offset,
-                norm_kind="solution" if ex.exact is None else "error")
-
-    def solve(real):
-        res = solve_source(real, ex.beta, ex.lam, ex.mu, *ex.loads,
-                           exact=ex.exact, alpha=alpha)
-        norms = res.norms if ex.exact is not None else error_norms(
-            real.space, res.broken, _zero_exact
-        )
-        return [{"norm": norm, "error": float(norms[norm]), "order": None}
-                for norm in SOURCE_NORMS]
-
-    return solve
-
-
 def _eig_rows(meta, res):
     """One row per eigenpair of the ``EigResult`` res, real or complex;
     its method goes into ``meta["eig_method"]``."""
@@ -567,46 +514,35 @@ def _eig_rows(meta, res):
             for j, value in enumerate(map(complex, res.values), start=1)]
 
 
-def _bielastic_solver(ex, meta, alpha, k, method, tau_range):
-    meta.update(k=k, mesh_offset=ex.mesh_offset, eig_method=[])
-
-    def solve(real):
+def _level_rows(ex, real, meta, alpha, k, method, tau_range):
+    """The rows of one level on the realization ``real``: one per norm
+    for a source run, one per eigenvalue otherwise.  A transmission run
+    finds its values by secant root tracking (real values) or by the
+    companion linearization (complex values allowed)."""
+    if ex.kind == "source":
+        res = solve_source(real, ex.beta, ex.lam, ex.mu, *ex.loads,
+                           exact=ex.exact, alpha=alpha)
+        norms = res.norms if ex.exact is not None else error_norms(
+            real.space, res.broken, _zero_exact
+        )
+        return [{"norm": norm, "error": float(norms[norm]), "order": None}
+                for norm in SOURCE_NORMS]
+    if ex.kind == "bielastic":
         return _eig_rows(meta, solve_bielastic_eigs(
             real, ex.beta, ex.lam, ex.mu, k, alpha=alpha))
-
-    return solve
-
-
-def _tep_solver(ex, meta, alpha, k, method, tau_range):
-    """Secant root tracking (real values) or companion linearization
-    (complex values allowed)."""
-    tau_lo, tau_hi = tau_range
-    meta.update(k=k, method=method, mesh_offset=ex.mesh_offset,
-                eig_method=[])
-
-    def solve(real):
-        blocks = TepBlocks(real, ex.lam, ex.mu, ex.rho0, ex.rho1, alpha=alpha)
-        meta["case"] = blocks.case
-        if method == "secant":
-            roots = find_teps_secant(
-                blocks, k=max(SCAN_BRANCHES, k + 2),
-                tau_lo=tau_lo, tau_hi=tau_hi,
-            )[:k]
-            meta["eig_method"].append(dict(blocks.eig_methods))
-            return [{"branch": j, "value_re": float(root.tau),
-                     "value_im": 0.0, "order": None,
-                     "residual": float(root.residual),
-                     "crossing": bool(root.crossing_flag),
-                     "scan_branch": int(root.branch),
-                     "iterations": int(root.iterations)}
-                    for j, root in enumerate(roots, start=1)]
+    blocks = TepBlocks(real, ex.lam, ex.mu, ex.rho0, ex.rho1, alpha=alpha)
+    meta["case"] = blocks.case
+    if method == "quadratic":
         return _eig_rows(meta, find_teps_quadratic(blocks, k))
-
-    return solve
-
-
-_SOLVERS = {"source": _source_solver, "bielastic": _bielastic_solver,
-           "tep": _tep_solver}
+    roots = find_teps_secant(blocks, k=max(SCAN_BRANCHES, k + 2),
+                             tau_lo=tau_range[0], tau_hi=tau_range[1])[:k]
+    meta["eig_method"].append(dict(blocks.eig_methods))
+    return [{"branch": j, "value_re": float(root.tau), "value_im": 0.0,
+             "order": None, "residual": float(root.residual),
+             "crossing": bool(root.crossing_flag),
+             "scan_branch": int(root.branch),
+             "iterations": int(root.iterations)}
+            for j, root in enumerate(roots, start=1)]
 
 
 def run_example(example, levels=None, element="b3", alpha=None, method=None,
@@ -624,8 +560,8 @@ def run_example(example, levels=None, element="b3", alpha=None, method=None,
         ex = example
     else:
         try:
-            ex = EXAMPLES[int(example)]
-        except (KeyError, TypeError, ValueError):
+            ex = EXAMPLES[_integer(example, "an example number")]
+        except (KeyError, ValueError):
             raise ValueError(
                 f"unknown example {example!r}; valid numbers are 1-9")
     if method is not None and ex.kind != "tep":
@@ -645,10 +581,33 @@ def run_example(example, levels=None, element="b3", alpha=None, method=None,
     tau_range = (0.25, None) if tau_range is None else tau_range
     check_tau_range(*tau_range)
     check_lame(ex.lam, ex.mu)
+    extra = {
+        "source": {"mesh_offset": ex.mesh_offset,
+                   "norm_kind": "solution" if ex.exact is None else "error"},
+        "bielastic": {"k": k, "mesh_offset": ex.mesh_offset,
+                      "eig_method": []},
+        "tep": {"k": k, "method": method, "mesh_offset": ex.mesh_offset,
+                "eig_method": []},
+    }[ex.kind]
     meta = _base_meta(ex.kind, ex.domain, element, levels, ex.lam, ex.mu,
-                      alpha=alpha)
-    solve = _SOLVERS[ex.kind](ex, meta, alpha, k, method, tau_range)
-    rows = _run_levels(ex.domain, element, levels, ex.mesh_offset, meta, solve)
+                      alpha=alpha, **extra)
+    rows = []
+    for lvl in levels:
+        # the level's time and warnings cover its mesh and space too
+        t0 = time.perf_counter()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            mesh = generate_domain(ex.domain, lvl - 1 + ex.mesh_offset)
+            real = make_realization(mesh, element)
+            level_rows = _level_rows(ex, real, meta, alpha, k, method,
+                                     tau_range)
+        seconds = time.perf_counter() - t0
+        meta["h"].append(mesh.h)
+        meta["dofs"].append(real.dofs)
+        for message in dict.fromkeys(str(w.message) for w in caught):
+            meta["warnings"].append({"level": lvl, "message": message})
+        rows += [{"level": lvl, "h": mesh.h, "dofs": real.dofs, **row,
+                  "seconds": seconds} for row in level_rows]
     if ex.number is not None:
         meta["example"] = ex.number
         meta["note"] = ex.note

@@ -187,10 +187,15 @@ def solve_source(real, beta, lam, mu, f1, f2, exact=None, alpha=None):
 
 def solve_bielastic_eigs(real, beta, lam, mu, k, alpha=None):
     """k smallest eigenvalues of the weighted fourth-order pencil against
-    the plain mass form."""
+    the plain mass form.  The pencil is positive definite, so a value that
+    is not positive is a solver failure (``RuntimeError``)."""
     KA = real.reduced(fourth_order_block(real, beta, lam, mu, alpha))
     KM = real.reduced(mass_matrix(real.space))
-    return eig_sym_constrained(KA, KM, k)
+    res = eig_sym_constrained(KA, KM, k)
+    if not np.all(res.values > 0.0):
+        raise RuntimeError("the bi-elastic pencil gave a non-positive "
+                           f"eigenvalue {np.min(res.values):.6g}")
+    return res
 
 
 def detect_density_case(space, rho0, rho1):

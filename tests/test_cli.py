@@ -645,6 +645,23 @@ class TestSolverFailures:
         assert all(0 < float(row["residual"]) <= 1e-12 * beta
                    for row in rows)
 
+    @pytest.mark.parametrize("argv, value", [
+        (["--lam", "250000", "--mu", "0.0625", "--k", "3",
+          "--levels", "1-4"], "-115.93"),
+        (["--lam", "0.25", "--mu", "1e-300", "--k", "2",
+          "--levels", "1-3"], "-1.18717e-13"),
+    ], ids=["huge-lam-over-mu", "vanishing-mu"])
+    def test_non_positive_bielastic_eigenvalue_exits_3(self, capsys, argv,
+                                                        value):
+        """The pencil is positive definite, so a negative value is a
+        solver failure, not a result."""
+        assert main(["solve-bielastic", "--domain", "unit-square", *argv,
+                     "--format", "csv"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("solver failure: the bi-elastic pencil gave a "
+                       f"non-positive eigenvalue {value}\n")
+
     def test_runtime_error_exits_3(self, capsys, monkeypatch):
         def boom(*args, **kwargs):
             raise RuntimeError("factorization failed")

@@ -407,6 +407,18 @@ class TestReports:
         assert payload["rows"][0]["value_re"] == \
             ex3_report.rows[0]["value_re"]
 
+    def test_json_writes_numpy_scalars_and_complex_values(self):
+        meta = {"count": np.int64(7), "ratio": np.float32(0.5),
+                "flag": np.bool_(True), "value": complex(1.5, -2.0)}
+        report = ExperimentReport("bielastic", [], meta, {})
+        assert report.to_json() == (
+            '{\n  "meta": {\n    "count": 7,\n    "ratio": 0.5,\n'
+            '    "flag": true,\n    "value": {\n      "re": 1.5,\n'
+            '      "im": -2.0\n    }\n  },\n  "orders": {},\n'
+            '  "rows": []\n}\n')
+        with pytest.raises(TypeError, match="object is not JSON"):
+            ExperimentReport("bielastic", [], {"x": object()}, {}).to_json()
+
     def test_reruns_are_identical_up_to_timing(self):
         a = run_example(3, levels=(1, 2))
         b = run_example(3, levels=(1, 2))
@@ -512,6 +524,14 @@ class TestRunExample:
             run_example(12)
         with pytest.raises(ValueError, match="valid numbers"):
             run_example("three")
+
+    @pytest.mark.parametrize("example", [True, 2.9, "3", 3.0])
+    def test_example_number_must_be_an_integer(self, example):
+        with pytest.raises(ValueError, match="valid numbers"):
+            run_example(example, levels=(1,))
+
+    def test_example_number_may_be_a_numpy_integer(self):
+        assert run_example(np.int64(3), levels=(1,)).meta["example"] == 3
 
     def test_alpha_requires_morley(self):
         with pytest.raises(ValueError, match="morley"):

@@ -165,6 +165,18 @@ class TestBielasticEigs:
         r2 = solve_bielastic_eigs(morley_sq1, 1.0, LAM, MU, 3, alpha=0.7)
         assert not np.allclose(r1.values, r2.values, rtol=1e-6)
 
+    def test_a_non_positive_value_is_refused(self, b3_sq1, monkeypatch):
+        eig = solvers.eig_sym_constrained
+
+        def spoiled(A, B, k):
+            res = eig(A, B, k)
+            res.values[0] = -res.values[0]
+            return res
+        monkeypatch.setattr(solvers, "eig_sym_constrained", spoiled)
+        with pytest.raises(RuntimeError,
+                           match=r"non-positive eigenvalue -\d"):
+            solve_bielastic_eigs(b3_sq1, 1.0, LAM, MU, 3)
+
 
 class TestDensityCases:
     def test_detect_standard(self, b3_sq1):
