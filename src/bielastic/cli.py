@@ -113,6 +113,7 @@ def build_parser():
                     "transmission-eigenvalue experiments",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
     p = sub.add_parser("solve-source", help="weighted source problem")
     _add_problem_flags(p, beta=True)
@@ -157,19 +158,27 @@ def build_parser():
     return parser
 
 
-def _config_args(path):
+def _config_args(path, parser):
     """A JSON config file's options as "--key=value" arguments, for the
-    parser to read as flags: null is absent and a list is the comma list
-    of its JSON entries."""
+    command's own ``parser`` to read as flags: null is absent, a list is
+    the comma list of its JSON entries, and a flag option, which takes no
+    value, is the bare "--key" for true and absent for false."""
     with open(path) as handle:
         config = json.load(handle)
     if not isinstance(config, dict) or "config" in config:
         raise ValueError("config must be a JSON object with no config key")
     for key, value in config.items():
+        option = f"--{key.replace('_', '-')}"
+        # a flag's store_true action defaults to False, any other to None
+        if (isinstance(value, bool)
+                and parser.get_default(key.replace("-", "_")) is False):
+            if value:
+                yield option
+            continue
         if isinstance(value, list):
             value = ",".join(map(json.dumps, value))
         if value is not None:
-            yield f"--{key.replace('_', '-')}={value}"
+            yield f"{option}={value}"
 
 
 def _levels(ns):
@@ -268,8 +277,8 @@ def main(argv=None):
         if ns.get("config"):
             # the command line's own arguments come last, so they win
             command, *rest = argv
-            ns = vars(parser.parse_args(
-                [command, *_config_args(ns["config"]), *rest]))
+            config = _config_args(ns["config"], parser.commands[ns["command"]])
+            ns = vars(parser.parse_args([command, *config, *rest]))
         return _dispatch(ns)
     except (RuntimeError, np.linalg.LinAlgError, spla.ArpackError) as exc:
         # LinAlgError subclasses ValueError, so solver failures must be

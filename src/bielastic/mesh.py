@@ -1,9 +1,12 @@
 """Structured triangular meshes on the built-in polygonal domains.
 
-Every domain is meshed the same way: a coarse criss pattern (each square cell
-split along its lower-left to upper-right diagonal, triangle domains split by
-one red refinement) followed by uniform red refinements.  Level ``l`` has the
-structured cell parameter ``h = 2**-(l+1)``; refining once halves ``h``.
+Every domain is meshed the same way: a literal coarse mesh followed by
+uniform red refinements.  The unit square's coarse mesh is the 2 x 2 criss
+pattern (each cell split along its lower-left to upper-right diagonal); the
+l-shape's is the same mesh without its upper-right cell, whose vertex and two
+triangles come last; each triangle domain is one triangle refined once.
+Level ``l`` has the structured cell parameter ``h = 2**-(l+1)``; refining
+once halves ``h``.
 
 Edges carry a global orientation from the lower to the higher vertex index,
 and the unit normal is the 90-degree clockwise rotation of the unit tangent.
@@ -23,6 +26,23 @@ DOMAIN_AREAS = {
 }
 
 LEVEL_CAP = 8
+
+# the 2 x 2 criss mesh of the unit square; the l-shape keeps the first 8
+# vertices and the first 6 triangles
+_SQUARE_VERTICES = np.array([
+    [0.0, 0.0], [0.5, 0.0], [1.0, 0.0],
+    [0.0, 0.5], [0.5, 0.5], [1.0, 0.5],
+    [0.0, 1.0], [0.5, 1.0], [1.0, 1.0],
+])
+_SQUARE_TRIANGLES = np.array([
+    [0, 1, 4], [0, 4, 3], [1, 2, 5], [1, 5, 4],
+    [3, 4, 7], [3, 7, 6], [4, 5, 8], [4, 8, 7],
+])
+_TRIANGLE_VERTICES = {
+    "right-triangle": np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+    "equilateral-triangle": np.array(
+        [[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3.0) / 2.0]]),
+}
 
 
 class TriMesh:
@@ -45,11 +65,11 @@ class TriMesh:
         diagonal of a cell is longer by sqrt(2)).
     """
 
-    def __init__(self, vertices, triangles, domain, level, h):
-        self.vertices = np.asarray(vertices, dtype=float)
-        self.triangles = np.asarray(triangles, dtype=np.int64)
+    def __init__(self, vertices, triangles, domain, h):
+        # copies: a mesh never shares the literal coarse arrays
+        self.vertices = np.array(vertices, dtype=float)
+        self.triangles = np.array(triangles, dtype=np.int64)
         self.domain = domain
-        self.level = level
         self.h = h
         self._build_topology()
         self._validate()
@@ -68,32 +88,26 @@ class TriMesh:
 
     def _build_topology(self):
         tri = self.triangles
+        nv = self.nv
         # local edge k is opposite local vertex k
-        pairs = np.stack(
-            [
-                tri[:, [1, 2]],
-                tri[:, [2, 0]],
-                tri[:, [0, 1]],
-            ],
-            axis=1,
-        )  # (nt, 3, 2)
-        pairs = np.sort(pairs.reshape(-1, 2), axis=1)
-        edges, inverse = np.unique(pairs, axis=0, return_inverse=True)
-        self.edges = edges
-        self.tri_edges = inverse.reshape(self.nt, 3)
-
-        edge_tris = np.full((self.ne, 2), -1, dtype=np.int64)
-        counts = np.zeros(self.ne, dtype=np.int64)
-        for t in range(self.nt):
-            for k in range(3):
-                e = self.tri_edges[t, k]
-                edge_tris[e, counts[e]] = t
-                counts[e] += 1
+        pairs = np.sort(tri[:, [1, 2, 2, 0, 0, 1]].reshape(-1, 2), axis=1)
+        # a * nv + b orders the pairs lexicographically
+        keys, inverse, counts = np.unique(
+            pairs[:, 0] * nv + pairs[:, 1],
+            return_inverse=True, return_counts=True)
         if counts.max(initial=0) > 2:
             raise ValueError("non-manifold edge detected")
-        self.edge_tris = edge_tris
+        self.edges = np.column_stack([keys // nv, keys % nv])
+        self.tri_edges = inverse.reshape(self.nt, 3)
+
+        # a stable sort keeps each edge's triangles in increasing order
+        order = np.argsort(inverse, kind="stable")
+        first = np.cumsum(counts) - counts
+        slot = np.arange(3 * self.nt) - np.repeat(first, counts)
+        self.edge_tris = np.full((self.ne, 2), -1, dtype=np.int64)
+        self.edge_tris[inverse[order], slot] = order // 3
         self.boundary_edge = counts == 1
-        self.boundary_vertex = np.zeros(self.nv, dtype=bool)
+        self.boundary_vertex = np.zeros(nv, dtype=bool)
         self.boundary_vertex[self.edges[self.boundary_edge].ravel()] = True
 
     def _validate(self):
@@ -108,12 +122,6 @@ class TriMesh:
         d1 = p[:, 1] - p[:, 0]
         d2 = p[:, 2] - p[:, 0]
         return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
-
-    @property
-    def hmax(self):
-        """Longest edge in the mesh."""
-        d = self.vertices[self.edges[:, 1]] - self.vertices[self.edges[:, 0]]
-        return float(np.sqrt((d * d).sum(axis=1)).max())
 
     def edge_lengths(self):
         d = self.vertices[self.edges[:, 1]] - self.vertices[self.edges[:, 0]]
@@ -142,54 +150,12 @@ class TriMesh:
         return float(ang.min())
 
 
-def _criss_square_cells(cells, keep):
-    """Criss mesh over a ``cells x cells`` grid, keeping cells where
-    ``keep(i, j)`` is true.  Every cell is split along the lower-left to
-    upper-right diagonal."""
-    n = cells
-    idx = np.full((n + 1, n + 1), -1, dtype=np.int64)
-    verts = []
-    for j in range(n + 1):
-        for i in range(n + 1):
-            if any(
-                keep(ci, cj)
-                for ci in (i - 1, i)
-                for cj in (j - 1, j)
-                if 0 <= ci < n and 0 <= cj < n
-            ):
-                idx[i, j] = len(verts)
-                verts.append((i / n, j / n))
-    tris = []
-    for j in range(n):
-        for i in range(n):
-            if not keep(i, j):
-                continue
-            v00 = idx[i, j]
-            v10 = idx[i + 1, j]
-            v01 = idx[i, j + 1]
-            v11 = idx[i + 1, j + 1]
-            tris.append((v00, v10, v11))
-            tris.append((v00, v11, v01))
-    return np.array(verts, dtype=float), np.array(tris, dtype=np.int64)
-
-
 def _coarse_mesh(domain):
-    if domain == "unit-square":
-        v, t = _criss_square_cells(2, lambda i, j: True)
-        return TriMesh(v, t, domain, 0, 0.5)
-    if domain == "l-shape":
-        v, t = _criss_square_cells(2, lambda i, j: not (i == 1 and j == 1))
-        return TriMesh(v, t, domain, 0, 0.5)
-    if domain == "right-triangle":
-        v = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    elif domain == "equilateral-triangle":
-        v = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3.0) / 2.0]])
-    else:
-        raise ValueError(f"unknown domain {domain!r}")
-    one = TriMesh(v, np.array([[0, 1, 2]]), domain, 0, 1.0)
-    mesh = refine_uniform(one)
-    mesh.level = 0
-    return mesh
+    if domain in _TRIANGLE_VERTICES:
+        one = TriMesh(_TRIANGLE_VERTICES[domain], [[0, 1, 2]], domain, 1.0)
+        return refine_uniform(one)
+    nv, nt = (9, 8) if domain == "unit-square" else (8, 6)
+    return TriMesh(_SQUARE_VERTICES[:nv], _SQUARE_TRIANGLES[:nt], domain, 0.5)
 
 
 def generate_domain(domain, level):
@@ -201,7 +167,6 @@ def generate_domain(domain, level):
     mesh = _coarse_mesh(domain)
     for _ in range(level):
         mesh = refine_uniform(mesh)
-    mesh.level = level
     return mesh
 
 
@@ -221,7 +186,7 @@ def refine_uniform(mesh):
     children[1::4] = np.column_stack([mab, b, mbc])
     children[2::4] = np.column_stack([mca, mbc, c])
     children[3::4] = np.column_stack([mab, mbc, mca])
-    return TriMesh(verts, children, mesh.domain, mesh.level + 1, mesh.h / 2.0)
+    return TriMesh(verts, children, mesh.domain, mesh.h / 2.0)
 
 
 def dump_mesh(mesh, stream):

@@ -33,15 +33,6 @@ import scipy.sparse as sparse
 
 from .polybasis import edge_gauss, p2_shapes, p3_shapes
 
-# slot layout of the twelve entity functionals of a cubic on one triangle
-SLOT_NAMES = (
-    "v0", "v1", "v2",
-    "m0", "n00", "n01",
-    "m1", "n10", "n11",
-    "m2", "n20", "n21",
-)
-
-
 class BrokenSpace:
     """Discontinuous piecewise polynomials, per-triangle Lagrange basis."""
 
@@ -197,7 +188,9 @@ def _edge_functional_tables(mesh):
 
 
 def _phi_matrices(mesh):
-    """Entity-functional matrices Phi (nt, 12, 10) in SLOT_NAMES order."""
+    """Entity-functional matrices Phi (nt, 12, 10).  The slots are the
+    vertex values v0 v1 v2, then the mean and the two normal moments of
+    edges 0, 1 and 2."""
     mean, mom0, mom1 = _edge_functional_tables(mesh)
     nt = mesh.nt
     phi = np.zeros((nt, 12, 10))

@@ -40,7 +40,7 @@ LAM, MU = 0.25, 0.0625
 def one_triangle(verts):
     verts = np.asarray(verts, float)
     tris = np.array([[0, 1, 2]])
-    return TriMesh(verts, tris, domain="unit-triangle", level=0, h=1.0)
+    return TriMesh(verts, tris, domain="unit-triangle", h=1.0)
 
 
 def square_mesh(level):

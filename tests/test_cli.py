@@ -377,6 +377,26 @@ class TestConfig:
         assert main([*argv, "--config", str(cfg)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("argv, config, status, option", [
+        (["run-example", "9"], {"big": True, "level": 1}, 0, None),
+        (["run-example", "9"], {"big": False, "level": 1}, 0, None),
+        (["solve-bielastic"], {"k": True}, 2, "--k"),
+        (["run-example", "3"], {"level": True}, 2, "--level"),
+    ])
+    def test_config_bool_is_a_flag_or_refused(self, tmp_path, capsys, argv,
+                                              config, status, option):
+        """true gives a flag option bare and false leaves it out; an
+        option that takes a value refuses a bool in one line naming it."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert main([*argv, "--config", str(cfg), "--format", "csv"]) == status
+        captured = capsys.readouterr()
+        if option is None:
+            assert captured.out.startswith("level,h,dofs,branch")
+        else:
+            assert captured.err.count("\n") == 1
+            assert f"argument {option}:" in captured.err
+
     def test_config_null_is_absent(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"level": 1, "levels": None, "k": None,

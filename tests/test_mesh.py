@@ -1,3 +1,4 @@
+import hashlib
 import io
 import math
 
@@ -7,6 +8,7 @@ import pytest
 from bielastic.mesh import (
     DOMAIN_AREAS,
     DOMAINS,
+    TriMesh,
     generate_domain,
     refine_uniform,
 )
@@ -68,7 +70,7 @@ def test_h_halving_and_hmax():
     m1 = refine_uniform(m0)
     assert m1.h == m0.h / 2
     # criss cells: longest edge is the cell diagonal
-    assert abs(m0.hmax - math.sqrt(2) / 2) < 1e-15
+    assert abs(m0.edge_lengths().max() - math.sqrt(2) / 2) < 1e-15
 
 
 def test_edges_sorted_and_deterministic():
@@ -111,6 +113,23 @@ def test_edge_tris_consistent():
             assert e in mesh.tri_edges[t]
 
 
+def test_edge_tris_match_the_per_triangle_loop():
+    """The reference: each edge's triangles in the order a loop over the
+    triangles and their local edges meets them, here on a mesh whose
+    triangles are shuffled."""
+    base = generate_domain("l-shape", 2)
+    order = np.random.default_rng(3).permutation(base.nt)
+    mesh = TriMesh(base.vertices, base.triangles[order], "l-shape", base.h)
+    want = np.full((mesh.ne, 2), -1)
+    count = np.zeros(mesh.ne, dtype=int)
+    for t in range(mesh.nt):
+        for e in mesh.tri_edges[t]:
+            want[e, count[e]] = t
+            count[e] += 1
+    assert np.array_equal(mesh.edge_tris, want)
+    assert np.array_equal(mesh.boundary_edge, count == 1)
+
+
 def test_dump_mesh_format():
     mesh = generate_domain("unit-square", 0)
     buf = io.StringIO()
@@ -132,3 +151,48 @@ def test_level_cap_and_bad_domain():
         generate_domain("unit-square", 99)
     with pytest.raises(ValueError):
         generate_domain("hexagon", 1)
+
+
+MESH_ARRAYS = ("vertices", "triangles", "edges", "tri_edges", "edge_tris",
+               "boundary_edge", "boundary_vertex")
+
+# sha256 over levels 0-5 of every array in MESH_ARRAYS with its dtype and
+# shape; the numbering and coordinates that the reference errors and
+# eigenvalues were recorded on
+MESH_DIGESTS = {
+    "unit-square":
+        "4afa557d5f984d0725501c172490ee8cee31ce074ad0ff59db5f59cd8f20838b",
+    "right-triangle":
+        "363baf189cbc5ebb116c5f9ab80d60925eacdcb57746bc4225daa16fac3d542f",
+    "equilateral-triangle":
+        "04f6f29fde35f2166727cbdde6ff654bb3d2820a7b27ee540f44730ddda4c20e",
+    "l-shape":
+        "b13b9dc17ed1f74184cc54f24dacef7b4ed0623f217e0cd57bf67fbf255ac628",
+}
+
+
+@pytest.mark.parametrize("domain", DOMAINS)
+def test_meshes_are_bit_for_bit_the_recorded_ones(domain):
+    digest = hashlib.sha256()
+    for level in range(6):
+        mesh = generate_domain(domain, level)
+        for name in MESH_ARRAYS:
+            array = getattr(mesh, name)
+            digest.update(f"{name} {array.dtype.str} {array.shape}\n".encode())
+            digest.update(array.tobytes())
+    assert digest.hexdigest() == MESH_DIGESTS[domain]
+
+
+@pytest.mark.parametrize("vertices, triangles, message", [
+    # three triangles on the edge (0, 1)
+    ([[0, 0], [1, 0], [0, 1], [1, 1], [0.5, -1]],
+     [[0, 1, 2], [1, 0, 4], [0, 1, 3]], "non-manifold edge detected"),
+    ([[0, 0], [1, 0], [0, 1]], [[0, 2, 1]],
+     "triangle with non-positive area (orientation?)"),
+    ([[0, 0], [1, 0], [0, 1], [2, 0], [3, 0], [2, 1]],
+     [[0, 1, 2], [3, 4, 5]], "Euler characteristic 2 != 1"),
+])
+def test_invalid_meshes_are_refused(vertices, triangles, message):
+    with pytest.raises(ValueError) as info:
+        TriMesh(vertices, triangles, domain="custom", h=1.0)
+    assert str(info.value) == message

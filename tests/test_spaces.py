@@ -30,7 +30,7 @@ from oracles import build_b3_constraints, kernel_basis
 def single_triangle():
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     tris = np.array([[0, 1, 2]])
-    return TriMesh(verts, tris, domain="unit-triangle", level=0, h=1.0)
+    return TriMesh(verts, tris, domain="unit-triangle", h=1.0)
 
 
 class TestConstraintRows:
@@ -381,8 +381,7 @@ class TestBrokenSpace:
         jitter = 0.2 * base.h * rng.uniform(-1, 1, base.vertices.shape)
         jitter[base.boundary_vertex] = 0.0
         verts = (base.vertices + jitter) @ np.array([[1.0, 0.3], [0.5, 1.2]])
-        mesh = TriMesh(verts, base.triangles, domain="skewed", level=2,
-                       h=base.h)
+        mesh = TriMesh(verts, base.triangles, domain="skewed", h=base.h)
         space = BrokenSpace(mesh, 3)
         xi = triangle_quadrature(10).points
         got = space.physical_points(xi)
@@ -397,7 +396,7 @@ class TestBrokenSpace:
         """Push-forward of gradients and Hessians on a skewed triangle."""
         verts = np.array([[0.2, 0.1], [1.3, 0.4], [0.5, 1.7]])
         tris = np.array([[0, 1, 2]])
-        mesh = TriMesh(verts, tris, domain="unit-triangle", level=0, h=1.0)
+        mesh = TriMesh(verts, tris, domain="unit-triangle", h=1.0)
         space = BrokenSpace(mesh, 3)
         rng = np.random.default_rng(5)
         c = rng.standard_normal(10)
@@ -494,7 +493,7 @@ class TestMorley:
         """Setting the six functionals of q on one triangle recovers q."""
         verts = np.array([[0.0, 0.0], [1.1, 0.2], [0.3, 0.9]])
         tris = np.array([[0, 1, 2]])
-        mesh = TriMesh(verts, tris, domain="unit-triangle", level=0, h=1.0)
+        mesh = TriMesh(verts, tris, domain="unit-triangle", h=1.0)
         space = BrokenSpace(mesh, 2)
 
         def q(x, y):
