@@ -130,9 +130,12 @@ class Coefficient:
         expr = ast.Expression(tree)
         _validate_tree(expr)
         self.tree = tree
-        self.poly_degree = _poly_degree(expr)
-        code = ast.fix_missing_locations(_float_literals(expr))
-        self._code = compile(code, "<coefficient>", "eval")
+        try:
+            self.poly_degree = _poly_degree(expr)
+            code = ast.fix_missing_locations(_float_literals(expr))
+            self._code = compile(code, "<coefficient>", "eval")
+        except RecursionError:
+            raise ValueError("expression nested too deeply") from None
 
     @classmethod
     def constant(cls, value):
@@ -157,6 +160,8 @@ class Coefficient:
             raise ValueError(
                 f"cannot parse expression {text!r}: {exc.msg}"
             ) from None
+        except RecursionError:
+            raise ValueError("expression nested too deeply") from None
         return cls(tree.body)
 
     def __call__(self, x1, x2):

@@ -687,11 +687,7 @@ def self_test(stream=None):
     x, y = _spot_points()
 
     for name, (coeff, alt) in _coefficient_restatements().items():
-        if isinstance(coeff, Coefficient):
-            got = np.array([coeff(float(a), float(b)) for a, b in zip(x, y)])
-        else:
-            got = coeff(x, y)
-        want = alt(x, y)
+        got, want = coeff(x, y), alt(x, y)
         err = float(np.max(np.abs(np.asarray(got) - want)))
         _check(checks, f"coefficient {name}", err <= 1e-12 * (1.0 + float(np.max(np.abs(want)))),
                f"max deviation {err:.3e}")

@@ -37,6 +37,8 @@ class BrokenSpace:
     """Discontinuous piecewise polynomials, per-triangle Lagrange basis."""
 
     def __init__(self, mesh, degree):
+        if degree not in (2, 3):
+            raise ValueError(f"degree must be 2 or 3, not {degree}")
         self.mesh = mesh
         self.degree = degree
         self.shapes = p3_shapes() if degree == 3 else p2_shapes()
@@ -138,18 +140,17 @@ class _Tables(dict):
 EDGE_POINTS = 3  # Gauss points per edge of the trace functionals
 
 
-def _edge_functional_tables(mesh):
-    """Per-triangle edge-functional rows of the local P3 basis.
+def _phi_matrices(mesh):
+    """Entity-functional matrices Phi (nt, 12, 10) of the local P3 basis.
 
-    For triangle t and local edge k (opposite local vertex k) returns the
-    rows of the three trace functionals, taken in the global orientation of
-    the edge (lower to higher vertex index):
+    The slots are the vertex values v0 v1 v2, then for local edges 0, 1
+    and 2 (edge k opposite local vertex k) the three trace functionals,
+    taken in the global orientation of the edge (lower to higher vertex
+    index):
 
       mean value   (1/|e|) int_e v ds
       n-moment 0   int_e p0 dv/dn ds,   p0 = |e|**-1/2
       n-moment 1   int_e p1 dv/dn ds,   p1 = sqrt(12/|e|) * (s/|e| - 1/2)
-
-    Shapes: (nt, 3, 10) each.
     """
     s, w = edge_gauss(EDGE_POINTS)
     refv = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
@@ -166,9 +167,8 @@ def _edge_functional_tables(mesh):
     tri = mesh.triangles
     lengths = mesh.edge_lengths()
     normals = mesh.edge_normals()
-    mean = np.empty((nt, 3, 10))
-    mom0 = np.empty((nt, 3, 10))
-    mom1 = np.empty((nt, 3, 10))
+    phi = np.zeros((nt, 12, 10))
+    phi[:, :3, :3] = np.eye(3)  # vertex values are Lagrange coefficients
     shat = s - 0.5
     for k in range(3):
         e = mesh.tri_edges[:, k]
@@ -179,28 +179,11 @@ def _edge_functional_tables(mesh):
         dn = (gx[at] * normals[e, 0, None, None]
               + gy[at] * normals[e, 1, None, None])
         le = lengths[e][:, None]
-        mean[:, k, :] = np.einsum("q,tql->tl", w, v)
-        mom0[:, k, :] = np.sqrt(le) * np.einsum("q,tql->tl", w, dn)
-        mom1[:, k, :] = (
+        phi[:, 3 + 3 * k] = np.einsum("q,tql->tl", w, v)
+        phi[:, 4 + 3 * k] = np.sqrt(le) * np.einsum("q,tql->tl", w, dn)
+        phi[:, 5 + 3 * k] = (
             np.sqrt(12.0 * le) * np.einsum("q,q,tql->tl", w, shat, dn)
         )
-    return mean, mom0, mom1
-
-
-def _phi_matrices(mesh):
-    """Entity-functional matrices Phi (nt, 12, 10).  The slots are the
-    vertex values v0 v1 v2, then the mean and the two normal moments of
-    edges 0, 1 and 2."""
-    mean, mom0, mom1 = _edge_functional_tables(mesh)
-    nt = mesh.nt
-    phi = np.zeros((nt, 12, 10))
-    phi[:, 0, 0] = 1.0  # vertex values are Lagrange coefficients
-    phi[:, 1, 1] = 1.0
-    phi[:, 2, 2] = 1.0
-    for k in range(3):
-        phi[:, 3 + 3 * k + 0, :] = mean[:, k, :]
-        phi[:, 3 + 3 * k + 1, :] = mom0[:, k, :]
-        phi[:, 3 + 3 * k + 2, :] = mom1[:, k, :]
     return phi
 
 
@@ -234,9 +217,9 @@ def _slot_vars(mesh, vert_var, edge_var, per_edge=3):
 
 
 def _local_map(blocks, slot_vars, nvars):
-    """Sparse map from entity variables to broken coefficients: row
-    ``t * nloc + i`` takes ``blocks[t, i, s]`` from variable
-    ``slot_vars[t, s]``, for every slot that carries a variable."""
+    """Sparse per-triangle rows over entity variables (a lift, or psi's
+    compatibility rows): row ``t * nloc + i`` takes ``blocks[t, i, s]``
+    from variable ``slot_vars[t, s]``, for every slot with a variable."""
     nt, nloc = blocks.shape[:2]
     t, i, s = np.nonzero((blocks != 0.0) & (slot_vars >= 0)[:, None, :])
     return sparse.csr_matrix(
@@ -280,8 +263,8 @@ def reduce_entities(mesh):
     SVD's left null vectors) over the entity variables; ``lift`` is the
     local reconstruction of broken coefficients from entity values, the
     pseudo-inverse of the functional matrix from the same SVD (exact
-    on compatible data).  Rows are swept in geometric strips (centroid y,
-    then x).
+    on compatible data).  ``psi`` holds every triangle's pair of rows but
+    the last triangle's, in mesh order.
 
     Boundary entities carry no variable.  With these boundary conditions
     the full system has exactly two dependencies, and both weight every
@@ -304,20 +287,7 @@ def reduce_entities(mesh):
     vert_var, edge_var, nvars = _entity_variables(mesh)
     slot_vars = _slot_vars(mesh, vert_var, edge_var)
 
-    cx = mesh.vertices[mesh.triangles, 0].mean(axis=1)
-    cy = mesh.vertices[mesh.triangles, 1].mean(axis=1)
-    order = np.lexsort((cx, cy))[:-1]
-    vals = local[order]
-    cols = np.broadcast_to(slot_vars[order][:, None, :], vals.shape)
-    row_ids = np.broadcast_to(
-        np.arange(2 * order.size).reshape(-1, 2, 1), vals.shape
-    )
-    keep = (cols >= 0) & (vals != 0.0)
-    psi = sparse.csr_matrix(
-        (vals[keep], (row_ids[keep], cols[keep])),
-        shape=(2 * order.size, nvars),
-    )
-
+    psi = _local_map(local[:-1], slot_vars[:-1], nvars)
     lift = _local_map(recon, slot_vars, nvars)
     return EntityReduction(mesh, nvars, psi, lift, local)
 

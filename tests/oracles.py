@@ -39,7 +39,7 @@ from bielastic.assembly import (
     _graddiv_fields,
 )
 from bielastic.polybasis import triangle_quadrature
-from bielastic.spaces import _edge_functional_tables
+from bielastic.spaces import _phi_matrices
 
 
 def kernel_basis(psi):
@@ -67,7 +67,8 @@ class ConstraintSystem:
 
 def build_b3_constraints(mesh):
     """Explicit constraint rows over broken-P3 coefficients."""
-    mean, mom0, mom1 = _edge_functional_tables(mesh)
+    phi = _phi_matrices(mesh)
+    mean, mom0, mom1 = (phi[:, 3 + j:12:3] for j in range(3))
     tri = mesh.triangles
     nloc = 10
     rows = []

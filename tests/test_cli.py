@@ -3,6 +3,7 @@ emission, and exit codes."""
 
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 import bielastic
 import bielastic.cli as cli
 import bielastic.eigen as eigen
+import bielastic.harness as harness
 from bielastic.cli import main, parse_coefficient, parse_levels, \
     parse_tau_range
 
@@ -639,6 +641,17 @@ class TestSelfTestCommand:
         monkeypatch.setattr(cli, "self_test", lambda stream=None: False)
         assert main(["self-test"]) == 4
 
+    def test_wrong_registry_value_fails(self, capsys, monkeypatch):
+        """A registry coefficient that disagrees with its restatement is
+        reported, and the command exits 4."""
+        monkeypatch.setitem(harness.EXAMPLES, 6, dataclasses.replace(
+            harness.EXAMPLES[6], rho0=bielastic.Coefficient.constant(0.5)))
+        assert harness.self_test(io.StringIO()) is False
+        assert main(["self-test"]) == 4
+        out = capsys.readouterr().out
+        assert ("FAIL coefficient example6.rho0 "
+                "(max deviation 4.500e-01)\n") in out
+
 
 class TestSolverFailures:
     def test_load_orthogonal_to_the_space_exits_0(self, capsys):
@@ -737,6 +750,18 @@ class TestCoefficientErrors:
         lines = proc.stderr.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("flag", ["--beta", "--f1"])
+    @pytest.mark.parametrize("terms", [300, 100_000])
+    def test_deeply_nested_expression_exits_2(self, capsys, flag, terms):
+        """A sum too deep to parse, copy or compile is a bad expression,
+        not a solver failure."""
+        command = {"--beta": self.EIG,
+                   "--f1": ["solve-source", *self.EIG[1:-2], "--f2", "0"]}
+        text = "+".join(["x1"] * terms)
+        assert main([*command[flag], flag, text]) == 2
+        assert capsys.readouterr().err == (
+            "error: expression nested too deeply\n")
 
     def test_non_finite_load_exits_2(self, capsys):
         assert main([

@@ -6,6 +6,8 @@ rank is certified on every domain, and conforming functions are verified
 against independent sympy edge integrals of the trace jumps.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -127,7 +129,7 @@ class TestNullspaceOracle:
 def full_compatibility_system(mesh):
     """All 2*nt compatibility rows over entity variables, triangle-major,
     each pair an orthonormal basis of the left null space of the
-    triangle's entity-functional matrix; also the sweep order."""
+    triangle's entity-functional matrix."""
     phi = _phi_matrices(mesh)
     vert_var, edge_var, nvars = _entity_variables(mesh)
     slot_vars = _slot_vars(mesh, vert_var, edge_var)
@@ -136,14 +138,12 @@ def full_compatibility_system(mesh):
         pair = scipy.linalg.null_space(phi[t].T).T  # (2, 12)
         mask = slot_vars[t] >= 0
         G[2 * t:2 * t + 2, slot_vars[t][mask]] = pair[:, mask]
-    cx = mesh.vertices[mesh.triangles, 0].mean(axis=1)
-    cy = mesh.vertices[mesh.triangles, 1].mean(axis=1)
-    return G, np.lexsort((cx, cy))
+    return G
 
 
 class TestCompatibilityRank:
     """Certifies the fixed row rule of ``reduce_entities``: the full
-    system has exactly two dependencies, the last triangle's pair in sweep
+    system has exactly two dependencies, the last triangle's pair in mesh
     order carries both, and the returned ``psi`` has full row rank."""
 
     @pytest.mark.parametrize("level", [0, 1, 2, 3])
@@ -152,7 +152,7 @@ class TestCompatibilityRank:
     ])
     def test_dependencies_and_dropped_pair(self, domain, level):
         mesh = generate_domain(domain, level)
-        G, order = full_compatibility_system(mesh)
+        G = full_compatibility_system(mesh)
         left = scipy.linalg.null_space(G.T)
         assert left.shape[1] == 2
         psi = reduce_entities(mesh).psi.toarray()
@@ -162,7 +162,7 @@ class TestCompatibilityRank:
         # dropped (last) pair's block is nonsingular
         dets = np.abs(np.linalg.det(left.reshape(mesh.nt, 2, 2)))
         assert np.allclose(mesh.nt * dets, 1.0, rtol=1e-8)
-        assert mesh.nt * dets[order[-1]] > 0.5
+        assert mesh.nt * dets[-1] > 0.5
 
 
 class TestEntityReduction:
@@ -196,6 +196,38 @@ class TestEntityReduction:
         psi_v = vector_transform(red.psi)
         assert lift_v.shape == (2 * red.lift.shape[0], 2 * red.nvars)
         assert psi_v.shape == (2 * red.psi.shape[0], 2 * red.nvars)
+
+
+class TestPinnedEntityLayer:
+    """The ``b3`` entity layer, bit for bit: a sha256 over Phi and the CSR
+    arrays of ``lift`` and W at mesh levels 0-4, each array with its dtype
+    and shape.  A refactor of the layer must keep every digest; a change
+    of the numbers must say why and record new ones.  The digests depend
+    on the LAPACK that NumPy's SVD calls."""
+
+    DIGESTS = {
+        "unit-square":
+            "f42cbbbeecee6b62653fb1a533129d52bcb03beca3a88f198f9a4e547bb08ec3",
+        "right-triangle":
+            "a3e3e70355c389281f7af5aa9cbaff4e84ae3ab569566deecbef59615e9961aa",
+        "equilateral-triangle":
+            "66fb0da03b31b012f079fd02234d997d16bc9497ba3e837bf58b2a16f1f78e54",
+        "l-shape":
+            "c753184914cceb857be836b5de8401e546c27f492b1af7c2ff0fb9163121ebf5",
+    }
+
+    @pytest.mark.parametrize("domain", sorted(DIGESTS))
+    def test_digest(self, domain):
+        digest = hashlib.sha256()
+        for level in range(5):
+            mesh = generate_domain(domain, level)
+            red = reduce_entities(mesh)
+            W = local_basis(red)
+            for a in (_phi_matrices(mesh), red.lift.indptr, red.lift.indices,
+                      red.lift.data, W.indptr, W.indices, W.data):
+                digest.update(f"{a.dtype}{a.shape}".encode())
+                digest.update(np.ascontiguousarray(a).tobytes())
+        assert digest.hexdigest() == self.DIGESTS[domain]
 
 
 class TestLocalBasis:
@@ -365,6 +397,11 @@ class TestConformingFunctions:
 
 
 class TestBrokenSpace:
+    @pytest.mark.parametrize("degree", [1, 4])
+    def test_refuses_other_degrees(self, degree):
+        with pytest.raises(ValueError, match="degree"):
+            BrokenSpace(single_triangle(), degree)
+
     def test_geometry_inverse(self):
         mesh = generate_domain("equilateral-triangle", 1)
         space = BrokenSpace(mesh, 3)
