@@ -2,17 +2,27 @@
 
 Every matrix is block-diagonal per triangle over broken coefficients; vector
 fields use a component-major layout, so a two-component form is the 2x2
-block matrix of scalar-layout pieces.  Every matrix comes from one kernel,
-``_form``: each form lists, per component block, its weighted products of
-tabulated fields (values, gradients, Hessians).  Its quadrature degree is
-chosen from the polynomial degree of the integrand, read from the
-coefficient's expression tree, and capped at the finest available rule
-otherwise (rational or trigonometric coefficients are integrated at degree
-12; the consistency error this leaves is far below the discretization
-error at the mesh sizes involved).  Loads and error norms use the fixed
-degree ``FIELD_DEGREE``.  The kernel checks only finiteness, of the
+block matrix of scalar-layout pieces, written straight into CSR from the
+per-triangle blocks.  Every matrix comes from one kernel, ``_form``: each
+form lists, per component block, its weighted products of tabulated
+fields (values, gradients, Hessians).  Its quadrature degree is chosen
+from the polynomial degree of the integrand, read from the coefficient's
+expression tree, and capped at the finest available rule otherwise
+(rational or trigonometric coefficients are integrated at degree 12; the
+consistency error this leaves is far below the discretization error at
+the mesh sizes involved).  The kernel checks only finiteness, of the
 coefficient values and of the assembled blocks; whether a weight is
 admissible (positive) is decided by the problem drivers in ``solvers``.
+
+The forms integrate on the symmetric rule ``triangle_quadrature``; loads
+and error norms on the collapsed rule ``collapsed_quadrature`` of the
+fixed degree ``FIELD_DEGREE``, 36 points per triangle against 216, with
+the same exactness.  The forms stay on the symmetric rule for
+reproducibility, not accuracy: the reduced fourth-order block is so
+ill-conditioned that a 3.6e-15 relative change in it, from the collapsed
+rule, moved example 1's level-4 L2 error by 4.6e-6 relative, beyond the
+benchmark's recorded tolerance.  The loads and norms moved that error by
+4.8e-12.
 
 Loads and error norms need no per-basis physical tables.  The load
 contracts its weighted values with the reference value table; the error
@@ -32,7 +42,11 @@ import numpy as np
 import scipy.sparse as sparse
 
 from .coefficients import as_coefficient, require_finite
-from .polybasis import QUAD_DEGREES, triangle_quadrature
+from .polybasis import (
+    QUAD_DEGREES,
+    collapsed_quadrature,
+    triangle_quadrature,
+)
 
 CHUNK = 512
 FIELD_DEGREE = 10  # quadrature degree of loads and error norms
@@ -70,16 +84,6 @@ def _coeff_weights(coeff, cw, xq):
     if coeff is None:
         return cw
     return cw * require_finite(coeff(xq[..., 0], xq[..., 1]))
-
-
-def _block_diag(space, blocks):
-    """(nt, nloc, nloc) dense blocks into a block-diagonal CSR matrix."""
-    nt, nloc = blocks.shape[0], blocks.shape[1]
-    mat = sparse.bsr_matrix(
-        (blocks, np.arange(nt), np.arange(nt + 1)),
-        shape=(nt * nloc, nt * nloc),
-    )
-    return mat.tocsr()
 
 
 def _divsigma_fields(tab, lam, mu):
@@ -131,11 +135,29 @@ def _form(space, coeff, base_degree, terms):
         require_finite(b, "assembled form")
     if (0, 1) in blocks and (1, 0) not in blocks:
         blocks[1, 0] = blocks[0, 1].transpose(0, 2, 1)
-    mats = {ab: _block_diag(space, b) for ab, b in blocks.items()}
-    mats.setdefault((1, 1), mats[0, 0])
-    return sparse.bmat(
-        [[mats.get((a, b)) for b in range(2)] for a in range(2)],
-        format="csr",
+    blocks.setdefault((1, 1), blocks[0, 0])
+    return _component_csr(blocks, nt, nloc)
+
+
+def _component_csr(blocks, nt, nloc):
+    """The 2 x 2 component block matrix of per-triangle blocks, written
+    straight into CSR.  Row c N + t nloc + i (N = nt nloc) holds row i of
+    triangle t's block (c, b) at columns b N + t nloc + j, for each
+    component b that block row c lists, in increasing column order; a
+    scalar form lists only (c, c).  Every block entry is stored, zeros
+    included."""
+    comps = [[b for b in range(2) if (a, b) in blocks] for a in range(2)]
+    data = np.stack([np.stack([blocks[a, b] for b in comps[a]], axis=2)
+                     for a in range(2)])  # (2, nt, nloc, nb, nloc)
+    n, nb = nt * nloc, len(comps[0])
+    index = np.int32 if data.size < 2**31 else np.int64
+    local = np.arange(n, dtype=index).reshape(nt, 1, 1, nloc)
+    cols = np.array(comps, dtype=index).reshape(2, 1, 1, nb, 1) * n
+    indices = np.broadcast_to(local + cols, data.shape)
+    indptr = np.arange(0, data.size + 1, nb * nloc, dtype=index)
+    return sparse.csr_matrix(
+        (data.reshape(-1), indices.reshape(-1), indptr),
+        shape=(2 * n, 2 * n),
     )
 
 
@@ -194,7 +216,7 @@ def load_vector(space, f1, f2):
     and component, one product of the weighted load values with the
     reference value table (values need no push-forward)."""
     nt, nloc = space.mesh.nt, space.nloc
-    rule = triangle_quadrature(FIELD_DEGREE)
+    rule = collapsed_quadrature(FIELD_DEGREE)
     ref_v = space.ref_tables(rule.points)["v"]
     out = np.zeros((2, nt, nloc))
     for sel, cw, xq in _chunks(space, rule):
@@ -217,7 +239,7 @@ def error_norms(space, u, exact):
     """
     nt, nloc = space.mesh.nt, space.nloc
     uc = u.reshape(2, nt, nloc)
-    rule = triangle_quadrature(FIELD_DEGREE)
+    rule = collapsed_quadrature(FIELD_DEGREE)
     acc = {"l2": 0.0, "h1": 0.0, "h2": 0.0}
     contrib = {
         "l2": (("v", 1.0),),

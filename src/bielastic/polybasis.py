@@ -4,10 +4,16 @@ The reference triangle has vertices (0,0), (1,0), (0,1).  Lagrange bases of
 degree 2 and 3 are tabulated (values, gradients, Hessians) at arbitrary
 points via an exact monomial Vandermonde solve.
 
-Triangle quadrature rules are built as collapsed tensor Gauss rules
-symmetrized over all six barycentric permutations: symmetric, all weights
-positive, and exact for the requested polynomial degree.  Exactness is
-checkable against the closed-form barycentric moment
+Two triangle quadrature rules are built, both with positive weights,
+interior points and exactness for the requested polynomial degree.
+``collapsed_quadrature`` is the collapsed tensor Gauss rule, n^2 points
+with n = (degree + 3) // 2; ``triangle_quadrature`` symmetrizes it over
+the six barycentric permutations, 6 n^2 points with the same exactness.
+Loads and error norms integrate on the collapsed rule, the bilinear
+forms on the symmetric one (``assembly`` says why), and
+``solvers.coefficient_range`` samples a weight at the symmetric degree-12
+points.  Exactness is checkable against the closed-form barycentric
+moment
 
     integral over T of l1^a l2^b l3^c dx = 2|T| a! b! c! / (a+b+c+2)!
 """
@@ -111,9 +117,12 @@ class QuadratureRule:
 
 
 @lru_cache(maxsize=None)
-def triangle_quadrature(degree):
-    """Symmetric positive rule exact for polynomials of total degree
-    ``degree``."""
+def collapsed_quadrature(degree):
+    """Collapsed Gauss rule exact for polynomials of total degree
+    ``degree``: the n x n tensor Gauss rule on the square mapped to the
+    triangle by (u, v) -> (u, v (1 - u)), n = (degree + 3) // 2 (Stroud
+    1971).  Its weights are positive and its points interior, but it is
+    not symmetric under the vertex permutations."""
     if degree not in QUAD_DEGREES:
         raise ValueError(f"unsupported quadrature degree {degree}")
     n = (degree + 3) // 2  # collapsed direction sees degree+1
@@ -124,17 +133,21 @@ def triangle_quadrature(degree):
     u = np.repeat(t, n)
     v = np.tile(t, n)
     wq = np.repeat(w, n) * np.tile(w, n) * (1.0 - u)
-    x = u
-    y = v * (1.0 - u)
+    return QuadratureRule(degree, np.column_stack([u, v * (1.0 - u)]), wq)
+
+
+@lru_cache(maxsize=None)
+def triangle_quadrature(degree):
+    """Symmetric positive rule exact for polynomials of total degree
+    ``degree``: the collapsed rule under all six vertex permutations, each
+    copy with a sixth of its weights.  The identity comes first, so the
+    first n^2 points are the collapsed rule's."""
+    base = collapsed_quadrature(degree)
+    x, y = base.points.T
     lam = np.column_stack([1.0 - x - y, x, y])
-    pts = []
-    wts = []
-    for perm in ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1),
-                 (2, 1, 0)):
-        lp = lam[:, perm]
-        pts.append(np.column_stack([lp[:, 1], lp[:, 2]]))
-        wts.append(wq / 6.0)
-    return QuadratureRule(degree, np.vstack(pts), np.concatenate(wts))
+    perms = ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
+    points = np.vstack([lam[:, perm[1:]] for perm in perms])
+    return QuadratureRule(degree, points, np.tile(base.weights / 6.0, 6))
 
 
 def edge_gauss(npoints):

@@ -16,7 +16,9 @@
   are the per-basis table route to the error norms and the load vector:
   physical tables of every basis function, with gradients J^T g and
   Hessians J^T H J written as matrix products (J = B^-1), then contracted
-  with the field.  They share no push-forward code with the library.
+  with the field, on the library's field rule (``collapsed_quadrature``
+  of degree ``FIELD_DEGREE``).  They share no push-forward code with the
+  library.
 * ``exact_of`` turns a table of per-key pairs of callables into the one
   callable ``exact(x, y)`` that ``assembly.error_norms`` takes; the
   table itself is what ``error_norms_tables`` reads.
@@ -32,13 +34,14 @@ import scipy.linalg as dla
 import scipy.sparse as sparse
 
 from bielastic.assembly import (
+    FIELD_DEGREE,
     _ALL,
     _UPPER,
     _dot_terms,
     _form,
     _graddiv_fields,
 )
-from bielastic.polybasis import triangle_quadrature
+from bielastic.polybasis import collapsed_quadrature
 from bielastic.spaces import _phi_matrices
 
 
@@ -219,8 +222,9 @@ def physical_tables(space, ref_points):
 
 
 def _quadrature(space, degree):
-    """Physical points (nt, npoints, 2) and weights (nt, npoints)."""
-    rule = triangle_quadrature(degree)
+    """Physical points (nt, npoints, 2) and weights (nt, npoints) of the
+    collapsed rule, on which the library integrates loads and norms."""
+    rule = collapsed_quadrature(degree)
     xq = space.p0[:, None, :] + np.einsum("tab,qb->tqa", space.B,
                                           rule.points)
     cw = np.abs(space.detB)[:, None] * rule.weights[None, :]
@@ -233,7 +237,7 @@ def exact_of(table):
                          for key, pair in table.items()}
 
 
-def error_norms_tables(space, u, exact, degree=10):
+def error_norms_tables(space, u, exact, degree=FIELD_DEGREE):
     """``assembly.error_norms`` through per-basis physical tables."""
     rule, xq, cw = _quadrature(space, degree)
     tab = physical_tables(space, rule.points)
@@ -256,7 +260,7 @@ def error_norms_tables(space, u, exact, degree=10):
     return {k: math.sqrt(v) for k, v in acc.items()}
 
 
-def load_vector_tables(space, f1, f2, degree=10):
+def load_vector_tables(space, f1, f2, degree=FIELD_DEGREE):
     """``assembly.load_vector`` through the broadcast value table."""
     rule, xq, cw = _quadrature(space, degree)
     tab = physical_tables(space, rule.points)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import sympy as sp
 
 from bielastic.polybasis import (
     QUAD_DEGREES,
+    collapsed_quadrature,
     edge_gauss,
     p2_shapes,
     p3_shapes,
@@ -17,20 +19,30 @@ from oracles import barycentric_moment, divsigma_eval
 rng = np.random.default_rng(20260816)
 
 
-@pytest.mark.parametrize("degree", QUAD_DEGREES)
-def test_quadrature_weights(degree):
-    rule = triangle_quadrature(degree)
+# both rules at every degree; the symmetric rule keeps the bare degree id
+RULES = (
+    [pytest.param(triangle_quadrature, d, id=str(d)) for d in QUAD_DEGREES]
+    + [pytest.param(collapsed_quadrature, d, id=f"collapsed-{d}")
+       for d in QUAD_DEGREES]
+)
+
+
+def barycentric(points):
+    return np.column_stack([1 - points.sum(axis=1), points[:, 0],
+                            points[:, 1]])
+
+
+@pytest.mark.parametrize("rule_of,degree", RULES)
+def test_quadrature_weights(rule_of, degree):
+    rule = rule_of(degree)
     assert np.all(rule.weights > 0)
     assert abs(rule.weights.sum() - 0.5) < 1e-15
-    lam = np.column_stack(
-        [1 - rule.points.sum(axis=1), rule.points[:, 0], rule.points[:, 1]]
-    )
-    assert lam.min() > -1e-15
+    assert barycentric(rule.points).min() > -1e-15
 
 
-@pytest.mark.parametrize("degree", QUAD_DEGREES)
-def test_quadrature_exactness(degree):
-    rule = triangle_quadrature(degree)
+@pytest.mark.parametrize("rule_of,degree", RULES)
+def test_quadrature_exactness(rule_of, degree):
+    rule = rule_of(degree)
     x, y = rule.points.T
     for i in range(degree + 1):
         for j in range(degree + 1 - i):
@@ -40,17 +52,29 @@ def test_quadrature_exactness(degree):
             assert abs(got - exact) < 1e-14, (degree, i, j)
 
 
+def is_symmetric(rule):
+    """Whether the weighted point set, each row (l1, l2, l3, w), is the
+    same set under every permutation of the barycentric columns.  Rows are
+    lexsorted on values rounded to 12 digits, so that copies of one point
+    that differ in the last bits sort alike, then compared unrounded."""
+    lam = barycentric(rule.points)
+
+    def rows(perm):
+        r = np.column_stack([lam[:, perm], rule.weights])
+        return r[np.lexsort(np.round(r, 12).T[::-1])]
+
+    ref = rows((0, 1, 2))
+    return all(np.allclose(rows(perm), ref, rtol=0, atol=1e-15)
+               for perm in itertools.permutations(range(3)))
+
+
 def test_quadrature_symmetric():
-    rule = triangle_quadrature(6)
-    lam = np.column_stack(
-        [1 - rule.points.sum(axis=1), rule.points[:, 0], rule.points[:, 1]]
-    )
-    ref = np.sort(lam, axis=1)
-    ref = ref[np.lexsort(ref.T)]
-    for perm in ((1, 0, 2), (2, 1, 0), (1, 2, 0)):
-        q = np.sort(lam[:, perm], axis=1)
-        q = q[np.lexsort(q.T)]
-        assert np.allclose(q, ref, atol=1e-15)
+    """The symmetric rule is invariant under the vertex permutations at
+    every degree; the collapsed rule it is built from is not, so the
+    check can fail."""
+    for degree in QUAD_DEGREES:
+        assert is_symmetric(triangle_quadrature(degree)), degree
+        assert not is_symmetric(collapsed_quadrature(degree)), degree
 
 
 def test_quadrature_bad_degree():
